@@ -151,15 +151,13 @@ impl Pass for GenericMemoryStreamsPass {
             };
             instr.set_mem(Some(mem));
             let base_reg = Self::stream_base_reg(stream.id);
-            let mut sources = instr.sources().to_vec();
             match class {
                 InstrClass::Load => {
                     instr.set_sources(vec![base_reg]);
                 }
                 InstrClass::Store => {
-                    let data = sources.first().copied().unwrap_or(Reg::x(5));
-                    sources = vec![data, base_reg];
-                    instr.set_sources(sources);
+                    let data = instr.sources().first().copied().unwrap_or(Reg::x(5));
+                    instr.set_sources(vec![data, base_reg]);
                 }
                 _ => unreachable!("filtered to memory classes above"),
             }

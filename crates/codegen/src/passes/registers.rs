@@ -107,34 +107,48 @@ impl DefaultRegisterAllocationPass {
         }
         pool
     }
+}
 
-    /// Finds the destination register of the nearest producer at or before
-    /// `target` (falling back to any earlier producer) in `dests`.
-    fn producer_at_distance(
-        dests: &[Option<(Reg, bool)>],
-        index: usize,
-        dd: usize,
-        want_fp: bool,
-    ) -> Option<Reg> {
+/// The destination registers written so far in the block, indexed for
+/// O(1) nearest-producer lookups.
+struct Producers {
+    /// `nearest[j][file]`: destination of the last producer of register
+    /// file `file` (1 = floating point) at or before instruction `j`.
+    nearest: Vec<[Option<Reg>; 2]>,
+    /// The first producer of each register file.
+    first: [Option<Reg>; 2],
+}
+
+impl Producers {
+    fn with_capacity(len: usize) -> Self {
+        Producers {
+            nearest: Vec::with_capacity(len),
+            first: [None; 2],
+        }
+    }
+
+    /// Records the destination (and its file) of the next instruction.
+    fn record(&mut self, dest: Option<(Reg, bool)>) {
+        let mut entry = self.nearest.last().copied().unwrap_or([None; 2]);
+        if let Some((reg, is_fp)) = dest {
+            entry[usize::from(is_fp)] = Some(reg);
+            self.first[usize::from(is_fp)].get_or_insert(reg);
+        }
+        self.nearest.push(entry);
+    }
+
+    /// For the instruction after the recorded ones, the destination of the
+    /// nearest producer of the wanted file at or before distance `dd`,
+    /// falling back to the earliest producer between there and the
+    /// instruction.  Since no producer precedes the fallback, that is the
+    /// first producer of the file.
+    fn at_distance(&self, dd: usize, want_fp: bool) -> Option<Reg> {
+        let index = self.nearest.len();
         if index == 0 {
             return None;
         }
-        let target = index.saturating_sub(dd);
-        // search backwards from the target for a producer of the right file
-        for j in (0..=target.min(index - 1)).rev() {
-            if let Some((reg, is_fp)) = dests[j] {
-                if is_fp == want_fp {
-                    return Some(reg);
-                }
-            }
-        }
-        // otherwise search forward between target and the current instruction
-        for (reg, is_fp) in dests[target.min(index - 1)..index].iter().flatten() {
-            if *is_fp == want_fp {
-                return Some(*reg);
-            }
-        }
-        None
+        let target = index.saturating_sub(dd).min(index - 1);
+        self.nearest[target][usize::from(want_fp)].or(self.first[usize::from(want_fp)])
     }
 }
 
@@ -162,14 +176,12 @@ impl Pass for DefaultRegisterAllocationPass {
         let len = test_case.block().len();
         let reserved: Vec<Reg> = test_case.reserved_regs().to_vec();
 
-        // Destination register of each already-processed instruction,
-        // tagged with whether it is a floating point register.
-        let mut dests: Vec<Option<(Reg, bool)>> = vec![None; len];
+        let mut producers = Producers::with_capacity(len);
         let mut int_rr = 0usize;
         let mut fp_rr = 0usize;
 
         let block = test_case.block_mut();
-        for (i, instr) in block.instructions_mut().iter_mut().enumerate() {
+        for instr in block.instructions_mut().iter_mut() {
             let opcode = instr.opcode();
             let class = opcode.class();
             // Leave the loop-control instructions (which use reserved
@@ -180,25 +192,23 @@ impl Pass for DefaultRegisterAllocationPass {
                 .chain(instr.dest().iter())
                 .any(|r| reserved.contains(r) && !r.is_zero());
             if uses_reserved && !class.is_memory() {
-                if let Some(d) = instr.dest() {
-                    dests[i] = Some((d, opcode.writes_fp_reg()));
-                }
+                producers.record(instr.dest().map(|d| (d, opcode.writes_fp_reg())));
                 continue;
             }
 
-            match class {
+            let produced = match class {
                 InstrClass::Integer | InstrClass::Float => {
                     let want_fp = opcode.reads_fp_regs();
                     let n_src = opcode.num_sources();
                     let mut sources = Vec::with_capacity(n_src);
                     for k in 0..n_src {
-                        let src = Self::producer_at_distance(&dests, i, dd + k, want_fp).unwrap_or(
-                            if want_fp {
+                        let src = producers
+                            .at_distance(dd + k, want_fp)
+                            .unwrap_or(if want_fp {
                                 Self::fp_init_reg()
                             } else {
                                 Self::int_init_reg()
-                            },
-                        );
+                            });
                         sources.push(src);
                     }
                     instr.set_sources(sources);
@@ -211,20 +221,23 @@ impl Pass for DefaultRegisterAllocationPass {
                         let dest = pool[*rr % pool.len()];
                         *rr += 1;
                         instr.set_dest(Some(dest));
-                        dests[i] = Some((dest, opcode.writes_fp_reg()));
+                        Some((dest, opcode.writes_fp_reg()))
+                    } else {
+                        None
                     }
                 }
                 InstrClass::Branch => {
                     if opcode.is_conditional_branch() {
-                        let s1 = Self::producer_at_distance(&dests, i, dd, false)
+                        let s1 = producers
+                            .at_distance(dd, false)
                             .unwrap_or(Self::int_init_reg());
-                        let s2 = Self::producer_at_distance(&dests, i, dd + 1, false)
-                            .unwrap_or(Reg::ZERO);
+                        let s2 = producers.at_distance(dd + 1, false).unwrap_or(Reg::ZERO);
                         let imm = instr.imm().unwrap_or(8);
                         let prob = instr.branch_taken_prob();
                         *instr = micrograd_isa::Instruction::branch(opcode, s1, s2, imm);
                         instr.set_branch_taken_prob(prob);
                     }
+                    None
                 }
                 InstrClass::Load => {
                     // keep the base register chosen by the memory pass, pick
@@ -238,19 +251,20 @@ impl Pass for DefaultRegisterAllocationPass {
                         let dest = pool[*rr % pool.len()];
                         *rr += 1;
                         instr.set_dest(Some(dest));
-                        dests[i] = Some((dest, opcode.writes_fp_reg()));
+                        Some((dest, opcode.writes_fp_reg()))
+                    } else {
+                        None
                     }
                 }
                 InstrClass::Store => {
                     // wire the store data register to a producer at the
                     // requested distance; keep the base register
                     let want_fp = opcode.reads_fp_regs();
-                    let data =
-                        Self::producer_at_distance(&dests, i, dd, want_fp).unwrap_or(if want_fp {
-                            Self::fp_init_reg()
-                        } else {
-                            Self::int_init_reg()
-                        });
+                    let data = producers.at_distance(dd, want_fp).unwrap_or(if want_fp {
+                        Self::fp_init_reg()
+                    } else {
+                        Self::int_init_reg()
+                    });
                     let mut sources = instr.sources().to_vec();
                     if sources.is_empty() {
                         sources = vec![data, Reg::x(10)];
@@ -258,8 +272,10 @@ impl Pass for DefaultRegisterAllocationPass {
                         sources[0] = data;
                     }
                     instr.set_sources(sources);
+                    None
                 }
-            }
+            };
+            producers.record(produced);
         }
         Ok(())
     }
@@ -295,6 +311,60 @@ mod tests {
 
     fn int_profile() -> InstructionProfile {
         InstructionProfile::new().with(Opcode::Add, 1.0)
+    }
+
+    /// The backward-then-forward producer scan `Producers` replaced.
+    fn scan_producer(
+        dests: &[Option<(Reg, bool)>],
+        index: usize,
+        dd: usize,
+        want_fp: bool,
+    ) -> Option<Reg> {
+        if index == 0 {
+            return None;
+        }
+        let target = index.saturating_sub(dd);
+        for j in (0..=target.min(index - 1)).rev() {
+            if let Some((reg, is_fp)) = dests[j] {
+                if is_fp == want_fp {
+                    return Some(reg);
+                }
+            }
+        }
+        for (reg, is_fp) in dests[target.min(index - 1)..index].iter().flatten() {
+            if *is_fp == want_fp {
+                return Some(*reg);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn producer_index_matches_the_backward_scan() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+        for _ in 0..50 {
+            let len = rng.gen_range(1..120);
+            let dests: Vec<Option<(Reg, bool)>> = (0..len)
+                .map(|i| {
+                    let reg = Reg::x(6 + (i % 20) as u8);
+                    rng.gen_bool(0.6).then(|| (reg, rng.gen_bool(0.3)))
+                })
+                .collect();
+            let mut producers = Producers::with_capacity(len);
+            for (index, dest) in dests.iter().enumerate() {
+                for dd in 1..12 {
+                    for want_fp in [false, true] {
+                        assert_eq!(
+                            producers.at_distance(dd, want_fp),
+                            scan_producer(&dests, index, dd, want_fp),
+                            "index {index} dd {dd} fp {want_fp}"
+                        );
+                    }
+                }
+                producers.record(*dest);
+            }
+        }
     }
 
     #[test]

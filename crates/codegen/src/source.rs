@@ -24,10 +24,9 @@
 //!   (see `docs/simpoint.md`).
 
 use crate::trace::{DynamicInstr, Trace};
-use crate::{TestCase, TraceExpander};
+use crate::{MemoryStream, TestCase, TraceExpander};
 use micrograd_isa::Instruction;
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 
@@ -202,45 +201,216 @@ impl<S: TraceSource> TraceSource for WindowedSource<S> {
 /// `dynamic_len`, which is what makes 100 M-instruction evaluations
 /// feasible.
 ///
+/// Everything the per-instruction path needs is decoded once, at
+/// construction: a step table with one `Copy` record per static
+/// instruction (fetch address, branch kind, memory-stream slot) and one
+/// slot per memory stream (re-use probability, a window-sized ring of
+/// recent addresses, and the stream position's running
+/// `(pos * stride) % footprint`).  `docs/streaming.md` lists the
+/// invariants that keep this stream bit-identical to the expansion rules
+/// of [`TraceExpander`], which the test-only reference expander in
+/// `source/reference.rs` transcribes directly.
+///
 /// Created by [`TraceExpander::stream`].
 #[derive(Debug, Clone)]
 pub struct StreamingExpander {
     statics: Vec<Instruction>,
+    /// One decoded record per static instruction.
+    steps: Vec<Step>,
+    /// Per-stream state, indexed by [`MemStep::slot`].
+    slots: Vec<StreamSlot>,
+    /// The re-use rings of every slot, back to back.
+    recent: Vec<u64>,
     dynamic_len: usize,
     emitted: usize,
     /// Index of the next static instruction to execute.
     cursor: usize,
     rng: ChaCha8Rng,
-    /// Per-stream temporal-reuse state: recently issued addresses.
-    recent: BTreeMap<u32, Vec<u64>>,
-    /// Per-stream access counters (circular-buffer walk, see
-    /// [`TraceExpander`]).
-    stream_pos: BTreeMap<u32, u64>,
-    reuse_prob: BTreeMap<u32, (f64, usize)>,
+}
+
+/// One static instruction, decoded for expansion.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    pc: u64,
+    branch: BranchStep,
+    mem: Option<MemStep>,
+}
+
+/// How a static instruction's branch outcome is drawn.
+#[derive(Debug, Clone, Copy)]
+enum BranchStep {
+    /// Not a conditional branch: no outcome.
+    None,
+    /// A body branch with no randomization: always taken.
+    Taken,
+    /// A body branch flipped to a fair coin with this probability.
+    Flip(f64),
+    /// The loop back-edge: taken unless this is the final dynamic
+    /// instruction.
+    BackEdge,
+}
+
+/// The per-static part of a memory access.
+#[derive(Debug, Clone, Copy)]
+struct MemStep {
+    /// Index into [`StreamingExpander::slots`].
+    slot: u32,
+    base: u64,
+    /// `offset % footprint`.
+    offset: u64,
+}
+
+/// The per-stream part of memory accesses: re-use probability and history,
+/// and the stream's position.
+#[derive(Debug, Clone, Copy)]
+struct StreamSlot {
+    /// Re-use probability; a stream missing from `streams()` gets 0.
+    reuse_prob: f64,
+    /// Ring capacity: the re-use window (at least 1, at most the dynamic
+    /// length), or 0 when the stream never re-uses, which needs no history.
+    ring_cap: usize,
+    ring_start: usize,
+    /// Next ring position to write, in `0..ring_cap`.
+    ring_head: usize,
+    /// Addresses held, at most `ring_cap`.
+    ring_len: usize,
+    /// Fresh (not re-used) accesses so far: the `address_at` iteration.
+    pos: u64,
+    /// `(pos * stride) % footprint`, kept incrementally.
+    phase: u64,
+    /// `stride % footprint`.
+    stride: u64,
+    /// `footprint.max(1)`.
+    footprint: u64,
+    /// While `pos < exact_until`, `pos * stride + offset` cannot overflow
+    /// for any static of the stream, so `phase` plus the static's offset
+    /// equals `address_at`.  0 when the stream's statics disagree on stride
+    /// or footprint: every fresh address then comes from `address_at`.
+    exact_until: u64,
+}
+
+/// `(a + b) % m` for `a, b < m`, without overflow.
+#[inline]
+fn add_mod(a: u64, b: u64, m: u64) -> u64 {
+    if a >= m - b {
+        a - (m - b)
+    } else {
+        a + b
+    }
 }
 
 impl StreamingExpander {
     /// Creates a streaming expander over `test_case`, producing
     /// `dynamic_len` instructions with `seed` — the same seed discipline as
     /// [`TraceExpander::new`], so the stream matches the materialized
-    /// expansion bit for bit.
+    /// expansion bit for bit.  Copies the static table; use
+    /// [`from_test_case`](Self::from_test_case) when the test case is not
+    /// needed afterwards.
     #[must_use]
     pub fn new(test_case: &TestCase, dynamic_len: usize, seed: u64) -> Self {
-        let statics: Vec<Instruction> = test_case.block().instructions().to_vec();
-        let reuse_prob: BTreeMap<u32, (f64, usize)> = test_case
-            .streams()
+        let statics = test_case.block().instructions().to_vec();
+        Self::from_parts(statics, test_case.streams(), dynamic_len, seed)
+    }
+
+    /// [`new`](Self::new) over a test case that is only generated to be
+    /// expanded: the static table moves in instead of being copied.
+    #[must_use]
+    pub fn from_test_case(mut test_case: TestCase, dynamic_len: usize, seed: u64) -> Self {
+        let statics = std::mem::take(test_case.block_mut().instructions_mut());
+        Self::from_parts(statics, test_case.streams(), dynamic_len, seed)
+    }
+
+    fn from_parts(
+        statics: Vec<Instruction>,
+        streams: &[MemoryStream],
+        dynamic_len: usize,
+        seed: u64,
+    ) -> Self {
+        // A duplicated stream id keeps its last descriptor, as collecting
+        // into a map does.
+        let reuse: BTreeMap<u32, (f64, usize)> = streams
             .iter()
             .map(|s| (s.id, (s.reuse_probability(), s.reuse_window as usize)))
             .collect();
+        let mut slot_of: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut slots: Vec<StreamSlot> = Vec::new();
+        // Per slot: the (stride, footprint) all its statics share, if they
+        // do, and their largest offset.
+        let mut geometry: Vec<(Option<(u64, u64)>, u64)> = Vec::new();
+        let last = statics.len().saturating_sub(1);
+        let steps = statics
+            .iter()
+            .enumerate()
+            .map(|(i, instr)| {
+                let mem = instr.mem().map(|m| {
+                    let slot = *slot_of.entry(m.stream).or_insert_with(|| {
+                        let (prob, window) = reuse.get(&m.stream).copied().unwrap_or((0.0, 1));
+                        let footprint = m.footprint.max(1);
+                        slots.push(StreamSlot {
+                            reuse_prob: prob,
+                            ring_cap: if prob > 0.0 {
+                                window.min(dynamic_len).max(1)
+                            } else {
+                                0
+                            },
+                            ring_start: 0,
+                            ring_head: 0,
+                            ring_len: 0,
+                            pos: 0,
+                            phase: 0,
+                            stride: m.stride % footprint,
+                            footprint,
+                            exact_until: 0,
+                        });
+                        geometry.push((Some((m.stride, m.footprint)), 0));
+                        (slots.len() - 1) as u32
+                    });
+                    let (shared, max_offset) = &mut geometry[slot as usize];
+                    if *shared != Some((m.stride, m.footprint)) {
+                        *shared = None;
+                    }
+                    *max_offset = (*max_offset).max(m.offset);
+                    MemStep {
+                        slot,
+                        base: m.base,
+                        offset: m.offset % m.footprint.max(1),
+                    }
+                });
+                let branch = if !instr.opcode().is_conditional_branch() {
+                    BranchStep::None
+                } else if i == last {
+                    BranchStep::BackEdge
+                } else if instr.branch_taken_prob() > 0.0 {
+                    BranchStep::Flip(instr.branch_taken_prob())
+                } else {
+                    BranchStep::Taken
+                };
+                Step {
+                    pc: instr.address(),
+                    branch,
+                    mem,
+                }
+            })
+            .collect();
+        let mut ring_words = 0;
+        for (slot, (shared, max_offset)) in slots.iter_mut().zip(geometry) {
+            slot.ring_start = ring_words;
+            ring_words += slot.ring_cap;
+            slot.exact_until = match shared {
+                None => 0,
+                Some((0, _)) => u64::MAX,
+                Some((stride, _)) => ((u64::MAX - max_offset) / stride).saturating_add(1),
+            };
+        }
         StreamingExpander {
             statics,
+            steps,
+            slots,
+            recent: vec![0; ring_words],
             dynamic_len,
             emitted: 0,
             cursor: 0,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_7ACE),
-            recent: BTreeMap::new(),
-            stream_pos: BTreeMap::new(),
-            reuse_prob,
         }
     }
 
@@ -253,6 +423,45 @@ impl StreamingExpander {
     pub fn into_statics(self) -> Vec<Instruction> {
         self.statics
     }
+
+    /// The data address of static `idx`'s next dynamic instance: with the
+    /// stream's re-use probability one of its last `window` addresses,
+    /// otherwise the stream's next position.
+    #[inline]
+    fn address(&mut self, idx: usize, mem: MemStep) -> u64 {
+        let slot = &mut self.slots[mem.slot as usize];
+        let ring = &mut self.recent[slot.ring_start..slot.ring_start + slot.ring_cap];
+        let addr = if slot.ring_len > 0 && self.rng.gen::<f64>() < slot.reuse_prob {
+            let back = self.rng.gen_range(0..slot.ring_len) + 1;
+            ring[if slot.ring_head >= back {
+                slot.ring_head - back
+            } else {
+                slot.ring_head + slot.ring_cap - back
+            }]
+        } else {
+            let addr = if slot.pos < slot.exact_until {
+                let offset = add_mod(slot.phase, mem.offset, slot.footprint);
+                slot.phase = add_mod(slot.phase, slot.stride, slot.footprint);
+                mem.base.wrapping_add(offset)
+            } else {
+                // Always `Some`: the step was decoded from this access.
+                self.statics[idx]
+                    .mem()
+                    .map_or(0, |m| m.address_at(slot.pos))
+            };
+            slot.pos += 1;
+            addr
+        };
+        if slot.ring_cap > 0 {
+            ring[slot.ring_head] = addr;
+            slot.ring_head += 1;
+            if slot.ring_head == slot.ring_cap {
+                slot.ring_head = 0;
+            }
+            slot.ring_len = (slot.ring_len + 1).min(slot.ring_cap);
+        }
+        addr
+    }
 }
 
 impl TraceSource for StreamingExpander {
@@ -260,73 +469,37 @@ impl TraceSource for StreamingExpander {
         &self.statics
     }
 
+    // Inlined into the simulator's monomorphized retire loop.
+    #[inline]
     fn next_dynamic(&mut self) -> Option<DynamicInstr> {
-        if self.emitted >= self.dynamic_len || self.statics.is_empty() {
+        if self.emitted >= self.dynamic_len {
             return None;
         }
-        // Disjoint field borrows: the instruction is read from `statics`
-        // while the RNG and stream state advance.
-        let StreamingExpander {
-            statics,
-            dynamic_len,
-            emitted,
-            cursor,
-            rng,
-            recent,
-            stream_pos,
-            reuse_prob,
-        } = self;
-        let body_len = statics.len();
-        let idx = *cursor;
-        let instr = &statics[idx];
-        let is_last_static = idx + 1 == body_len;
-        let mem_addr = instr.mem().map(|m| {
-            let (prob, window) = reuse_prob.get(&m.stream).copied().unwrap_or((0.0, 1));
-            let history = recent.entry(m.stream).or_default();
-            let addr = if prob > 0.0 && !history.is_empty() && rng.gen::<f64>() < prob {
-                let pick = rng.gen_range(0..history.len().min(window.max(1)));
-                history[history.len() - 1 - pick]
+        let idx = self.cursor;
+        let step = *self.steps.get(idx)?;
+        let mem_addr = step.mem.map(|mem| self.address(idx, mem));
+        let taken = match step.branch {
+            BranchStep::None => None,
+            BranchStep::Taken => Some(true),
+            BranchStep::Flip(p) => Some(if self.rng.gen::<f64>() < p {
+                self.rng.gen::<bool>()
             } else {
-                let pos = stream_pos.entry(m.stream).or_insert(0);
-                let addr = m.address_at(*pos);
-                *pos += 1;
-                addr
-            };
-            history.push(addr);
-            let cap = window.max(1) * 2;
-            if history.len() > cap {
-                let drop = history.len() - cap;
-                history.drain(0..drop);
-            }
-            addr
-        });
-        let taken = if instr.opcode().is_conditional_branch() {
-            if is_last_static {
-                // loop back-edge: taken unless this is the final dynamic
-                // instruction
-                Some(*emitted + 1 < *dynamic_len)
-            } else {
-                // body branch: deterministic taken, flipped randomly with
-                // the randomization ratio
-                let randomize = instr.branch_taken_prob();
-                if randomize > 0.0 && rng.gen::<f64>() < randomize {
-                    Some(rng.gen::<bool>())
-                } else {
-                    Some(true)
-                }
-            }
-        } else {
-            None
+                true
+            }),
+            BranchStep::BackEdge => Some(self.emitted + 1 < self.dynamic_len),
         };
-        let dynamic = DynamicInstr {
+        self.emitted += 1;
+        self.cursor = if idx + 1 == self.steps.len() {
+            0
+        } else {
+            idx + 1
+        };
+        Some(DynamicInstr {
             static_index: idx as u32,
-            pc: instr.address(),
+            pc: step.pc,
             mem_addr,
             taken,
-        };
-        *emitted += 1;
-        *cursor = if is_last_static { 0 } else { idx + 1 };
-        Some(dynamic)
+        })
     }
 
     fn remaining(&self) -> Option<usize> {
@@ -474,9 +647,13 @@ impl TraceSource for PhaseSchedule<'_> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Generator, GeneratorInput};
+    use micrograd_isa::{MemAccess, Opcode, Reg};
 
     fn testcase(seed: u64) -> TestCase {
         let input = GeneratorInput {
@@ -487,6 +664,19 @@ mod tests {
         Generator::new().generate(&input).unwrap()
     }
 
+    /// Both constructors against the map-based reference expander.
+    fn assert_matches_reference(tc: &TestCase, len: usize, seed: u64, what: &str) {
+        let expected = reference::expand(tc, len, seed);
+        let borrowed = collect_trace(&mut StreamingExpander::new(tc, len, seed));
+        assert_eq!(borrowed, expected, "{what}: new");
+        let owned = collect_trace(&mut StreamingExpander::from_test_case(
+            tc.clone(),
+            len,
+            seed,
+        ));
+        assert_eq!(owned, expected, "{what}: from_test_case");
+    }
+
     #[test]
     fn streaming_expander_is_bit_identical_to_expand() {
         for seed in [1u64, 7, 42] {
@@ -495,6 +685,168 @@ mod tests {
             let materialized = expander.expand(&tc);
             let streamed = collect_trace(&mut expander.stream(&tc));
             assert_eq!(materialized, streamed, "seed {seed}");
+            assert_eq!(
+                materialized,
+                reference::expand(&tc, 12_345, seed),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_generator_sweep_matches_the_reference_expander() {
+        const OPCODES: [Opcode; 10] = [
+            Opcode::Add,
+            Opcode::Mul,
+            Opcode::FaddD,
+            Opcode::FmulD,
+            Opcode::Beq,
+            Opcode::Bne,
+            Opcode::Ld,
+            Opcode::Lw,
+            Opcode::Sd,
+            Opcode::Sw,
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_5AEE);
+        for case in 0..120 {
+            let mut input = GeneratorInput {
+                loop_size: rng.gen_range(4..=300),
+                reg_dependency_distance: rng.gen_range(1..=12),
+                mem_footprint_kb: [1, 3, 7, 64, 1000, 4096][rng.gen_range(0..6)],
+                // 8192 and 3 MB are at least the footprint for most sizes.
+                mem_stride: [1, 8, 24, 64, 100, 4096, 8192, 3_000_000][rng.gen_range(0..8)],
+                mem_temporal_window: rng.gen_range(0..=40),
+                mem_temporal_period: [1, 1, 2, 3, 7, 50][rng.gen_range(0..6)],
+                branch_randomness: [0.0, 1.0, rng.gen::<f64>()][rng.gen_range(0..3)],
+                seed: rng.gen(),
+                ..GeneratorInput::default()
+            };
+            for op in OPCODES {
+                let weight = if rng.gen_bool(0.3) {
+                    0.0
+                } else {
+                    rng.gen::<f64>() * 4.0
+                };
+                input.set_weight(op, weight);
+            }
+            input.set_weight(Opcode::Add, 1.0);
+            let tc = Generator::new().generate(&input).unwrap();
+            let len = [0, 1, 2, rng.gen_range(3..6_000)][rng.gen_range(0..4)];
+            let seed = rng.gen();
+            assert_matches_reference(&tc, len, seed, &format!("case {case}: {input:?}"));
+        }
+    }
+
+    fn load(stream: u32, stride: u64, footprint: u64, offset: u64, pc: u64) -> Instruction {
+        let access = MemAccess {
+            stream,
+            base: 0x1000_0000 + u64::from(stream) * 0x100_0000,
+            stride,
+            footprint,
+            offset,
+        };
+        let mut load = Instruction::load(Opcode::Ld, Reg::x(6), Reg::x(10), access);
+        load.set_address(pc);
+        load
+    }
+
+    fn stream(id: u32, window: u64, period: u64) -> MemoryStream {
+        MemoryStream {
+            id,
+            footprint: 4096,
+            ratio: 1.0,
+            stride: 64,
+            reuse_window: window,
+            reuse_period: period,
+            base: 0x1000_0000 + u64::from(id) * 0x100_0000,
+        }
+    }
+
+    fn hand_built(statics: Vec<Instruction>, streams: Vec<MemoryStream>) -> TestCase {
+        let mut tc = TestCase::new();
+        *tc.block_mut().instructions_mut() = statics;
+        *tc.streams_mut() = streams;
+        tc
+    }
+
+    #[test]
+    fn edge_cases_match_the_reference_expander() {
+        let mut branch = Instruction::branch(Opcode::Beq, Reg::x(5), Reg::x(6), 8);
+        branch.set_branch_taken_prob(0.5);
+        let mixed = |window: u64, period: u64| {
+            hand_built(
+                vec![
+                    load(0, 64, 4096, 0, 0x40_0000),
+                    branch.clone(),
+                    load(0, 64, 4096, 8, 0x40_0008),
+                    load(1, 24, 1000, 16, 0x40_000c),
+                    branch.clone(),
+                ],
+                vec![stream(0, window, period), stream(1, window, period)],
+            )
+        };
+        let cases = [
+            // Re-use period 1 (no re-use) and windows 0, 1, 5 and 64.
+            ("period 1", mixed(8, 1)),
+            ("window 0", mixed(0, 3)),
+            ("window 1", mixed(1, 3)),
+            ("window 5", mixed(5, 4)),
+            ("window 64", mixed(64, 2)),
+            // A stride at or beyond the footprint, and a zero footprint.
+            (
+                "stride >= footprint",
+                hand_built(
+                    vec![load(0, 4096, 4096, 0, 0), load(0, 5000, 5000, 8, 4)],
+                    vec![stream(0, 3, 2)],
+                ),
+            ),
+            (
+                "zero footprint",
+                hand_built(vec![load(0, 64, 0, 8, 0)], vec![stream(0, 2, 2)]),
+            ),
+            // Statics of one stream disagreeing on geometry.
+            (
+                "mixed geometry",
+                hand_built(
+                    vec![load(0, 64, 4096, 0, 0), load(0, 48, 1000, 8, 4)],
+                    vec![stream(0, 4, 3)],
+                ),
+            ),
+            // pos * stride leaves u64 after four accesses.
+            (
+                "stride overflow",
+                hand_built(
+                    vec![load(0, 1 << 62, 1000, 0, 0), load(0, 1 << 62, 1000, 8, 4)],
+                    vec![stream(0, 2, 2)],
+                ),
+            ),
+            // Stream ids missing from streams(), and a duplicated id (the
+            // last descriptor wins).
+            (
+                "missing stream",
+                hand_built(
+                    vec![load(0, 64, 4096, 0, 0), load(7, 64, 4096, 0, 4)],
+                    vec![stream(0, 4, 3)],
+                ),
+            ),
+            (
+                "duplicate stream id",
+                hand_built(
+                    vec![load(0, 64, 4096, 0, 0)],
+                    vec![stream(0, 2, 1), stream(0, 6, 5)],
+                ),
+            ),
+            // One-instruction bodies: a lone back-edge and a lone load.
+            ("lone branch", hand_built(vec![branch.clone()], Vec::new())),
+            (
+                "lone load",
+                hand_built(vec![load(0, 64, 4096, 0, 0)], vec![stream(0, 3, 2)]),
+            ),
+        ];
+        for (what, tc) in &cases {
+            for len in [0, 1, 2, 7, 3_000] {
+                assert_matches_reference(tc, len, 11, &format!("{what}, len {len}"));
+            }
         }
     }
 

@@ -518,7 +518,7 @@ impl SimPlatform {
         input: &GeneratorInput,
     ) -> Result<(Metrics, SimStats), MicroGradError> {
         let test_case = self.generate(input)?;
-        let mut source = StreamingExpander::new(&test_case, self.dynamic_len, self.seed);
+        let mut source = StreamingExpander::from_test_case(test_case, self.dynamic_len, self.seed);
         let stats = sim.run_source_cancellable(&mut source, &self.cancel)?;
         let power = PowerModel::new(self.power.clone()).estimate(&stats);
         Ok((Metrics::from_run(&stats, Some(&power)), stats))

@@ -333,7 +333,7 @@ impl SimpointCloningTask {
             // sequence than the one the knobs were tuned against.
             let input = space.resolve(&phase.report.knob_config, phase.seed)?;
             let test_case = Generator::new().generate(&input)?;
-            let stream = StreamingExpander::new(&test_case, *len, self.seed);
+            let stream = StreamingExpander::from_test_case(test_case, *len, self.seed);
             schedule = schedule.then_in_region(
                 stream,
                 *len,

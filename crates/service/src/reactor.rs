@@ -802,6 +802,23 @@ impl EventLoop<'_> {
         loop {
             if !self.draining && self.shared.signal.is_triggered() {
                 self.enter_drain();
+                // Close the sessions that have nothing left to deliver now:
+                // the wake-up that announced the shutdown may already have
+                // been consumed, and an idle drain would otherwise sleep in
+                // `poll` until its deadline.
+                self.sweep();
+            }
+            // Checked before polling, for the same reason.
+            if self.draining {
+                let expired = self
+                    .drain_deadline
+                    .is_some_and(|deadline| Instant::now() >= deadline);
+                if self.conns.is_empty() || expired {
+                    for token in self.conns.tokens() {
+                        self.close(token);
+                    }
+                    return Ok(());
+                }
             }
 
             fds.clear();
@@ -879,18 +896,6 @@ impl EventLoop<'_> {
                 .counters
                 .watches_active
                 .store(watches, Ordering::Relaxed);
-
-            if self.draining {
-                let expired = self
-                    .drain_deadline
-                    .is_some_and(|deadline| Instant::now() >= deadline);
-                if self.conns.is_empty() || expired {
-                    for token in self.conns.tokens() {
-                        self.close(token);
-                    }
-                    return Ok(());
-                }
-            }
         }
     }
 

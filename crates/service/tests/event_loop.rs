@@ -11,7 +11,7 @@ use micrograd_core::{
 use micrograd_service::{decode_response, Client, ClientError, ResponseBody, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Generous bound for one tiny tuning job; the wait returns far earlier.
 const JOB_TIMEOUT: Duration = Duration::from_secs(300);
@@ -146,5 +146,42 @@ fn graceful_shutdown_answers_then_closes_every_session() {
         let mut buf = [0u8; 8];
         let mut reader = stream;
         assert_eq!(reader.read(&mut buf).expect("EOF read"), 0);
+    }
+}
+
+/// Waits until the reactor is parked in `poll`: an idle reactor makes no
+/// wakeups, so the count holds still.
+fn wait_until_parked(server: &Server) {
+    let mut wakeups = server.reactor_stats().loop_wakeups;
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = server.reactor_stats().loop_wakeups;
+        if now == wakeups {
+            return;
+        }
+        wakeups = now;
+    }
+}
+
+#[test]
+fn idle_server_parked_in_poll_shuts_down_without_waiting_out_the_drain() {
+    // Parked in `poll`, the reactor consumes the shutdown wake-up before
+    // it has seen the shutdown signal.  The drain timeout is 5 s; with
+    // nothing to drain the loop must exit on that wake-up, with or
+    // without an idle session attached.
+    for sessions in [0, 1] {
+        let server = start_server(1);
+        let idle: Vec<TcpStream> = (0..sessions)
+            .map(|_| TcpStream::connect(server.local_addr()).expect("connect"))
+            .collect();
+        wait_until_parked(&server);
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "idle shutdown with {sessions} sessions took {took:?}"
+        );
+        drop(idle);
     }
 }

@@ -41,12 +41,14 @@ impl CacheStats {
 ///
 /// # Layout
 ///
-/// Tags and LRU stamps live in two dense flat arrays indexed by
+/// Each way is one `(tag, stamp)` pair in a dense flat array indexed by
 /// `set * ways + way` — no per-set `Vec`, no pointer chase on the lookup
-/// path.  Set index and tag are extracted with precomputed shifts and masks
-/// when the line size and set count are powers of two (they are for every
-/// Table II geometry), falling back to division otherwise; both paths
-/// compute identical values, so the geometry never changes results.
+/// path — and a lookup walks its set once: the tag match and, on a miss,
+/// the LRU victim come out of the same pass.  Set index and tag are
+/// extracted with precomputed shifts and masks when the line size and set
+/// count are powers of two (they are for every Table II geometry), falling
+/// back to division otherwise; both paths compute identical values, so the
+/// geometry never changes results.
 ///
 /// # LRU stamp wrap behaviour
 ///
@@ -64,10 +66,8 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
-    tags: Vec<u64>,
-    /// `stamps[set * ways + way]`; higher = more recently used, 0 = never.
-    stamps: Vec<u64>,
+    /// `lines[set * ways + way]`.
+    lines: Vec<Line>,
     ways: usize,
     num_sets: u64,
     /// `log2(line_bytes)` when the line size is a power of two.
@@ -76,6 +76,22 @@ pub struct Cache {
     set_shift_mask: Option<(u32, u64)>,
     stamp: u64,
     stats: CacheStats,
+}
+
+/// One way of one set.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    /// `u64::MAX` = invalid.
+    tag: u64,
+    /// Higher = more recently used, 0 = never.
+    stamp: u64,
+}
+
+impl Line {
+    const INVALID: Line = Line {
+        tag: u64::MAX,
+        stamp: 0,
+    };
 }
 
 impl Cache {
@@ -93,8 +109,7 @@ impl Cache {
             .then(|| (num_sets.trailing_zeros(), num_sets - 1));
         Cache {
             config,
-            tags: vec![u64::MAX; num_sets as usize * ways],
-            stamps: vec![0; num_sets as usize * ways],
+            lines: vec![Line::INVALID; num_sets as usize * ways],
             ways,
             num_sets,
             line_shift,
@@ -148,19 +163,19 @@ impl Cache {
     /// Compresses every set's stamps to `1..=ways` preserving per-set
     /// recency order; invalid lines keep stamp 0.
     fn restamp(&mut self) {
-        for set in 0..self.num_sets as usize {
-            let base = set * self.ways;
-            let stamps = &mut self.stamps[base..base + self.ways];
+        for set in self.lines.chunks_exact_mut(self.ways) {
             // Rank ways by their current stamp; `ways` is tiny (≤ 16 in
             // Table II), so a quadratic rank is simpler than sorting and
             // runs once per 2^64 accesses.
             let old: [u64; 64] = {
                 let mut buf = [0u64; 64];
-                buf[..stamps.len()].copy_from_slice(stamps);
+                for (slot, line) in buf.iter_mut().zip(set.iter()) {
+                    *slot = line.stamp;
+                }
                 buf
             };
-            for (way, stamp) in stamps.iter_mut().enumerate() {
-                if *stamp == 0 {
+            for (way, line) in set.iter_mut().enumerate() {
+                if line.stamp == 0 {
                     continue; // invalid / never-touched: stays the victim
                 }
                 let rank = old[..self.ways]
@@ -170,68 +185,57 @@ impl Cache {
                         s != 0 && (s < old[way] || (s == old[way] && other < way))
                     })
                     .count() as u64;
-                *stamp = rank + 1;
+                line.stamp = rank + 1;
             }
         }
         self.stamp = self.ways as u64;
     }
 
+    /// Looks `address` up and stamps its line as most recently used,
+    /// installing it over the LRU way (the first way with the smallest
+    /// stamp; invalid lines carry stamp 0 and win) on a miss.  Returns
+    /// `true` on a hit.
+    #[inline]
+    fn touch(&mut self, address: u64) -> bool {
+        let stamp = self.bump_stamp();
+        let (set_idx, tag) = self.set_and_tag(address);
+        let set = &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways];
+        // Walk every way, last to first, with selects rather than an early
+        // exit: the hit way (the first match) and the victim (the first
+        // smallest stamp) fall out of one branch-free pass.
+        let mut hit = usize::MAX;
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (way, line) in set.iter().enumerate().rev() {
+            hit = if line.tag == tag { way } else { hit };
+            let older = line.stamp <= oldest;
+            victim = if older { way } else { victim };
+            oldest = oldest.min(line.stamp);
+        }
+        if let Some(line) = set.get_mut(hit) {
+            line.stamp = stamp;
+            true
+        } else {
+            set[victim] = Line { tag, stamp };
+            false
+        }
+    }
+
     /// Looks up `address`; returns `true` on hit.  On a miss the line is
     /// installed, evicting the LRU way.
     pub fn access(&mut self, address: u64) -> bool {
-        let stamp = self.bump_stamp();
-        let (set_idx, tag) = self.set_and_tag(address);
-        let base = set_idx * self.ways;
         self.stats.accesses += 1;
-        let tags = &mut self.tags[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
-        for way in 0..tags.len() {
-            if tags[way] == tag {
-                stamps[way] = stamp;
-                self.stats.hits += 1;
-                return true;
-            }
-        }
-        // miss: replace LRU
-        let victim = Self::lru_way(stamps);
-        tags[victim] = tag;
-        stamps[victim] = stamp;
-        false
+        let hit = self.touch(address);
+        self.stats.hits += u64::from(hit);
+        hit
     }
 
     /// Installs `address` without counting an access (prefetch fill).
     /// Returns `true` if the line was already present.
     pub fn fill(&mut self, address: u64) -> bool {
-        let stamp = self.bump_stamp();
-        let (set_idx, tag) = self.set_and_tag(address);
-        let base = set_idx * self.ways;
-        let tags = &mut self.tags[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
-        for way in 0..tags.len() {
-            if tags[way] == tag {
-                stamps[way] = stamp;
-                return true;
-            }
-        }
-        let victim = Self::lru_way(stamps);
-        tags[victim] = tag;
-        stamps[victim] = stamp;
-        self.stats.prefetch_fills += 1;
-        false
-    }
-
-    /// The way with the smallest stamp (invalid lines carry stamp 0 and win).
-    #[inline]
-    fn lru_way(stamps: &[u64]) -> usize {
-        let mut victim = 0;
-        let mut best = u64::MAX;
-        for (way, &stamp) in stamps.iter().enumerate() {
-            if stamp < best {
-                best = stamp;
-                victim = way;
-            }
-        }
-        victim
+        let present = self.touch(address);
+        self.stats.prefetch_fills += u64::from(!present);
+        present
     }
 
     /// Checks presence of `address` without updating LRU state or stats.
@@ -239,13 +243,14 @@ impl Cache {
     pub fn probe(&self, address: u64) -> bool {
         let (set_idx, tag) = self.set_and_tag(address);
         let base = set_idx * self.ways;
-        self.tags[base..base + self.ways].contains(&tag)
+        self.lines[base..base + self.ways]
+            .iter()
+            .any(|line| line.tag == tag)
     }
 
     /// Resets contents and statistics.
     pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
+        self.lines.fill(Line::INVALID);
         self.stamp = 0;
         self.stats = CacheStats::default();
     }

@@ -8,77 +8,145 @@ use crate::GsharePredictor;
 use micrograd_codegen::{Trace, TraceSource};
 use micrograd_isa::{FuncUnit, InstrClass, Instruction, LatencyModel, Opcode, Reg};
 use micrograd_obs::{ProfileRecorder, ProfileSample};
-use std::collections::VecDeque;
 
-/// A fixed-capacity ring recording one `u64` per in-flight instruction of a
-/// window (ROB, reservation stations).
+/// A fixed-capacity ring recording one `u64` per in-flight entry of a
+/// window: every instruction for the ROB and reservation stations, every
+/// memory op for the LSQ.
 ///
-/// The simulator only ever consults the entry exactly `capacity`
-/// instructions back — "the cycle the instruction leaving the window frees
-/// its slot" — so a flat `capacity`-sized buffer with a wrapping write
-/// pointer is sufficient: right before instruction `i` overwrites the slot
-/// under the pointer, that slot still holds instruction `i - capacity`.
-/// Exactly one [`record`](WindowRing::record) per instruction keeps the
-/// pointer in lock-step with the instruction stream (no division on the hot
-/// path).
+/// The simulator only ever consults the entry exactly `capacity` entries
+/// back — "the cycle the entry leaving the window frees its slot" — so a
+/// flat `capacity`-sized buffer with a wrapping write pointer is
+/// sufficient: right before entry `i` overwrites the slot under the
+/// pointer, that slot still holds entry `i - capacity`.  Exactly one
+/// [`record`](WindowRing::record) per entry keeps the pointer in lock-step
+/// with the stream (no division on the hot path).
+///
+/// Slots start at 0, below every dispatch cycle, so the hot loop takes an
+/// unconditional `max` with [`evicted`](WindowRing::evicted) even before the
+/// window has filled.  A zero-capacity window (no limit) is a single slot
+/// that only ever holds 0.
 #[derive(Debug, Clone)]
 struct WindowRing {
     slots: Vec<u64>,
     pos: usize,
-    filled: bool,
+    /// Mask applied to recorded values: 0 for a zero-capacity window.
+    keep: u64,
 }
 
 impl WindowRing {
     fn new(capacity: usize) -> Self {
         WindowRing {
-            slots: vec![0; capacity],
+            slots: vec![0; capacity.max(1)],
             pos: 0,
-            filled: false,
+            keep: if capacity == 0 { 0 } else { u64::MAX },
         }
     }
 
-    /// The recorded value of the instruction `capacity` back, once the
-    /// window has filled.
-    fn evicted(&self) -> Option<u64> {
-        if self.filled {
-            Some(self.slots[self.pos])
-        } else {
-            None
-        }
+    /// The recorded value of the entry `capacity` back, or 0 while the
+    /// window has not filled.
+    #[inline]
+    fn evicted(&self) -> u64 {
+        self.slots[self.pos]
     }
 
+    #[inline]
     fn record(&mut self, value: u64) {
-        if self.slots.is_empty() {
-            return;
-        }
-        self.slots[self.pos] = value;
+        self.slots[self.pos] = value & self.keep;
         self.pos += 1;
         if self.pos == self.slots.len() {
             self.pos = 0;
-            self.filled = true;
         }
     }
 
     /// Rewinds the ring to its freshly constructed state without touching
-    /// the allocation.  Stale slot contents are never observable: `evicted`
-    /// only reads once `filled` is set again, by which point every slot has
-    /// been re-recorded in the current run.
+    /// the allocation.
     fn reset(&mut self) {
+        self.slots.fill(0);
         self.pos = 0;
-        self.filled = false;
     }
 
     /// Window entries still in flight at `cycle`: recorded completion
-    /// cycles strictly in the future.  Allocation-free scan of the (at
-    /// most window-sized) valid slots; used only by the sampled profiler.
+    /// cycles strictly in the future (unfilled slots hold 0 and never
+    /// count).  Allocation-free scan of the window; used only by the
+    /// sampled profiler.
     #[allow(clippy::cast_possible_truncation)]
     fn occupancy(&self, cycle: u64) -> u32 {
-        let valid = if self.filled {
-            self.slots.len()
-        } else {
-            self.pos
-        };
-        self.slots[..valid].iter().filter(|&&c| c > cycle).count() as u32
+        self.slots.iter().filter(|&&c| c > cycle).count() as u32
+    }
+}
+
+/// The free cycles of every functional unit, one sorted ring per unit kind.
+///
+/// Units of a kind are interchangeable, so only the multiset of their free
+/// cycles matters: issuing takes the earliest free cycle out and puts the
+/// unit's next free cycle (never earlier) back in.  Each kind keeps its
+/// free cycles sorted in a ring, earliest at `head`: the earliest free
+/// unit is one load, and occupying it retires the head and inserts the new
+/// free cycle from the ring's end — usually in place, since a unit issued
+/// now tends to free up last — instead of scanning every unit of the
+/// class.  Results are identical to scanning for the first earliest-free
+/// unit.
+#[derive(Debug, Clone)]
+struct UnitTable {
+    /// Kind `k` owns `free[start[k]..start[k] + count[k]]`.
+    free: Vec<u64>,
+    start: [usize; 4],
+    count: [usize; 4],
+    /// Position of each kind's earliest free cycle in its ring.
+    head: [usize; 4],
+}
+
+impl UnitTable {
+    fn new(config: &CoreConfig) -> Self {
+        let count = [
+            FuncUnit::Alu,
+            FuncUnit::Complex,
+            FuncUnit::Fp,
+            FuncUnit::Mem,
+        ]
+        .map(|u| config.units_for(u).max(1) as usize);
+        let mut start = [0; 4];
+        for k in 1..4 {
+            start[k] = start[k - 1] + count[k - 1];
+        }
+        UnitTable {
+            free: vec![0; count.iter().sum()],
+            start,
+            count,
+            head: [0; 4],
+        }
+    }
+
+    fn reset(&mut self) {
+        self.free.fill(0);
+        self.head = [0; 4];
+    }
+
+    /// The earliest free cycle of a unit of kind `kind`.
+    #[inline]
+    fn earliest(&self, kind: usize) -> u64 {
+        self.free[self.start[kind] + self.head[kind]]
+    }
+
+    /// Occupies the earliest free unit of kind `kind` until `until`, which
+    /// must not be below [`earliest`](Self::earliest).
+    #[inline]
+    fn occupy(&mut self, kind: usize, until: u64) {
+        let n = self.count[kind];
+        let ring = &mut self.free[self.start[kind]..self.start[kind] + n];
+        // The head's slot becomes the ring's last position; walk back from
+        // it, moving later free cycles up, until `until` fits.
+        let mut slot = self.head[kind];
+        self.head[kind] = if slot + 1 == n { 0 } else { slot + 1 };
+        for _ in 1..n {
+            let prev = if slot == 0 { n - 1 } else { slot - 1 };
+            if ring[prev] <= until {
+                break;
+            }
+            ring[slot] = ring[prev];
+            slot = prev;
+        }
+        ring[slot] = until;
     }
 }
 
@@ -94,7 +162,10 @@ impl WindowRing {
 #[derive(Debug, Clone, Copy)]
 struct DecodedInstr {
     class: InstrClass,
-    /// Index into the per-class `unit_free` table.
+    /// Activity counter this instruction increments: an index into
+    /// [`KINDS`].
+    kind: u8,
+    /// Functional-unit kind: which of the [`UnitTable`]'s rings it issues to.
     unit_slot: u8,
     is_conditional_branch: bool,
     /// Execution latency in cycles.
@@ -123,23 +194,29 @@ fn unit_slot(u: FuncUnit) -> usize {
     }
 }
 
-fn class_slot(class: InstrClass) -> usize {
-    match class {
-        InstrClass::Integer => 0,
-        InstrClass::Float => 1,
-        InstrClass::Branch => 2,
-        InstrClass::Load => 3,
-        InstrClass::Store => 4,
-    }
-}
-
-const CLASS_ORDER: [InstrClass; 5] = [
-    InstrClass::Integer,
+/// The per-instruction activity counters, by decoded `kind`: each
+/// instruction increments exactly one, and the class counts and activity
+/// totals are sums of them.  Counting by index keeps the class out of the
+/// hot loop's branches.
+const KINDS: [InstrClass; 6] = [
+    InstrClass::Integer, // simple ALU
+    InstrClass::Integer, // complex unit
     InstrClass::Float,
     InstrClass::Branch,
     InstrClass::Load,
     InstrClass::Store,
 ];
+
+fn kind(class: InstrClass, unit: FuncUnit) -> u8 {
+    match (class, unit) {
+        (InstrClass::Integer, FuncUnit::Complex) => 1,
+        (InstrClass::Integer, _) => 0,
+        (InstrClass::Float, _) => 2,
+        (InstrClass::Branch, _) => 3,
+        (InstrClass::Load, _) => 4,
+        (InstrClass::Store, _) => 5,
+    }
+}
 
 fn decode(instr: &Instruction, latency: &LatencyModel) -> DecodedInstr {
     let opcode = instr.opcode();
@@ -165,6 +242,7 @@ fn decode(instr: &Instruction, latency: &LatencyModel) -> DecodedInstr {
         .map_or(0, |d| d.flat_index() as u16 + 1);
     DecodedInstr {
         class: opcode.class(),
+        kind: kind(opcode.class(), latency.unit(opcode)),
         unit_slot: unit_slot(latency.unit(opcode)) as u8,
         is_conditional_branch: opcode.is_conditional_branch(),
         latency: exec_latency,
@@ -224,9 +302,10 @@ pub struct Simulator {
     // Reusable run state (reset per run, reallocating nothing).
     completion_ring: WindowRing,
     issue_ring: WindowRing,
-    lsq_completions: VecDeque<u64>,
+    /// Completion cycles of the last `lsq_entries` memory operations.
+    lsq_ring: WindowRing,
     reg_ready: Vec<u64>,
-    unit_free: [Vec<u64>; 4],
+    units: UnitTable,
     decoded: Vec<DecodedInstr>,
     profiler: ProfileRecorder,
 }
@@ -237,18 +316,12 @@ impl Simulator {
     pub fn new(config: CoreConfig) -> Self {
         let hierarchy = MemoryHierarchy::new(&config);
         let predictor = GsharePredictor::new(config.branch_predictor);
-        let lsq = config.lsq_entries as usize;
         Simulator {
             completion_ring: WindowRing::new(config.rob_entries as usize),
             issue_ring: WindowRing::new(config.rs_entries as usize),
-            lsq_completions: VecDeque::with_capacity(lsq.min(4096)),
+            lsq_ring: WindowRing::new(config.lsq_entries as usize),
             reg_ready: vec![0; Reg::FLAT_COUNT],
-            unit_free: [
-                vec![0; config.units_for(FuncUnit::Alu).max(1) as usize],
-                vec![0; config.units_for(FuncUnit::Complex).max(1) as usize],
-                vec![0; config.units_for(FuncUnit::Fp).max(1) as usize],
-                vec![0; config.units_for(FuncUnit::Mem).max(1) as usize],
-            ],
+            units: UnitTable::new(&config),
             decoded: Vec::new(),
             profiler: ProfileRecorder::off(),
             hierarchy,
@@ -302,11 +375,9 @@ impl Simulator {
         self.predictor.reset();
         self.completion_ring.reset();
         self.issue_ring.reset();
-        self.lsq_completions.clear();
+        self.lsq_ring.reset();
         self.reg_ready.fill(0);
-        for units in &mut self.unit_free {
-            units.fill(0);
-        }
+        self.units.reset();
         self.profiler.reset();
     }
 
@@ -367,7 +438,7 @@ impl Simulator {
 
         self.reset_run_state();
         let mut activity = ActivityCounts::default();
-        let mut class_counts = [0u64; CLASS_ORDER.len()];
+        let mut kind_counts = [0u64; KINDS.len()];
 
         // The static table is stable for the source's lifetime (trait
         // contract), so decode it once into a flat `Copy` record table: a
@@ -381,12 +452,14 @@ impl Simulator {
         }
 
         let cfg = &self.config;
-        let lsq = cfg.lsq_entries as usize;
         let frontend_width = cfg.frontend_width;
         let frontend_depth = u64::from(cfg.frontend_depth);
         let l1i_hit_latency = cfg.l1i.hit_latency;
         let mispredict_penalty = u64::from(cfg.branch_predictor.mispredict_penalty);
         let line_bytes = cfg.l1i.line_bytes.max(1);
+        let line_shift = line_bytes
+            .is_power_of_two()
+            .then(|| line_bytes.trailing_zeros());
 
         let mut fetch_cycle: u64 = 0;
         let mut fetched_this_cycle: u32 = 0;
@@ -427,7 +500,10 @@ impl Simulator {
                 fetched_this_cycle = 0;
             }
             // Instruction cache: one access per line transition.
-            let line = dynamic.pc / line_bytes;
+            let line = match line_shift {
+                Some(shift) => dynamic.pc >> shift,
+                None => dynamic.pc / line_bytes,
+            };
             if line != last_fetch_line {
                 let lat = self.hierarchy.access_instruction(dynamic.pc);
                 let extra = lat.saturating_sub(l1i_hit_latency);
@@ -439,25 +515,16 @@ impl Simulator {
             }
             let this_fetch = fetch_cycle;
             fetched_this_cycle += 1;
-            activity.fetched += 1;
 
             // ---------------- dispatch (window constraints) ----------------
-            let mut dispatch = this_fetch + frontend_depth;
-            if let Some(rob_free) = self.completion_ring.evicted() {
-                dispatch = dispatch.max(rob_free);
-            }
-            if let Some(rs_free) = self.issue_ring.evicted() {
-                dispatch = dispatch.max(rs_free);
-            }
+            let mut dispatch = (this_fetch + frontend_depth)
+                .max(self.completion_ring.evicted())
+                .max(self.issue_ring.evicted());
             let is_mem = instr.class.is_memory();
-            if is_mem && lsq > 0 && self.lsq_completions.len() >= lsq {
-                // The oldest tracked memory op is the one whose retirement
-                // frees the LSQ slot this op needs.
-                dispatch = dispatch.max(self.lsq_completions[self.lsq_completions.len() - lsq]);
-            }
-            activity.rob_writes += 1;
             if is_mem {
-                activity.lsq_ops += 1;
+                // The memory op `lsq_entries` back is the one whose
+                // retirement frees the LSQ slot this op needs.
+                dispatch = dispatch.max(self.lsq_ring.evicted());
             }
 
             // ---------------- issue (data deps + functional units) --------
@@ -466,64 +533,35 @@ impl Simulator {
                 ready = ready.max(self.reg_ready[src as usize]);
             }
             activity.regfile_reads += u64::from(instr.num_sources);
-            let units = &mut self.unit_free[instr.unit_slot as usize];
-            let mut unit_idx = 0;
-            let mut unit_avail = units[0];
-            for (idx, &avail) in units.iter().enumerate().skip(1) {
-                if avail < unit_avail {
-                    unit_avail = avail;
-                    unit_idx = idx;
-                }
-            }
-            let issue = ready.max(unit_avail);
+            let kind = instr.unit_slot as usize;
+            let issue = ready.max(self.units.earliest(kind));
+            self.units.occupy(kind, issue + instr.occupancy);
             self.issue_ring.record(issue);
-            units[unit_idx] = issue + instr.occupancy;
 
             // ---------------- execute / memory ----------------
             let mut complete = issue + instr.latency;
-            match instr.class {
-                InstrClass::Load => {
-                    // An addressless load (no stream descriptor behind the
-                    // static instruction) must not touch the hierarchy: a
-                    // fabricated address 0 would alias line 0 / set 0 and
-                    // pollute the L1D statistics of unrelated accesses.
-                    if let Some(addr) = dynamic.mem_addr {
-                        let lat = self.hierarchy.access_data(dynamic.pc, addr);
-                        complete += u64::from(lat);
-                    }
-                    activity.loads += 1;
-                }
-                InstrClass::Store => {
+            if is_mem {
+                // An addressless memory op (no stream descriptor behind the
+                // static instruction) must not touch the hierarchy: a
+                // fabricated address 0 would alias line 0 / set 0 and
+                // pollute the L1D statistics of unrelated accesses.
+                if let Some(addr) = dynamic.mem_addr {
+                    let lat = self.hierarchy.access_data(dynamic.pc, addr);
                     // Stores retire through the store buffer: the cache
                     // access happens off the critical path but is counted.
-                    // Addressless stores skip the hierarchy like loads.
-                    if let Some(addr) = dynamic.mem_addr {
-                        let _ = self.hierarchy.access_data(dynamic.pc, addr);
-                    }
-                    activity.stores += 1;
-                }
-                InstrClass::Branch => {
-                    activity.branches += 1;
-                    if instr.is_conditional_branch {
-                        let taken = dynamic.taken.unwrap_or(false);
-                        let correct = self.predictor.predict_and_update(dynamic.pc, taken);
-                        if !correct {
-                            let redirect = complete + mispredict_penalty;
-                            fetch_stall_until = fetch_stall_until.max(redirect);
-                        }
+                    if instr.class == InstrClass::Load {
+                        complete += u64::from(lat);
                     }
                 }
-                InstrClass::Integer => {
-                    if instr.unit_slot as usize == unit_slot(FuncUnit::Complex) {
-                        activity.int_complex_ops += 1;
-                    } else {
-                        activity.int_alu_ops += 1;
-                    }
-                }
-                InstrClass::Float => {
-                    activity.fp_ops += 1;
+            } else if instr.is_conditional_branch {
+                let taken = dynamic.taken.unwrap_or(false);
+                let correct = self.predictor.predict_and_update(dynamic.pc, taken);
+                if !correct {
+                    let redirect = complete + mispredict_penalty;
+                    fetch_stall_until = fetch_stall_until.max(redirect);
                 }
             }
+            kind_counts[instr.kind as usize] += 1;
             activity.weighted_exec_energy += instr.energy;
 
             // ---------------- writeback ----------------
@@ -532,14 +570,10 @@ impl Simulator {
                 activity.regfile_writes += 1;
             }
             self.completion_ring.record(complete);
-            if is_mem && lsq > 0 {
-                if self.lsq_completions.len() >= lsq {
-                    self.lsq_completions.pop_front();
-                }
-                self.lsq_completions.push_back(complete);
+            if is_mem {
+                self.lsq_ring.record(complete);
             }
             max_completion = max_completion.max(complete);
-            class_counts[class_slot(instr.class)] += 1;
         }
         // lint:hot-loop-end
 
@@ -550,11 +584,21 @@ impl Simulator {
         stats.cycles = max_completion.max(fetch_cycle + 1);
         stats.hierarchy = self.hierarchy.stats();
         stats.branch = self.predictor.stats();
+        let [int_alu, int_complex, fp, branches, loads, stores] = kind_counts;
+        activity.fetched = n as u64;
+        activity.rob_writes = n as u64;
+        activity.int_alu_ops = int_alu;
+        activity.int_complex_ops = int_complex;
+        activity.fp_ops = fp;
+        activity.branches = branches;
+        activity.loads = loads;
+        activity.stores = stores;
+        activity.lsq_ops = loads + stores;
         stats.activity = activity;
         stats.profile = self.profiler.finish();
-        for (class, &count) in CLASS_ORDER.iter().zip(class_counts.iter()) {
+        for (class, &count) in KINDS.iter().zip(kind_counts.iter()) {
             if count > 0 {
-                stats.class_counts.insert(*class, count);
+                *stats.class_counts.entry(*class).or_insert(0) += count;
             }
         }
         Ok(stats)
@@ -784,6 +828,58 @@ mod tests {
         // Only the two addressed ops reached the L1D; the addressless ones
         // must not appear as (fake) address-0 accesses.
         assert_eq!(stats.hierarchy.l1d.accesses, 2);
+    }
+
+    #[test]
+    fn unit_table_matches_a_first_earliest_free_scan() {
+        // The sorted rows must hand out the same earliest free cycles as
+        // the per-unit scan they replaced, for every kind and width.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let mut config = CoreConfig::large();
+        (
+            config.alu_units,
+            config.complex_units,
+            config.fp_units,
+            config.mem_units,
+        ) = (7, 1, 0, 3);
+        let mut table = UnitTable::new(&config);
+        let mut scan: Vec<Vec<u64>> = table.count.iter().map(|&count| vec![0; count]).collect();
+        for _ in 0..20_000 {
+            let kind = rng.gen_range(0..4);
+            let units = &mut scan[kind];
+            let mut idx = 0;
+            for (i, &free) in units.iter().enumerate() {
+                if free < units[idx] {
+                    idx = i;
+                }
+            }
+            assert_eq!(table.earliest(kind), units[idx]);
+            let until = units[idx] + rng.gen_range(0..40);
+            units[idx] = until;
+            table.occupy(kind, until);
+        }
+    }
+
+    #[test]
+    fn zero_capacity_windows_impose_no_limit() {
+        // A zero-capacity ROB, RS or LSQ means "no limit": the same run as
+        // windows too deep to ever fill.
+        let trace = trace_for(|_| {});
+        for base in [CoreConfig::small(), CoreConfig::large()] {
+            let deep = TRACE_LEN as u32 + 1;
+            let mut zero = base.clone();
+            (zero.rob_entries, zero.rs_entries, zero.lsq_entries) = (0, 0, 0);
+            let mut unlimited = base.clone();
+            (
+                unlimited.rob_entries,
+                unlimited.rs_entries,
+                unlimited.lsq_entries,
+            ) = (deep, deep, deep);
+            let stats = Simulator::new(zero).run(&trace);
+            assert_eq!(stats, Simulator::new(unlimited).run(&trace));
+            assert_ne!(stats, Simulator::new(base).run(&trace));
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::config::PrefetchConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Statistics for the prefetcher.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,6 +23,32 @@ struct StrideEntry {
     confidence: u8,
 }
 
+/// A multiplicative hash of a PC key: one multiply where SipHash runs
+/// several rounds.  The table is private and keyed by simulated addresses,
+/// so SipHash's flooding resistance buys nothing here; the result does not
+/// depend on the hash, only the lookup cost does.
+#[derive(Debug, Clone, Copy, Default)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Fold the well-mixed high half down: PCs are 4-byte aligned, and
+        // the table indexes buckets by the low bits.
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A per-PC stride prefetcher with next-line fallback.
 ///
 /// The Large core of Table II has a prefetcher on its L1/L2; this model
@@ -31,14 +58,14 @@ struct StrideEntry {
 ///
 /// [`observe`](StridePrefetcher::observe) sits on the demand-miss path of
 /// every simulated evaluation, so the training table is indexed: a hash map
-/// keyed by PC for O(1) lookup, plus a FIFO ring of insertion order for
-/// O(1) eviction.  Prediction behaviour is identical to the previous linear
+/// keyed by PC (with a one-multiply hash) for O(1) lookup, plus a FIFO ring
+/// of insertion order for O(1) eviction.  Prediction behaviour is identical to the previous linear
 /// table (entries update in place, eviction follows first-insertion order).
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     config: PrefetchConfig,
     /// PC-indexed training entries.
-    table: HashMap<u64, StrideEntry>,
+    table: HashMap<u64, StrideEntry, BuildHasherDefault<PcHasher>>,
     /// Insertion-order ring over the table's PCs; the front is the next
     /// eviction victim.
     fifo: VecDeque<u64>,
@@ -53,7 +80,7 @@ impl StridePrefetcher {
         const CAPACITY: usize = 64;
         StridePrefetcher {
             config,
-            table: HashMap::with_capacity(CAPACITY),
+            table: HashMap::with_capacity_and_hasher(CAPACITY, BuildHasherDefault::default()),
             fifo: VecDeque::with_capacity(CAPACITY),
             capacity: CAPACITY,
             stats: PrefetchStats::default(),

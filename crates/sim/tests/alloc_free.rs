@@ -4,12 +4,14 @@
 //!
 //! The binary installs a counting global allocator and compares an
 //! N-instruction run against a 2N-instruction run of the same compressed
-//! workload.  Any per-instruction allocation — a `Vec` per prefetch
-//! observation, a clone per static lookup, a `HashMap` rehash per access —
-//! would make the 2N count strictly larger.  The file holds exactly one
-//! test so no concurrent test can pollute the counter.
+//! workload, both as a replay of a materialized trace and on the fused
+//! path every evaluation takes (`run_source` over a `StreamingExpander`).
+//! Any per-instruction allocation — a `Vec` per prefetch observation, a
+//! clone per static lookup, a `HashMap` rehash per access, a growing
+//! re-use history — would make the 2N count strictly larger.  The file
+//! holds exactly one test so no concurrent test can pollute the counter.
 
-use micrograd_codegen::{Generator, GeneratorInput, TraceExpander};
+use micrograd_codegen::{Generator, GeneratorInput, StreamingExpander, TraceExpander};
 use micrograd_sim::{CoreConfig, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,6 +63,7 @@ fn run_allocation_count_is_independent_of_trace_length() {
         loop_size: 200,
         seed: 17,
         mem_footprint_kb: 1024,
+        mem_temporal_period: 3,
         branch_randomness: 0.3,
         ..GeneratorInput::default()
     };
@@ -98,6 +101,26 @@ fn run_allocation_count_is_independent_of_trace_length() {
         assert!(
             short_allocs < 64,
             "per-run constant allocation count unexpectedly high: {short_allocs}"
+        );
+
+        // The fused path: expander construction allocates per run (step
+        // table, stream slots, re-use rings), the retire loop never does.
+        let fused = |sim: &mut Simulator, len: usize| {
+            let mut stats = None;
+            let allocs = allocations_during(|| {
+                let mut source = StreamingExpander::new(&compressed, len, 17);
+                stats = Some(sim.run_source(&mut source));
+            });
+            (allocs, stats.unwrap())
+        };
+        let (fused_short_allocs, fused_short) = fused(&mut sim, 100_000);
+        let (fused_long_allocs, fused_long) = fused(&mut sim, 200_000);
+        assert_eq!(fused_short, warm_short, "fused run diverged from replay");
+        assert_eq!(fused_long, warm_long, "fused run diverged from replay");
+        assert_eq!(
+            fused_short_allocs, fused_long_allocs,
+            "fused path allocated per instruction: {fused_short_allocs} allocs for \
+             100k instructions vs {fused_long_allocs} for 200k"
         );
     }
 }
