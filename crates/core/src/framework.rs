@@ -192,10 +192,15 @@ pub struct FrameworkConfig {
     pub reference_len: usize,
     /// Seed for all stochastic decisions.
     pub seed: u64,
-    /// Batch-evaluation worker count: `None` evaluates sequentially,
-    /// `Some(n)` uses up to `n` worker threads, `Some(0)` auto-sizes to the
-    /// host's available parallelism.  Results are bit-identical across all
-    /// settings; this knob only trades wall-clock for cores.
+    /// Batch-evaluation thread count: `None` evaluates sequentially,
+    /// `Some(n)` uses up to `n` threads (the calling thread included), and
+    /// `Some(0)` adds to the calling thread whatever spare cores of the
+    /// process no other `Some(0)` batch holds.  Results are bit-identical
+    /// across all settings; this knob only trades wall-clock for cores.
+    ///
+    /// The job server neither honors nor keys on this field: it runs every
+    /// job at `Some(0)` and clears the field before computing the job's
+    /// identity.
     #[serde(default)]
     pub parallelism: Option<usize>,
 }

@@ -20,8 +20,8 @@
 //!   power model), behind the [`ExecutionPlatform`] trait so other
 //!   platforms (native hardware counters, other simulators) can be plugged
 //!   in; all tuners submit their independent evaluations through
-//!   [`ExecutionPlatform::evaluate_batch`], which [`SimPlatform`] runs on a
-//!   configurable worker pool with bit-identical results
+//!   [`ExecutionPlatform::evaluate_batch`], which [`SimPlatform`] runs on
+//!   the calling thread plus configurable helpers with bit-identical results
 //!   ([`SimPlatform::with_parallelism`], `FrameworkConfig::parallelism`),
 //!   memoized through a lock-free probing table ([`memo::MemoTable`] — see
 //!   `docs/performance.md` for the design and perf trajectory);

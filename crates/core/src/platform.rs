@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An execution platform MicroGrad can evaluate test cases on.
 ///
@@ -241,15 +241,23 @@ pub(crate) fn input_fingerprint(input: &GeneratorInput) -> u64 {
 ///
 /// # Parallelism
 ///
-/// [`evaluate_batch`](ExecutionPlatform::evaluate_batch) runs the batch on
-/// a worker pool sized by [`with_parallelism`](Self::with_parallelism):
-/// `None` evaluates sequentially, `Some(n)` uses up to `n` worker threads,
-/// and `Some(0)` auto-sizes to the host's available parallelism.  Each
-/// worker owns one reusable [`Simulator`] for the whole batch (runs reset
-/// state instead of reallocating it), and duplicate inputs within one batch
-/// are evaluated only once.  Results are identical to sequential evaluation
-/// regardless of the worker count: every evaluation is a pure, seeded
-/// function of its input.
+/// [`evaluate_batch`](ExecutionPlatform::evaluate_batch) evaluates on the
+/// calling thread plus scoped helper threads, as set by
+/// [`with_parallelism`](Self::with_parallelism):
+///
+/// * `None` evaluates sequentially on the calling thread;
+/// * `Some(n)` uses up to `n` threads: the caller and `n - 1` helpers;
+/// * `Some(0)` borrows its helpers from one process-wide count of spare
+///   cores (`available_parallelism() - 1`).  A batch takes what is free
+///   without blocking, possibly nothing, and returns it when it ends, so
+///   a lone batch uses every core while concurrent batches together never
+///   add more than the spare cores to their calling threads.
+///
+/// Each thread owns one reusable [`Simulator`] for the whole batch (runs
+/// reset state instead of reallocating it), and duplicate inputs within one
+/// batch are evaluated only once.  Results are identical to sequential
+/// evaluation regardless of the thread count: every evaluation is a pure,
+/// seeded function of its input.
 #[derive(Debug)]
 pub struct SimPlatform {
     core: CoreConfig,
@@ -331,9 +339,10 @@ impl SimPlatform {
         self
     }
 
-    /// Sets the batch-evaluation worker count: `None` for sequential
-    /// evaluation, `Some(n)` for up to `n` workers, `Some(0)` to auto-size
-    /// to the host.
+    /// Sets the batch-evaluation thread count: `None` for sequential
+    /// evaluation, `Some(n)` for up to `n` threads, `Some(0)` for the
+    /// calling thread plus whatever spare cores of the process are free
+    /// (see "Parallelism" above).
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.parallelism = parallelism;
@@ -377,12 +386,14 @@ impl SimPlatform {
         self
     }
 
-    /// The number of worker threads a batch of `jobs` evaluations would use.
+    /// The most threads a batch of `jobs` evaluations uses, the calling
+    /// thread included.  A `Some(0)` batch may use fewer: it only gets the
+    /// spare cores no other batch holds.
     #[must_use]
     pub fn workers_for(&self, jobs: usize) -> usize {
         let configured = match self.parallelism {
             None => 1,
-            Some(0) => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            Some(0) => SpareCores::process().total + 1,
             Some(n) => n,
         };
         configured.max(1).min(jobs.max(1))
@@ -557,6 +568,85 @@ impl SimPlatform {
     }
 }
 
+/// A count of cores that batches borrow helper threads from.
+///
+/// `Some(0)` platforms share one per process ([`SpareCores::process`]): the
+/// host's cores minus one, since every batch's calling thread evaluates
+/// too.  Claims never block and never take more than is free.
+#[derive(Debug)]
+struct SpareCores {
+    /// Cores the count starts with.
+    total: usize,
+    /// Cores no batch holds.
+    free: AtomicUsize,
+}
+
+impl SpareCores {
+    fn new(total: usize) -> Self {
+        SpareCores {
+            total,
+            free: AtomicUsize::new(total),
+        }
+    }
+
+    /// The process-wide count, sized on the first `Some(0)` batch.
+    fn process() -> &'static SpareCores {
+        static PROCESS: OnceLock<SpareCores> = OnceLock::new();
+        PROCESS.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            SpareCores::new(cores - 1)
+        })
+    }
+
+    /// Claims up to `want` cores, as many as are free.  The count guards
+    /// no data, so `Relaxed` suffices: its read-modify-writes alone keep
+    /// claims within `free`.
+    fn claim(&self, want: usize) -> Claim<'_> {
+        let before = self
+            .free
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
+                (free > 0 && want > 0).then(|| free - want.min(free))
+            })
+            .unwrap_or(0);
+        Claim {
+            from: self,
+            cores: want.min(before),
+        }
+    }
+}
+
+/// Cores claimed from a [`SpareCores`], returned on drop (so also when the
+/// batch that holds them unwinds).
+struct Claim<'a> {
+    from: &'a SpareCores,
+    cores: usize,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.cores > 0 {
+            self.from.free.fetch_add(self.cores, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Runs `work` on the calling thread and on up to `threads - 1` scoped
+/// helpers, and returns once all of them have.  With `spare`, the helpers
+/// are claimed from that count (possibly none) and given back when the
+/// batch ends.  A panic in any thread propagates after every thread has
+/// stopped, and the claim is still returned.
+fn fan_out(threads: usize, spare: Option<&SpareCores>, work: impl Fn() + Sync) {
+    let wanted = threads.saturating_sub(1);
+    let claim = spare.map(|spare| spare.claim(wanted));
+    let helpers = claim.as_ref().map_or(wanted, |claim| claim.cores);
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(&work);
+        }
+        work();
+    });
+}
+
 impl ExecutionPlatform for SimPlatform {
     fn name(&self) -> &str {
         &self.core.name
@@ -626,26 +716,20 @@ impl ExecutionPlatform for SimPlatform {
         let slots: Vec<Mutex<Option<Result<Metrics, MicroGradError>>>> =
             unique.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(unique.len()) {
-                scope.spawn(|| {
-                    // One simulator per worker, reused across every
-                    // evaluation the worker claims.
-                    let mut sim = self.simulator();
-                    loop {
-                        let u = next.fetch_add(1, Ordering::Relaxed);
-                        if u >= unique.len() {
-                            break;
-                        }
-                        let input = &inputs[unique[u]];
-                        let result = self.evaluate_fingerprinted_with(
-                            &mut sim,
-                            fingerprints[unique[u]],
-                            input,
-                        );
-                        *slots[u].lock() = Some(result);
-                    }
-                });
+        let spare = (self.parallelism == Some(0)).then(SpareCores::process);
+        fan_out(workers.min(unique.len()), spare, || {
+            // One simulator per thread, reused across every evaluation the
+            // thread claims.
+            let mut sim = self.simulator();
+            loop {
+                let u = next.fetch_add(1, Ordering::Relaxed);
+                if u >= unique.len() {
+                    break;
+                }
+                let input = &inputs[unique[u]];
+                let result =
+                    self.evaluate_fingerprinted_with(&mut sim, fingerprints[unique[u]], input);
+                *slots[u].lock() = Some(result);
             }
         });
 
@@ -655,7 +739,7 @@ impl ExecutionPlatform for SimPlatform {
                 slots[slot]
                     .lock()
                     .clone()
-                    .expect("worker pool filled every slot")
+                    .expect("the batch threads filled every slot")
             })
             .collect()
     }
@@ -930,7 +1014,58 @@ mod tests {
         assert_eq!(p.workers_for(100), 4);
         assert_eq!(p.workers_for(2), 2);
         let p = platform().with_parallelism(Some(0));
-        assert!(p.workers_for(100) >= 1);
+        assert_eq!(p.workers_for(100), SpareCores::process().total + 1);
+        assert_eq!(p.workers_for(1), 1);
+    }
+
+    #[test]
+    fn spare_cores_are_never_over_claimed() {
+        let spare = SpareCores::new(2);
+        let first = spare.claim(5);
+        assert_eq!(first.cores, 2, "a claim takes what is free");
+        assert_eq!(spare.claim(1).cores, 0, "and never more");
+        drop(first);
+        assert_eq!(spare.free.load(Ordering::Relaxed), 2);
+
+        // Four callers fanning out at once run at most their own four
+        // threads plus the two spare cores.
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        fan_out(8, Some(&spare), || {
+                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                            peak.fetch_max(now, Ordering::SeqCst);
+                            std::thread::yield_now();
+                            running.fetch_sub(1, Ordering::SeqCst);
+                        });
+                    }
+                });
+            }
+        });
+        assert!(peak.load(Ordering::SeqCst) <= 4 + 2);
+        assert_eq!(
+            spare.free.load(Ordering::Relaxed),
+            2,
+            "every claim came back"
+        );
+    }
+
+    #[test]
+    fn a_panicking_batch_returns_its_claim() {
+        let spare = SpareCores::new(3);
+        let held = AtomicUsize::new(usize::MAX);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fan_out(4, Some(&spare), || {
+                held.store(spare.free.load(Ordering::SeqCst), Ordering::SeqCst);
+                panic!("an evaluation panicked");
+            });
+        }));
+        assert!(outcome.is_err(), "the panic reaches the caller");
+        assert_eq!(held.load(Ordering::SeqCst), 0, "the batch held all three");
+        assert_eq!(spare.free.load(Ordering::Relaxed), 3, "and gave them back");
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //!
 //! Jobs are whole [`FrameworkConfig`]s; workers execute them through
 //! [`MicroGrad::run_on`] on a per-job platform that is warm-started from
-//! (and dumped back to) the [`ResultStore`]'s memo-cache persistence.  Job
-//! identity is [`FrameworkConfig::fingerprint`]: submitting a configuration
+//! (and dumped back to) the [`ResultStore`]'s memo-cache persistence.  The
+//! scheduler, not the client, picks a job's evaluation threads: every job
+//! runs at `parallelism: Some(0)`, so its batches borrow the process's
+//! spare cores.  Job identity is [`FrameworkConfig::fingerprint`] of the
+//! configuration with `parallelism` cleared: submitting a configuration
 //! that is already queued, running or done returns the existing job id
 //! instead of executing twice, and a configuration whose report is already
 //! in the durable store completes instantly without running at all.  On a
@@ -17,7 +20,7 @@
 use crate::fault::FaultSite;
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{JobState, JobSummary, ReactorStats, ServerStats};
-use crate::store::{platform_key, ResultStore};
+use crate::store::{job_identity, platform_key, ResultStore};
 use crate::sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
 use micrograd_core::{
     CacheStats, CancelToken, FrameworkConfig, FrameworkOutput, MicroGrad, MicroGradError,
@@ -41,9 +44,10 @@ pub struct SchedulerConfig {
     /// are rejected until the queue drains.
     pub queue_capacity: usize,
     /// Maximum number of *terminal* (done/failed) job records kept
-    /// resident; beyond it the oldest-terminal records (and their cloned
-    /// reports) are evicted so a long-lived daemon's memory stays bounded.
-    /// An evicted job id answers "unknown job"; resubmitting its
+    /// resident; beyond it the records least recently handed out (by
+    /// completion or by a submission that dedups onto them) are evicted,
+    /// with their cloned reports, so a long-lived daemon's memory stays
+    /// bounded.  An evicted job id answers "unknown job"; resubmitting its
     /// configuration is answered from the durable store.
     pub retained_jobs: usize,
 }
@@ -163,8 +167,9 @@ struct SchedState {
     queue: BinaryHeap<QueuedEntry>,
     jobs: HashMap<u64, JobRecord>,
     by_fingerprint: HashMap<u64, Vec<u64>>,
-    /// Terminal job ids, oldest first — the eviction order that keeps the
-    /// resident record count bounded by `retained_jobs`.
+    /// Terminal job ids, least recently handed out first — the eviction
+    /// order that keeps the resident record count bounded by
+    /// `retained_jobs`.
     terminal_order: VecDeque<u64>,
     running: u64,
     cache_totals: CacheStats,
@@ -285,7 +290,8 @@ impl Scheduler {
     /// [`JobState::TimedOut`], frees its worker, and never satisfies
     /// deduplication afterwards.  The deadline is submit metadata, not job
     /// identity: a submission that dedups onto an existing job keeps that
-    /// job's deadline.
+    /// job's deadline.  Neither is `config.parallelism`: the scheduler
+    /// picks every job's threads itself, so the field is cleared here.
     ///
     /// # Errors
     ///
@@ -297,6 +303,7 @@ impl Scheduler {
         priority: i64,
         deadline_ms: Option<u64>,
     ) -> Result<SubmitOutcome, SubmitError> {
+        let config = job_identity(config);
         let fingerprint = config.fingerprint();
         let inner = &self.inner;
 
@@ -305,7 +312,7 @@ impl Scheduler {
         // Failed jobs do not absorb resubmissions — a retry is a fresh
         // execution.
         {
-            let state = lock_or_recover(&inner.state);
+            let mut state = lock_or_recover(&inner.state);
             if state.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
@@ -599,8 +606,13 @@ impl SchedState {
     /// share.  Failed and timed-out jobs never absorb resubmissions — a
     /// retry after either is a fresh execution, so an expired deadline
     /// never poisons the dedup table.
-    fn dedup_match(&self, fingerprint: u64, config: &FrameworkConfig) -> Option<u64> {
-        self.by_fingerprint
+    ///
+    /// A matched terminal record moves to the back of the eviction order:
+    /// the submitter is about to `watch` or `fetch` it, so the next
+    /// eviction must not take it first.
+    fn dedup_match(&mut self, fingerprint: u64, config: &FrameworkConfig) -> Option<u64> {
+        let job = self
+            .by_fingerprint
             .get(&fingerprint)?
             .iter()
             .filter_map(|id| self.jobs.get(id))
@@ -608,12 +620,18 @@ impl SchedState {
                 record.config == *config
                     && !matches!(record.state, JobState::Failed { .. } | JobState::TimedOut)
             })
-            .map(|record| record.id)
+            .map(|record| record.id)?;
+        if let Some(pos) = self.terminal_order.iter().position(|&id| id == job) {
+            self.terminal_order.remove(pos);
+            self.terminal_order.push_back(job);
+        }
+        Some(job)
     }
 
-    /// Records that a job reached a terminal state and evicts the oldest
-    /// terminal records beyond `retain`, so resident history stays bounded
-    /// on a long-lived daemon.  Queued and running jobs are never evicted.
+    /// Records that a job reached a terminal state and evicts the terminal
+    /// records least recently handed out beyond `retain`, so resident
+    /// history stays bounded on a long-lived daemon.  Queued and running
+    /// jobs are never evicted.
     ///
     /// The terminal hook (if installed) observes the transition here —
     /// every path to a terminal state funnels through this method, so the
@@ -805,9 +823,11 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
         // Seed the job's cancellation token into the platform: the tuner
         // checks it at epoch boundaries and the simulator every
         // `CANCEL_CHECK_INTERVAL` instructions, so an expired deadline
-        // frees this worker promptly.
+        // frees this worker promptly.  `Some(0)`: each batch evaluates on
+        // this worker plus whatever spare cores no other job holds.
         let platform = framework
             .platform()
+            .with_parallelism(Some(0))
             .with_cancel_token(cancel.clone())
             .with_progress_observer(observer);
         platform.import_cache(inner.store.load_cache(&key));
@@ -1093,6 +1113,76 @@ mod tests {
         assert!(again.cached, "evicted job's report served from the store");
         assert_ne!(again.job, a);
         assert_eq!(scheduler.stats().executions, 3, "nothing re-executed");
+    }
+
+    #[test]
+    fn a_record_handed_out_by_dedup_outlives_the_next_eviction() {
+        let scheduler = Scheduler::new(
+            SchedulerConfig {
+                workers: 0,
+                queue_capacity: 8,
+                retained_jobs: 2,
+            },
+            ResultStore::in_memory(),
+        );
+        let a = scheduler.submit(tiny_config(1), 0).unwrap().job;
+        assert!(scheduler.step());
+        let b = scheduler.submit(tiny_config(2), 0).unwrap().job;
+        assert!(scheduler.step());
+
+        // The resubmission dedups onto the oldest resident record; its
+        // submitter will fetch it next, so C's completion evicts B instead.
+        let again = scheduler.submit(tiny_config(1), 0).unwrap();
+        assert!(again.deduped);
+        assert_eq!(again.job, a);
+        scheduler.submit(tiny_config(3), 0).unwrap();
+        assert!(scheduler.step());
+
+        assert!(matches!(scheduler.fetch(a), FetchResult::Ready(_)));
+        assert_eq!(scheduler.fetch(b), FetchResult::NotFound);
+    }
+
+    #[test]
+    fn parallelism_is_not_job_identity() {
+        let scratch = ScratchDir::new("sched-parallelism");
+        let with = |parallelism| FrameworkConfig {
+            parallelism,
+            ..tiny_config(1)
+        };
+        let first = {
+            let scheduler = Scheduler::new(
+                SchedulerConfig {
+                    workers: 0,
+                    queue_capacity: 8,
+                    ..SchedulerConfig::default()
+                },
+                ResultStore::open(scratch.path()).unwrap(),
+            );
+            let first = scheduler.submit(with(None), 0).unwrap();
+            let second = scheduler.submit(with(Some(4)), 0).unwrap();
+            assert!(second.deduped, "differs only in parallelism");
+            assert_eq!(second.job, first.job);
+            assert!(scheduler.step());
+            assert!(!scheduler.step(), "one execution for both");
+            match scheduler.fetch(first.job) {
+                FetchResult::Ready(output) => output,
+                other => panic!("expected report, got {other:?}"),
+            }
+        };
+
+        // A restarted daemon answers a third variant from the store.
+        let scheduler = Scheduler::new(
+            SchedulerConfig {
+                workers: 0,
+                queue_capacity: 8,
+                ..SchedulerConfig::default()
+            },
+            ResultStore::open(scratch.path()).unwrap(),
+        );
+        let third = scheduler.submit(with(Some(0)), 0).unwrap();
+        assert!(third.cached, "answered from the durable store");
+        assert_eq!(scheduler.fetch(third.job), FetchResult::Ready(first));
+        assert_eq!(scheduler.stats().executions, 0);
     }
 
     #[test]

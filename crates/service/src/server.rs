@@ -5,7 +5,9 @@
 //! handler pool executes decoded requests against the scheduler.  The
 //! thread count is `1 + HANDLER_THREADS + workers` regardless of how
 //! many connections are open — a thousand idle clients cost slab
-//! entries, not threads, and wake nothing.
+//! entries, not threads, and wake nothing.  While a job's evaluation
+//! batch runs, it adds scoped helpers borrowed from the process's spare
+//! cores: at most `cores - 1` across all jobs, joined when the batch ends.
 //!
 //! Each connection is one long-lived JSON-lines session (see
 //! [`crate::protocol`]); every request line is answered with exactly one

@@ -106,6 +106,15 @@ pub struct ResultStore {
     timelines: Mutex<HashMap<u64, StoredTimeline>>,
 }
 
+/// `config` as the service identifies a job and its stored report: with
+/// `parallelism` cleared.  The daemon picks every job's evaluation threads
+/// itself, and results are bit-identical across thread counts, so two
+/// configurations that differ only there are one job and one report.
+pub(crate) fn job_identity(mut config: FrameworkConfig) -> FrameworkConfig {
+    config.parallelism = None;
+    config
+}
+
 /// The platform key a configuration's evaluations are valid under: the
 /// platform parameters that determine metric values.  `parallelism` is
 /// deliberately absent — it only trades wall-clock for cores.
@@ -345,7 +354,8 @@ impl ResultStore {
         }
     }
 
-    /// Persists a completed report under its configuration fingerprint.
+    /// Persists a completed report under the fingerprint of its
+    /// configuration, `parallelism` cleared.
     ///
     /// # Errors
     ///
@@ -356,11 +366,12 @@ impl ResultStore {
         config: &FrameworkConfig,
         output: &FrameworkOutput,
     ) -> io::Result<()> {
+        let config = job_identity(config.clone());
         let fingerprint = config.fingerprint();
         let stored = StoredReport {
             proto: crate::PROTO_VERSION,
             fingerprint,
-            config: config.clone(),
+            config,
             output: output.clone(),
         };
         match self.report_path(fingerprint) {
@@ -372,7 +383,8 @@ impl ResultStore {
         }
     }
 
-    /// Looks up the report previously saved for an identical configuration.
+    /// Looks up the report previously saved for an identical configuration
+    /// (`parallelism` aside).
     ///
     /// Returns `None` when nothing is stored, when the stored file fails
     /// integrity verification (it is then quarantined), or when the stored
@@ -380,6 +392,7 @@ impl ResultStore {
     /// simply re-executes.
     #[must_use]
     pub fn load_report(&self, config: &FrameworkConfig) -> Option<FrameworkOutput> {
+        let config = job_identity(config.clone());
         let fingerprint = config.fingerprint();
         let stored = match self.report_path(fingerprint) {
             Some(path) => {
@@ -397,7 +410,7 @@ impl ResultStore {
             }
             None => self.reports.lock().get(&fingerprint)?.clone(),
         };
-        (stored.config == *config).then_some(stored.output)
+        (stored.config == config).then_some(stored.output)
     }
 
     /// Number of reports resident in the store.
@@ -610,6 +623,10 @@ mod tests {
         let mut other = config.clone();
         other.seed += 1;
         assert!(store.load_report(&other).is_none());
+        // One that differs only in `parallelism` is the same report.
+        let mut parallel = config.clone();
+        parallel.parallelism = Some(8);
+        assert_eq!(store.load_report(&parallel).as_ref(), Some(&output));
 
         // A second store over the same directory sees the report — the
         // durability property the service restarts rely on.

@@ -8,7 +8,9 @@
 use micrograd_core::{
     CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, StressGoal, TunerKind, UseCaseConfig,
 };
-use micrograd_service::{decode_response, Client, ClientError, ResponseBody, Server, ServerConfig};
+use micrograd_service::{
+    decode_response, Client, ClientError, JobState, ResponseBody, Server, ServerConfig,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -95,8 +97,10 @@ fn one_byte_at_a_time_requests_reassemble_and_pipelines_stay_ordered() {
 
 #[test]
 fn watch_pushes_completions_and_honors_its_budget() {
-    let server = start_server(1);
-    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // No workers: nothing runs, so a submitted job stays queued however
+    // fast the build evaluates.
+    let idle = start_server(0);
+    let mut client = Client::connect(idle.local_addr()).expect("connect");
 
     // Watching an unknown job is a server error, not a hang.
     match client.watch(424242, Some(1_000)) {
@@ -106,18 +110,23 @@ fn watch_pushes_completions_and_honors_its_budget() {
         other => panic!("expected server error, got {other:?}"),
     }
 
-    // With one worker, the second submission sits queued behind the
-    // first; a tiny watch budget must return its *live* state instead
-    // of blocking until completion.
+    // A tiny watch budget on a queued job must return its *live* state
+    // instead of blocking until completion.
+    let queued = client.submit(&stress_config(72), 0).expect("submit");
+    let live = client.watch(queued.job, Some(60)).expect("watch answers");
+    assert_eq!(
+        live,
+        JobState::Queued,
+        "a 60ms watch budget must expire live"
+    );
+    idle.shutdown();
+
+    // With a worker, an unbounded watch blocks until the push and returns
+    // terminal.
+    let server = start_server(1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     let first = client.submit(&stress_config(71), 0).expect("submit");
     let second = client.submit(&stress_config(72), 0).expect("submit");
-    let live = client.watch(second.job, Some(60)).expect("watch answers");
-    assert!(
-        !live.is_terminal(),
-        "a 60ms watch budget on a queued job must expire live, got {live:?}"
-    );
-
-    // An unbounded watch blocks until the push and returns terminal.
     let done = client.watch(first.job, None).expect("watch resolves");
     assert!(done.is_terminal(), "got {done:?}");
     assert!(client.fetch(first.job).is_ok(), "report is fetchable");

@@ -47,14 +47,15 @@
 //! a GA generation, a brute-force grid chunk, a random-search sample.
 //! Every tuner therefore submits its evaluations in batches through
 //! [`core::ExecutionPlatform::evaluate_batch`], and the bundled
-//! [`core::SimPlatform`] fans a batch out over a worker pool (one
-//! simulator instance per evaluation, a sharded memo cache keyed by a
-//! stable `u64` fingerprint of the generator input).
+//! [`core::SimPlatform`] fans a batch out over the calling thread plus
+//! scoped helper threads (one simulator instance per thread, a lock-free
+//! memo cache keyed by a stable `u64` fingerprint of the generator input).
 //!
-//! The worker count is the `parallelism` field of
+//! The thread count is the `parallelism` field of
 //! [`core::FrameworkConfig`] (or [`core::SimPlatform::with_parallelism`]
 //! when driving the platform directly): `None` evaluates sequentially,
-//! `Some(n)` uses up to `n` threads, and `Some(0)` auto-sizes to the host.
+//! `Some(n)` uses up to `n` threads, and `Some(0)` adds to the calling
+//! thread the process's spare cores that no other batch holds.
 //! Results are **bit-identical across all settings** — batches are
 //! post-processed in submission order and every evaluation is a pure,
 //! seeded function of its input — so parallelism is purely a wall-clock

@@ -8,7 +8,8 @@
 //!    post-processed strictly in submission order, every evaluation is a
 //!    pure seeded function of its input, and best-so-far tie-breaking
 //!    follows input order — so `parallelism: Some(n)` must reproduce the
-//!    `parallelism: None` run exactly, epoch by epoch.
+//!    `parallelism: None` run exactly, epoch by epoch, also when `Some(0)`
+//!    batches of several platforms share the process's spare cores.
 //! 2. **Streaming-evaluation determinism** — the fused single-pass
 //!    `Simulator::run_source` over streaming trace sources must produce
 //!    bit-identical `SimStats` to the two-pass materialized `run`, for both
@@ -25,8 +26,8 @@ use micrograd::core::tuner::{
     Tuner, TuningBudget, TuningResult,
 };
 use micrograd::core::{
-    CoreKind, FrameworkConfig, KnobSpace, KnobSpaceKind, MetricKind, MicroGrad, SimPlatform,
-    StressGoal, StressLoss, TunerKind, UseCaseConfig,
+    CoreKind, ExecutionPlatform, FrameworkConfig, KnobSpace, KnobSpaceKind, MetricKind, MicroGrad,
+    SimPlatform, StressGoal, StressLoss, TunerKind, UseCaseConfig,
 };
 use micrograd::sim::{CoreConfig, Simulator};
 use micrograd::workloads::{simpoint, ApplicationTraceGenerator, Benchmark};
@@ -122,6 +123,46 @@ fn brute_force_is_deterministic_under_parallelism() {
 fn random_search_is_deterministic_under_parallelism() {
     assert_deterministic_across_parallelism("random-search", 3, || {
         Box::new(RandomSearchTuner::new(6, 17))
+    });
+}
+
+#[test]
+fn concurrent_spare_core_batches_match_sequential_evaluation() {
+    // `Some(0)` batches borrow helpers from one process-wide count of
+    // spare cores, so two batches running at once split the host between
+    // them in whatever way the timing gives.  Each must still reproduce
+    // sequential evaluation exactly; every input here appears twice, so
+    // the in-batch dedup is exercised as well.
+    let inputs: Vec<GeneratorInput> = (0..24)
+        .map(|i| GeneratorInput {
+            loop_size: 60 + 20 * (i % 6),
+            reg_dependency_distance: 1 + (i % 4) as u32,
+            ..GeneratorInput::default()
+        })
+        .collect();
+    let platform = |core: &CoreConfig, parallelism| {
+        SimPlatform::new(core.clone())
+            .with_dynamic_len(5_000)
+            .with_seed(9)
+            .with_parallelism(parallelism)
+    };
+    let cores = [CoreConfig::large(), CoreConfig::small()];
+    let start = std::sync::Barrier::new(cores.len());
+    std::thread::scope(|scope| {
+        for core in &cores {
+            let (inputs, start) = (&inputs, &start);
+            scope.spawn(move || {
+                let sequential = platform(core, None);
+                let expected: Vec<_> = inputs.iter().map(|i| sequential.evaluate(i)).collect();
+                // Both threads start their batches together; a fresh
+                // platform per round, so no round is a memo hit.
+                start.wait();
+                for round in 0..3 {
+                    let batch = platform(core, Some(0)).evaluate_batch(inputs);
+                    assert_eq!(batch, expected, "{} core, round {round}", core.name);
+                }
+            });
+        }
     });
 }
 
