@@ -27,12 +27,18 @@
 //!   not just the fingerprint, so a 64-bit collision degrades to a miss
 //!   (recomputation) instead of wrong data.
 //! * **Reclamation**: displaced entries are pushed onto a retirement list
-//!   and freed only when the table is dropped.  Readers can therefore hold
-//!   `&V` borrows of entries without epochs or hazard pointers: no entry is
-//!   freed while any `&MemoTable` borrow is alive, because `drop` takes the
-//!   table by value.  Replacements are rare in steady state (they require a
-//!   full probe window), so the deferred memory is bounded in practice by
-//!   the collision rate, not the lookup rate.
+//!   and freed only by [`reclaim`](MemoTable::reclaim) or when the table is
+//!   dropped.  Readers can therefore hold `&V` borrows of entries without
+//!   epochs or hazard pointers: no entry is freed while any `&MemoTable`
+//!   borrow is alive, because both take the table exclusively.  A
+//!   long-lived table shared through an `Arc` reclaims whenever its owner
+//!   holds the only handle (`Arc::get_mut`), so displaced entries do not
+//!   pile up across its users.
+//! * **Insertion marks**: every entry is stamped with the table's running
+//!   insert count.  [`mark`](MemoTable::mark) reads the count and
+//!   [`export_since`](MemoTable::export_since) returns the entries stamped
+//!   at or after it, so a user of a shared table can persist just the
+//!   entries that appeared while it ran.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -42,6 +48,8 @@ const PROBE_WINDOW: usize = 8;
 
 struct Entry<K, V> {
     fingerprint: u64,
+    /// The table's insert count when the entry was created.
+    mark: u64,
     key: K,
     value: V,
 }
@@ -49,22 +57,26 @@ struct Entry<K, V> {
 /// A lock-free fingerprint-indexed memo table with verify-on-hit.
 ///
 /// `K` is the full key stored for hit verification; `V` the memoized value.
-/// All operations take `&self` and are safe to call from any number of
-/// threads concurrently.
+/// All operations but [`reclaim`](Self::reclaim) take `&self` and are safe
+/// to call from any number of threads concurrently.
 pub struct MemoTable<K, V> {
     buckets: Box<[AtomicPtr<Entry<K, V>>]>,
     mask: u64,
     occupied: AtomicU64,
     replacements: AtomicU64,
-    /// Entries displaced by replacements; freed on drop (see module docs).
+    /// The mark the next entry gets (see [`mark`](Self::mark)).
+    next_mark: AtomicU64,
+    /// Entries displaced by replacements; freed by `reclaim` or on drop
+    /// (see module docs).
     retired: Mutex<Vec<*mut Entry<K, V>>>,
 }
 
 // SAFETY: the raw pointers in `buckets` / `retired` all point to
 // `Box`-allocated entries owned by this table; entries are immutable after
-// publication and freed only by `drop(self)`.  Sharing the table across
-// threads is therefore sound whenever the payload types themselves are
-// shareable, which the `K: Send + Sync, V: Send + Sync` bounds require.
+// publication and freed only through `&mut self` (`reclaim`, `drop`).
+// Sharing the table across threads is therefore sound whenever the payload
+// types themselves are shareable, which the `K: Send + Sync, V: Send +
+// Sync` bounds require.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for MemoTable<K, V> {}
 // SAFETY: as above — `&MemoTable` only exposes immutable published entries
 // and atomics, so concurrent shared access needs nothing beyond the bounds.
@@ -84,6 +96,7 @@ impl<K: PartialEq, V> MemoTable<K, V> {
             mask: capacity as u64 - 1,
             occupied: AtomicU64::new(0),
             replacements: AtomicU64::new(0),
+            next_mark: AtomicU64::new(0),
             retired: Mutex::new(Vec::new()),
         }
     }
@@ -113,6 +126,18 @@ impl<K: PartialEq, V> MemoTable<K, V> {
         self.replacements.load(Ordering::Relaxed)
     }
 
+    /// The insertion mark: every entry inserted from now on — by
+    /// [`insert`](Self::insert) or [`insert_if_absent`](Self::insert_if_absent)
+    /// — is returned by [`export_since`](Self::export_since) with this mark.
+    ///
+    /// The count guards no data, so `Relaxed` suffices: an insert that
+    /// happens after this call (in program order, or in a thread spawned
+    /// after it) reads a count at least this one.
+    #[must_use]
+    pub fn mark(&self) -> u64 {
+        self.next_mark.load(Ordering::Relaxed)
+    }
+
     /// Probe window size for this table (bounded by the capacity).
     fn window(&self) -> usize {
         PROBE_WINDOW.min(self.buckets.len())
@@ -135,8 +160,8 @@ impl<K: PartialEq, V> MemoTable<K, V> {
                 continue;
             }
             // SAFETY: non-null bucket pointers reference live boxed entries;
-            // entries are only freed in `drop(self)`, which cannot run while
-            // this `&self` borrow exists.
+            // entries are only freed through `&mut self`, which cannot
+            // coexist with this `&self` borrow.
             let entry = unsafe { &*ptr };
             if entry.fingerprint == fingerprint && entry.key == *key {
                 return Some(&entry.value);
@@ -145,18 +170,25 @@ impl<K: PartialEq, V> MemoTable<K, V> {
         None
     }
 
-    /// Inserts (or overwrites) the entry for `fingerprint`.
+    /// A new unpublished entry, stamped with the next insertion mark.
+    fn new_entry(&self, fingerprint: u64, key: K, value: V) -> *mut Entry<K, V> {
+        Box::into_raw(Box::new(Entry {
+            fingerprint,
+            mark: self.next_mark.fetch_add(1, Ordering::Relaxed),
+            key,
+            value,
+        }))
+    }
+
+    /// Inserts (or overwrites) the entry for `fingerprint`, and returns
+    /// whether a resident entry of another fingerprint was displaced.
     ///
     /// Placement: an existing same-fingerprint entry in the probe window is
     /// replaced in place; otherwise the first empty slot is claimed;
     /// otherwise the window's home slot is sacrificed (replace-on-collision,
     /// counted in [`replacements`](Self::replacements)).
-    pub fn insert(&self, fingerprint: u64, key: K, value: V) {
-        let entry = Box::into_raw(Box::new(Entry {
-            fingerprint,
-            key,
-            value,
-        }));
+    pub fn insert(&self, fingerprint: u64, key: K, value: V) -> bool {
+        let entry = self.new_entry(fingerprint, key, value);
         // Pass 1: same-fingerprint entry → replace in place.  Buckets are
         // never cleared outside `drop`, so a non-null load stays non-null;
         // the swapped-out entry may differ from the loaded one under a
@@ -172,7 +204,7 @@ impl<K: PartialEq, V> MemoTable<K, V> {
                 let prev = bucket.swap(entry, Ordering::AcqRel);
                 debug_assert!(!prev.is_null());
                 self.retire(prev);
-                return;
+                return false;
             }
         }
         // Pass 2: first empty slot.
@@ -188,7 +220,7 @@ impl<K: PartialEq, V> MemoTable<K, V> {
                 .is_ok()
             {
                 self.occupied.fetch_add(1, Ordering::Relaxed);
-                return;
+                return false;
             }
         }
         // Window full and no fingerprint match: sacrifice the home slot.
@@ -196,6 +228,7 @@ impl<K: PartialEq, V> MemoTable<K, V> {
         debug_assert!(!prev.is_null());
         self.retire(prev);
         self.replacements.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Inserts only when no entry with this fingerprint is resident;
@@ -213,11 +246,7 @@ impl<K: PartialEq, V> MemoTable<K, V> {
         }
         // Claim an empty slot; if the window is full, decline rather than
         // displace (imports are advisory, computed results are not).
-        let entry = Box::into_raw(Box::new(Entry {
-            fingerprint,
-            key,
-            value,
-        }));
+        let entry = self.new_entry(fingerprint, key, value);
         for probe in 0..self.window() {
             let bucket = &self.buckets[self.slot(fingerprint, probe)];
             if bucket
@@ -246,6 +275,18 @@ impl<K: PartialEq, V> MemoTable<K, V> {
         K: Clone,
         V: Clone,
     {
+        self.export_since(0)
+    }
+
+    /// Snapshots the live entries inserted at or after `mark` (see
+    /// [`mark`](Self::mark)), imports included, in bucket order.  Entries
+    /// other threads insert meanwhile may or may not be included.
+    #[must_use]
+    pub fn export_since(&self, mark: u64) -> Vec<(u64, K, V)>
+    where
+        K: Clone,
+        V: Clone,
+    {
         self.buckets
             .iter()
             .filter_map(|bucket| {
@@ -255,7 +296,8 @@ impl<K: PartialEq, V> MemoTable<K, V> {
                 }
                 // SAFETY: see `get`.
                 let entry = unsafe { &*ptr };
-                Some((entry.fingerprint, entry.key.clone(), entry.value.clone()))
+                (entry.mark >= mark)
+                    .then(|| (entry.fingerprint, entry.key.clone(), entry.value.clone()))
             })
             .collect()
     }
@@ -265,21 +307,31 @@ impl<K: PartialEq, V> MemoTable<K, V> {
     }
 }
 
+impl<K, V> MemoTable<K, V> {
+    /// Frees every entry displaced so far.  Resident entries stay.
+    pub fn reclaim(&mut self) {
+        for ptr in self.retired.get_mut().drain(..) {
+            // SAFETY: exclusive access (`&mut self`), so no borrow of a
+            // retired entry is alive; retired pointers were displaced from
+            // buckets exactly once and never freed before.
+            drop(unsafe { Box::from_raw(ptr) });
+        }
+    }
+}
+
 impl<K, V> Drop for MemoTable<K, V> {
     fn drop(&mut self) {
-        for bucket in &self.buckets {
-            let ptr = bucket.swap(std::ptr::null_mut(), Ordering::AcqRel);
+        // Exclusive access: plain reads.  An atomic swap per bucket made
+        // dropping a large, mostly empty table cost a dozen times more.
+        for bucket in &mut self.buckets {
+            let ptr = *bucket.get_mut();
             if !ptr.is_null() {
                 // SAFETY: exclusive access (`&mut self`); each live bucket
-                // pointer is a unique boxed allocation.
+                // pointer is a unique boxed allocation, freed only here.
                 drop(unsafe { Box::from_raw(ptr) });
             }
         }
-        for ptr in self.retired.get_mut().drain(..) {
-            // SAFETY: retired pointers were displaced from buckets exactly
-            // once and never freed before.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
+        self.reclaim();
     }
 }
 
@@ -379,6 +431,58 @@ mod tests {
         let mut dump = t.export();
         dump.sort_by_key(|(fp, _, _)| *fp);
         assert_eq!(dump, vec![(3, 3, 6), (9, 9, 18), (27, 27, 54)]);
+    }
+
+    #[test]
+    fn export_since_returns_exactly_the_entries_from_the_mark_on() {
+        let t: MemoTable<u64, u64> = MemoTable::new(64);
+        t.insert(1, 1, 10);
+        assert!(t.insert_if_absent(2, 2, 20));
+        let mark = t.mark();
+        assert!(t.export_since(mark).is_empty());
+        t.insert(3, 3, 30);
+        assert!(t.insert_if_absent(4, 4, 40), "imports are stamped too");
+        assert!(
+            !t.insert_if_absent(1, 1, 11),
+            "a declined import adds nothing"
+        );
+        t.insert(2, 2, 21); // an in-place replace is a new entry
+        let mut since = t.export_since(mark);
+        since.sort_unstable();
+        assert_eq!(since, vec![(2, 2, 21), (3, 3, 30), (4, 4, 40)]);
+        assert_eq!(t.export_since(0).len(), 4);
+        assert_eq!(t.export_since(t.mark()), vec![]);
+    }
+
+    #[test]
+    fn reclaim_frees_displaced_entries_and_keeps_resident_ones() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
+        struct Counted(u64, Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        // Capacity 1: every insert displaces the previous entry.
+        let mut t: MemoTable<u64, Counted> = MemoTable::new(1);
+        for fp in 0..5u64 {
+            t.insert(fp, fp, Counted(fp, Arc::clone(&drops)));
+        }
+        assert_eq!(t.replacements(), 4);
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "retired, not yet freed");
+        t.reclaim();
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "every displaced entry");
+        assert_eq!(
+            t.get(4, &4).map(|v| v.0),
+            Some(4),
+            "resident stays readable"
+        );
+        t.reclaim();
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "nothing freed twice");
+        drop(t);
+        assert_eq!(drops.load(Ordering::SeqCst), 5);
     }
 
     #[test]

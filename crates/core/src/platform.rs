@@ -88,10 +88,12 @@ pub trait ExecutionPlatform {
 /// A *hit* returns stored metrics without simulating; a *miss* pays a full
 /// generate-and-simulate evaluation (a 64-bit fingerprint collision whose
 /// stored input differs also counts as a miss — it is recomputed); an
-/// *insert* stores a freshly computed result.  `entries` is the number of
-/// memoized evaluations currently resident, `capacity` the fixed slot count
-/// of the lock-free table, and `replacements` how many resident entries
-/// were displaced by colliding inserts (see [`crate::memo::MemoTable`]).
+/// *insert* stores a freshly computed result (or an imported one), and a
+/// *replacement* is an insert that displaced a resident entry of another
+/// input (see [`crate::memo::MemoTable`]).  These four count the
+/// platform's own operations.  `entries` (memoized evaluations resident)
+/// and `capacity` (the fixed slot count) describe the table, which the
+/// platform may share with others ([`SimPlatform::with_cache`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Evaluations answered from the cache.
@@ -102,7 +104,7 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Entries currently memoized.
     pub entries: u64,
-    /// Resident entries displaced by colliding inserts.
+    /// Resident entries this platform's inserts displaced.
     #[serde(default)]
     pub replacements: u64,
     /// Slot capacity of the memo table (0 when unknown/aggregated).
@@ -132,9 +134,10 @@ impl CacheStats {
     /// Componentwise sum of two counter sets (used to aggregate the stats
     /// of several platforms, e.g. across service jobs).
     ///
-    /// Counters (`hits`, `misses`, `inserts`, `entries`, `replacements`)
-    /// add; `capacity` takes the maximum, since the aggregated platforms do
-    /// not share one table.
+    /// The per-platform counters (`hits`, `misses`, `inserts`,
+    /// `replacements`) add, and so does `entries`: platforms that share one
+    /// table (the service's jobs of one platform key) each count its
+    /// entries.  `capacity` takes the maximum.
     #[must_use]
     pub fn merged(self, other: CacheStats) -> CacheStats {
         CacheStats {
@@ -237,7 +240,15 @@ pub(crate) fn input_fingerprint(input: &GeneratorInput) -> u64 {
 /// atomic loads, inserts never rehash, and colliding inserts replace the
 /// resident entry (a replaced evaluation is simply recomputed on its next
 /// use).  Hits verify the full stored input, so a 64-bit fingerprint
-/// collision can never return wrong metrics.
+/// collision can never return wrong metrics.  A hit builds no simulator.
+///
+/// Each platform owns a table by default.  [`with_cache`](Self::with_cache)
+/// shares one `Arc`-held table among platforms instead: the service keeps
+/// one per platform key, and every job of that key evaluates on it.  Shared
+/// use is sound because every evaluation is a pure, seeded function of its
+/// input: platforms that share a table must have the same core,
+/// `dynamic_len` and seed, and then produce exactly the results they would
+/// on tables of their own.
 ///
 /// # Parallelism
 ///
@@ -253,11 +264,11 @@ pub(crate) fn input_fingerprint(input: &GeneratorInput) -> u64 {
 ///   a lone batch uses every core while concurrent batches together never
 ///   add more than the spare cores to their calling threads.
 ///
-/// Each thread owns one reusable [`Simulator`] for the whole batch (runs
-/// reset state instead of reallocating it), and duplicate inputs within one
-/// batch are evaluated only once.  Results are identical to sequential
-/// evaluation regardless of the thread count: every evaluation is a pure,
-/// seeded function of its input.
+/// Each thread owns one reusable [`Simulator`] for the whole batch, built
+/// on its first miss (runs reset state instead of reallocating it), and
+/// duplicate inputs within one batch are evaluated only once.  Results are
+/// identical to sequential evaluation regardless of the thread count:
+/// every evaluation is a pure, seeded function of its input.
 #[derive(Debug)]
 pub struct SimPlatform {
     core: CoreConfig,
@@ -267,10 +278,11 @@ pub struct SimPlatform {
     parallelism: Option<usize>,
     cancel: CancelToken,
     progress: Option<ProgressObserver>,
-    cache: MemoTable<GeneratorInput, Metrics>,
+    cache: Arc<MemoTable<GeneratorInput, Metrics>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_inserts: AtomicU64,
+    cache_replacements: AtomicU64,
 }
 
 impl SimPlatform {
@@ -306,10 +318,11 @@ impl SimPlatform {
             parallelism: None,
             cancel: CancelToken::never(),
             progress: None,
-            cache: MemoTable::new(Self::DEFAULT_CACHE_CAPACITY),
+            cache: Arc::new(MemoTable::new(Self::DEFAULT_CACHE_CAPACITY)),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_inserts: AtomicU64::new(0),
+            cache_replacements: AtomicU64::new(0),
         }
     }
 
@@ -321,7 +334,17 @@ impl SimPlatform {
     /// the tests use to exercise the replacement path.
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = MemoTable::new(capacity);
+        self.cache = Arc::new(MemoTable::new(capacity));
+        self
+    }
+
+    /// Evaluates on a shared memoization table instead of the platform's
+    /// own.  Every platform sharing `cache` must have the same core,
+    /// `dynamic_len` and seed (see the type docs); the platform's counters
+    /// stay its own.
+    #[must_use]
+    pub fn with_cache(mut self, cache: Arc<MemoTable<GeneratorInput, Metrics>>) -> Self {
+        self.cache = cache;
         self
     }
 
@@ -461,7 +484,7 @@ impl SimPlatform {
             misses: self.cache_misses.load(Ordering::Relaxed),
             inserts: self.cache_inserts.load(Ordering::Relaxed),
             entries: self.cached_evaluations() as u64,
-            replacements: self.cache.replacements(),
+            replacements: self.cache_replacements.load(Ordering::Relaxed),
             capacity: self.cache.capacity() as u64,
         }
     }
@@ -535,17 +558,11 @@ impl SimPlatform {
         Ok((Metrics::from_run(&stats, Some(&power)), stats))
     }
 
-    fn evaluate_fingerprinted(
-        &self,
-        fingerprint: u64,
-        input: &GeneratorInput,
-    ) -> Result<Metrics, MicroGradError> {
-        self.evaluate_fingerprinted_with(&mut self.simulator(), fingerprint, input)
-    }
-
+    /// A memoized evaluation.  `sim` is the caller's reusable simulator,
+    /// built on the first miss: a hit needs none.
     fn evaluate_fingerprinted_with(
         &self,
-        sim: &mut Simulator,
+        sim: &mut Option<Simulator>,
         fingerprint: u64,
         input: &GeneratorInput,
     ) -> Result<Metrics, MicroGradError> {
@@ -560,9 +577,14 @@ impl SimPlatform {
             return Ok(hit.clone());
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let sim = sim.get_or_insert_with(|| self.simulator());
         let (metrics, _) = self.evaluate_detailed_with(sim, input)?;
-        self.cache
-            .insert(fingerprint, input.clone(), metrics.clone());
+        if self
+            .cache
+            .insert(fingerprint, input.clone(), metrics.clone())
+        {
+            self.cache_replacements.fetch_add(1, Ordering::Relaxed);
+        }
         self.cache_inserts.fetch_add(1, Ordering::Relaxed);
         Ok(metrics)
     }
@@ -661,7 +683,7 @@ impl ExecutionPlatform for SimPlatform {
     }
 
     fn evaluate(&self, input: &GeneratorInput) -> Result<Metrics, MicroGradError> {
-        self.evaluate_fingerprinted(input_fingerprint(input), input)
+        self.evaluate_fingerprinted_with(&mut None, input_fingerprint(input), input)
     }
 
     fn evaluate_batch(&self, inputs: &[GeneratorInput]) -> Vec<Result<Metrics, MicroGradError>> {
@@ -671,7 +693,7 @@ impl ExecutionPlatform for SimPlatform {
         let workers = self.workers_for(inputs.len());
         if workers <= 1 || inputs.len() <= 1 {
             // Sequential path: one reused simulator for the whole batch.
-            let mut sim = self.simulator();
+            let mut sim = None;
             return inputs
                 .iter()
                 .map(|input| {
@@ -720,7 +742,7 @@ impl ExecutionPlatform for SimPlatform {
         fan_out(workers.min(unique.len()), spare, || {
             // One simulator per thread, reused across every evaluation the
             // thread claims.
-            let mut sim = self.simulator();
+            let mut sim = None;
             loop {
                 let u = next.fetch_add(1, Ordering::Relaxed);
                 if u >= unique.len() {
@@ -859,6 +881,28 @@ mod tests {
 
         // Export order is deterministic.
         assert_eq!(warm.export_cache(), cold.export_cache());
+    }
+
+    #[test]
+    fn platforms_sharing_a_table_share_results_not_counters() {
+        let table = Arc::new(MemoTable::new(SimPlatform::DEFAULT_CACHE_CAPACITY));
+        let first = platform().with_cache(Arc::clone(&table));
+        let second = platform().with_cache(Arc::clone(&table));
+        let input = GeneratorInput {
+            loop_size: 100,
+            ..GeneratorInput::default()
+        };
+        let computed = first.evaluate(&input).unwrap();
+        assert_eq!(
+            second.evaluate(&input),
+            Ok(computed),
+            "a hit on the shared table"
+        );
+        let (a, b) = (first.cache_stats(), second.cache_stats());
+        assert_eq!((a.hits, a.misses, a.inserts), (0, 1, 1));
+        assert_eq!((b.hits, b.misses, b.inserts), (1, 0, 0));
+        assert_eq!((a.entries, b.entries), (1, 1), "both see the one table");
+        assert_eq!(table.len(), 1);
     }
 
     #[test]

@@ -78,9 +78,14 @@ const POLICIES: [ModulePolicy; 6] = [
     ModulePolicy {
         // Lock-free memo table: bucket pointers are published via
         // AcqRel swaps/CAS and acquired before dereference; the occupancy
-        // and replacement statistics are plain counters.
+        // and replacement statistics and the insertion mark are plain
+        // counters (a mark guards no data; see `MemoTable::mark`).
         suffix: "crates/core/src/memo.rs",
-        fields: &[counter("occupied"), counter("replacements")],
+        fields: &[
+            counter("occupied"),
+            counter("replacements"),
+            counter("next_mark"),
+        ],
     },
     ModulePolicy {
         // Cancellation token: `cancelled` is a monotonic latch.  Setting

@@ -20,7 +20,7 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 /// Method names that perform file/socket I/O (or block the thread).
-const IO_METHODS: [&str; 16] = [
+const IO_METHODS: [&str; 17] = [
     "write_all",
     "write_fmt",
     "flush",
@@ -37,6 +37,7 @@ const IO_METHODS: [&str; 16] = [
     "save_report",
     "load_cache",
     "save_cache",
+    "append_cache",
     "write_atomically",
 ];
 

@@ -33,8 +33,8 @@ pub enum FaultSite {
     StoreWrite,
     /// Persisting a report or cache dump: only a prefix of the document is
     /// committed, simulating a crash between write and fsync.  The
-    /// truncated file *is* renamed into place, so recovery has something
-    /// corrupt to find.
+    /// truncated file *is* renamed into place, and half of an appended
+    /// cache chunk *does* land, so recovery has something corrupt to find.
     StoreTruncate,
     /// Persisting a report or cache dump: the write is delayed by the
     /// plan's fixed [`FaultPlan::write_delay`] before proceeding normally.

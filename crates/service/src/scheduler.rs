@@ -1,8 +1,10 @@
 //! The job scheduler: a bounded priority queue in front of a worker pool.
 //!
 //! Jobs are whole [`FrameworkConfig`]s; workers execute them through
-//! [`MicroGrad::run_on`] on a per-job platform that is warm-started from
-//! (and dumped back to) the [`ResultStore`]'s memo-cache persistence.  The
+//! [`MicroGrad::run_on`] on a per-job platform.  Every job of one platform
+//! key evaluates on that key's resident memo table, which the key's first
+//! job warm-starts from the [`ResultStore`]'s cache dump; after each job
+//! only the evaluations it added are appended to the dump.  The
 //! scheduler, not the client, picks a job's evaluation threads: every job
 //! runs at `parallelism: Some(0)`, so its batches borrow the process's
 //! spare cores.  Job identity is [`FrameworkConfig::fingerprint`] of the
@@ -22,9 +24,11 @@ use crate::metrics::ServiceMetrics;
 use crate::protocol::{JobState, JobSummary, ReactorStats, ServerStats};
 use crate::store::{job_identity, platform_key, ResultStore};
 use crate::sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
+use micrograd_codegen::GeneratorInput;
+use micrograd_core::memo::MemoTable;
 use micrograd_core::{
-    CacheStats, CancelToken, FrameworkConfig, FrameworkOutput, MicroGrad, MicroGradError,
-    ProgressObserver,
+    CacheStats, CancelToken, FrameworkConfig, FrameworkOutput, Metrics, MicroGrad, MicroGradError,
+    ProgressObserver, SimPlatform,
 };
 use micrograd_obs::clock::now_ns;
 use micrograd_obs::{JobTimeline, Stage};
@@ -173,8 +177,15 @@ struct SchedState {
     terminal_order: VecDeque<u64>,
     running: u64,
     cache_totals: CacheStats,
+    /// Resident memo tables by platform key, least recently released
+    /// first.  A table is *held* while a job evaluates on it; at most
+    /// `max(workers, 1)` unheld ones stay (see [`SchedState::release_table`]).
+    tables: Vec<(String, Arc<EvalCache>)>,
     shutdown: bool,
 }
+
+/// The memo table the jobs of one platform key share.
+type EvalCache = MemoTable<GeneratorInput, Metrics>;
 
 /// Callback invoked whenever a job reaches a terminal state.
 ///
@@ -248,6 +259,7 @@ impl Scheduler {
                 terminal_order: VecDeque::new(),
                 running: 0,
                 cache_totals: CacheStats::default(),
+                tables: Vec::new(),
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
@@ -689,6 +701,60 @@ impl SchedState {
         self.by_fingerprint.entry(fingerprint).or_default().push(id);
         id
     }
+
+    /// A handle on `key`'s resident table, if there is one.
+    fn table(&self, key: &str) -> Option<Arc<EvalCache>> {
+        self.tables
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, table)| Arc::clone(table))
+    }
+
+    /// Makes a job's freshly loaded table resident, unless a racing job of
+    /// the same key got there first (both tables then serve their own
+    /// jobs, and both jobs append to the dump).
+    fn adopt_table(&mut self, key: &str, table: &Arc<EvalCache>) {
+        if self.table(key).is_none() {
+            self.tables.push((key.to_owned(), Arc::clone(table)));
+        }
+    }
+
+    /// Called when a job of `key` has dropped its handles: marks the
+    /// key's table most recently used and reclaims its displaced entries
+    /// when no other job holds it, then drops the least recently used
+    /// tables no job holds beyond `keep`.  Their dumps already hold every
+    /// entry, so nothing is lost.  Returns the dropped tables, for the
+    /// caller to free outside the lock.
+    fn release_table(&mut self, key: &str, keep: usize) -> Vec<Arc<EvalCache>> {
+        if let Some(pos) = self.tables.iter().position(|(k, _)| k == key) {
+            let mut entry = self.tables.remove(pos);
+            if let Some(table) = Arc::get_mut(&mut entry.1) {
+                table.reclaim();
+            }
+            self.tables.push(entry);
+        }
+        // A count of one is this list's own handle.  Jobs take handles only
+        // under the lock, so a count read here is never too low: a stale
+        // one errs toward keeping a table.
+        let unheld = |table: &Arc<EvalCache>| Arc::strong_count(table) == 1;
+        let mut excess = self
+            .tables
+            .iter()
+            .filter(|(_, table)| unheld(table))
+            .count()
+            .saturating_sub(keep);
+        let mut dropped = Vec::new();
+        let mut i = 0;
+        while let Some((_, table)) = self.tables.get(i).filter(|_| excess > 0) {
+            if unheld(table) {
+                dropped.push(self.tables.remove(i).1);
+                excess -= 1;
+            } else {
+                i += 1;
+            }
+        }
+        dropped
+    }
 }
 
 /// Pops the next runnable job and marks it running (caller holds the lock).
@@ -775,15 +841,16 @@ fn worker_loop(inner: &SchedulerInner) {
     }
 }
 
-/// Runs one job to completion: warm-start the platform from the store's
-/// cache dump, execute, dump the (superset) cache back, persist the report,
-/// publish the terminal state.
+/// Runs one job to completion: evaluate on the platform key's resident
+/// memo table (loading it from the store's cache dump if it is not
+/// resident), append the evaluations the job added to the dump, persist
+/// the report, publish the terminal state.
 ///
 /// Execution runs under `catch_unwind`: a panic inside the framework marks
 /// the job `Failed` instead of killing the worker thread and leaving the
 /// job `Running` forever.
 fn execute_job(inner: &SchedulerInner, job: u64) {
-    let (config, cancel) = {
+    let (config, cancel, key, resident) = {
         let mut state = lock_or_recover(&inner.state);
         let Some(record) = state.jobs.get(&job) else {
             // The record vanished between pop and execute (running jobs are
@@ -792,11 +859,13 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
             state.running = state.running.saturating_sub(1);
             return;
         };
-        (record.config.clone(), record.cancel.clone())
+        let (config, cancel) = (record.config.clone(), record.cancel.clone());
+        let key = platform_key(&config);
+        let resident = state.table(&key);
+        (config, cancel, key, resident)
     };
 
     inner.metrics.sink().record(job, Stage::Executing, 0);
-    let key = platform_key(&config);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if inner
             .store
@@ -825,16 +894,38 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
         // `CANCEL_CHECK_INTERVAL` instructions, so an expired deadline
         // frees this worker promptly.  `Some(0)`: each batch evaluates on
         // this worker plus whatever spare cores no other job holds.
+        let table = resident
+            .clone()
+            .unwrap_or_else(|| Arc::new(MemoTable::new(SimPlatform::DEFAULT_CACHE_CAPACITY)));
         let platform = framework
             .platform()
             .with_parallelism(Some(0))
             .with_cancel_token(cancel.clone())
-            .with_progress_observer(observer);
-        platform.import_cache(inner.store.load_cache(&key));
+            .with_progress_observer(observer)
+            .with_cache(Arc::clone(&table));
+        if resident.is_none() {
+            let stored = inner.store.load_cache(&key);
+            let held = stored.len();
+            // Fewer admitted than held: duplicated chunks, or more than the
+            // table can hold.  Rewrite the dump as what the table holds.
+            if platform.import_cache(stored) < held {
+                if let Err(e) = inner.store.save_cache(&key, platform.export_cache()) {
+                    eprintln!("microgradd: failed to compact cache dump for `{key}`: {e}");
+                }
+            }
+            let mut state = lock_or_recover(&inner.state);
+            state.adopt_table(&key, &table);
+        }
 
+        let mark = table.mark();
         let result = framework.run_on(&platform);
 
-        if let Err(e) = inner.store.save_cache(&key, platform.export_cache()) {
+        let added = table
+            .export_since(mark)
+            .into_iter()
+            .map(|(_, input, metrics)| (input, metrics))
+            .collect();
+        if let Err(e) = inner.store.append_cache(&key, added) {
             eprintln!("microgradd: failed to persist cache dump for `{key}`: {e}");
         }
         if let Ok(output) = &result {
@@ -848,9 +939,13 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
         (result, platform.cache_stats())
     }));
 
-    {
+    // With the job's last table handle gone, its table counts as unheld;
+    // tables the release evicts are freed after the lock.
+    drop(resident);
+    let _evicted = {
         let mut state = lock_or_recover(&inner.state);
         state.running = state.running.saturating_sub(1);
+        let evicted = state.release_table(&key, inner.config.workers.max(1));
         let Some(record) = state.jobs.get_mut(&job) else {
             // Evicted mid-run (unreachable today); still wake any waiters so
             // a `wait` on the vanished id re-checks and returns `None`.
@@ -908,7 +1003,8 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
             .metrics
             .sync_queue(state.queue.len() as u64, state.running);
         inner.job_done.notify_all();
-    }
+        evicted
+    };
     // The timeline is complete; persist it outside the state lock.
     inner.persist_timeline(job);
 }
@@ -1336,42 +1432,77 @@ mod tests {
         assert_eq!(scheduler.status(retry.job), Some(JobState::Done));
     }
 
-    #[test]
-    fn warm_start_reuses_the_persisted_cache() {
-        let scratch = ScratchDir::new("sched-warm");
-        let config = tiny_config(1);
+    /// `tiny_config(1)` with another stress goal or metric: another job
+    /// of the same platform key.
+    fn same_key_variant(metric: MetricKind, goal: StressGoal) -> FrameworkConfig {
+        FrameworkConfig {
+            use_case: UseCaseConfig::Stress { metric, goal },
+            ..tiny_config(1)
+        }
+    }
 
-        let cold_stats = {
-            let scheduler = Scheduler::new(
-                SchedulerConfig {
-                    workers: 0,
-                    queue_capacity: 8,
-                    ..SchedulerConfig::default()
-                },
-                ResultStore::open(scratch.path()).unwrap(),
-            );
-            scheduler.submit(config.clone(), 0).unwrap();
-            assert!(scheduler.step());
-            scheduler.stats().cache
-        };
-        assert!(cold_stats.misses > 0, "cold run computes evaluations");
+    /// The one cache dump in a store directory, and its chunk count.
+    fn cache_dump(dir: &std::path::Path) -> (std::path::PathBuf, usize) {
+        let path = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .find(|path| path.to_string_lossy().contains("cache-"))
+            .expect("a cache dump");
+        let chunks = std::fs::read_to_string(&path)
+            .unwrap()
+            .matches("\n#micrograd-store v1 ")
+            .count();
+        (path, chunks)
+    }
 
-        // Same platform key, different tuning run (other use case): the
-        // dumped cache primes the fresh daemon's platform.
-        let mut warm_config = config;
-        warm_config.use_case = UseCaseConfig::Stress {
-            metric: MetricKind::Ipc,
-            goal: StressGoal::Maximize,
-        };
-        let scheduler = Scheduler::new(
+    fn disk_scheduler(dir: &std::path::Path) -> Scheduler {
+        Scheduler::new(
             SchedulerConfig {
                 workers: 0,
                 queue_capacity: 8,
                 ..SchedulerConfig::default()
             },
-            ResultStore::open(scratch.path()).unwrap(),
+            ResultStore::open(dir).unwrap(),
+        )
+    }
+
+    #[test]
+    fn warm_start_reuses_the_persisted_cache() {
+        let scratch = ScratchDir::new("sched-warm");
+        let key = platform_key(&tiny_config(1));
+
+        // Two jobs of one key append one chunk each.
+        let cold_stats = {
+            let scheduler = disk_scheduler(scratch.path());
+            scheduler.submit(tiny_config(1), 0).unwrap();
+            assert!(scheduler.step());
+            let first = scheduler.stats().cache;
+            scheduler
+                .submit(same_key_variant(MetricKind::Ipc, StressGoal::Maximize), 0)
+                .unwrap();
+            assert!(scheduler.step());
+            let second = scheduler.stats().cache;
+            assert!(second.misses > first.misses, "the second job computed some");
+            second
+        };
+        assert!(cold_stats.misses > 0, "cold run computes evaluations");
+        let (path, chunks) = cache_dump(scratch.path());
+        assert_eq!(chunks, 2);
+
+        // Same platform key, different tuning run: the two-chunk dump
+        // primes the fresh daemon's table.
+        let scheduler = disk_scheduler(scratch.path());
+        assert_eq!(
+            scheduler.store().load_cache(&key).len() as u64,
+            cold_stats.misses,
+            "every computed evaluation was appended once"
         );
-        scheduler.submit(warm_config, 0).unwrap();
+        scheduler
+            .submit(
+                same_key_variant(MetricKind::L1dHitRate, StressGoal::Minimize),
+                0,
+            )
+            .unwrap();
         assert!(scheduler.step());
         let warm_stats = scheduler.stats().cache;
         assert!(
@@ -1380,5 +1511,122 @@ mod tests {
             warm_stats.inserts,
             warm_stats.misses
         );
+        assert!(warm_stats.hits > 0);
+        assert_eq!(scheduler.store().quarantined_count(), 0);
+        drop(scheduler);
+
+        // A dump whose chunks are all duplicated is compacted to one chunk
+        // by the next daemon's first job of the key.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.repeat(2)).unwrap();
+        let scheduler = disk_scheduler(scratch.path());
+        let held = scheduler.store().load_cache(&key).len();
+        scheduler
+            .submit(
+                same_key_variant(MetricKind::L1dHitRate, StressGoal::Maximize),
+                0,
+            )
+            .unwrap();
+        assert!(scheduler.step());
+        let stats = scheduler.stats().cache;
+        let (_, chunks) = cache_dump(scratch.path());
+        assert_eq!(
+            chunks,
+            1 + usize::from(stats.misses > 0),
+            "one compacted chunk, then the job's own"
+        );
+        assert_eq!(
+            scheduler.store().load_cache(&key).len() as u64,
+            held as u64 / 2 + stats.misses,
+            "no duplicates survive"
+        );
+    }
+
+    #[test]
+    fn a_second_job_of_a_key_starts_on_the_first_jobs_table() {
+        use crate::fault::{FaultPlan, FaultSite};
+        let scratch = ScratchDir::new("sched-resident");
+        // Every store read fails: only the resident table can warm the
+        // second job.
+        let plan = FaultPlan::new(1).with_fault(FaultSite::StoreRead, 1.0, u64::MAX);
+        let scheduler = Scheduler::new(
+            SchedulerConfig {
+                workers: 0,
+                queue_capacity: 8,
+                ..SchedulerConfig::default()
+            },
+            ResultStore::open(scratch.path())
+                .unwrap()
+                .with_fault_plan(plan.clone()),
+        );
+        let (first, second) = (
+            tiny_config(1),
+            same_key_variant(MetricKind::Ipc, StressGoal::Maximize),
+        );
+        scheduler.submit(first.clone(), 0).unwrap();
+        assert!(scheduler.step());
+        let after_first = scheduler.stats().cache;
+        let reads = plan.operations(FaultSite::StoreRead);
+        scheduler.submit(second.clone(), 0).unwrap();
+        assert!(scheduler.step());
+        let after_second = scheduler.stats().cache;
+        assert_eq!(
+            plan.operations(FaultSite::StoreRead),
+            reads + 1,
+            "the second submit probed for a report; its job read no dump"
+        );
+
+        // The reference: in-process platforms, the second importing the
+        // first's export, as the store round trip did.
+        let platform = |config: &FrameworkConfig| {
+            MicroGrad::new(config.clone())
+                .platform()
+                .with_parallelism(Some(0))
+        };
+        let reference_first = platform(&first);
+        MicroGrad::new(first).run_on(&reference_first).unwrap();
+        let reference_second = platform(&second);
+        reference_second.import_cache(reference_first.export_cache());
+        MicroGrad::new(second).run_on(&reference_second).unwrap();
+        let (r1, r2) = (
+            reference_first.cache_stats(),
+            reference_second.cache_stats(),
+        );
+        assert_eq!((after_first.hits, after_first.misses), (r1.hits, r1.misses));
+        assert_eq!(
+            (
+                after_second.hits - after_first.hits,
+                after_second.misses - after_first.misses
+            ),
+            (r2.hits, r2.misses)
+        );
+        assert!(r2.hits > 0, "the second job reuses the first one's results");
+    }
+
+    #[test]
+    fn at_most_one_unheld_table_per_worker_stays_resident() {
+        let scheduler = Scheduler::new(
+            SchedulerConfig {
+                workers: 1,
+                queue_capacity: 8,
+                ..SchedulerConfig::default()
+            },
+            ResultStore::in_memory(),
+        );
+        for seed in 1..=3 {
+            let job = scheduler.submit(tiny_config(seed), 0).unwrap().job;
+            assert_eq!(
+                scheduler.wait(job, Duration::from_secs(60)),
+                Some(JobState::Done)
+            );
+            let state = lock_or_recover(&scheduler.inner.state);
+            let keys: Vec<&str> = state.tables.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(
+                keys,
+                [platform_key(&tiny_config(seed))],
+                "after seed {seed}"
+            );
+            assert_eq!(Arc::strong_count(&state.tables[0].1), 1, "no job holds it");
+        }
     }
 }

@@ -14,24 +14,30 @@
 //! Memo-cache dumps (`cache-<key hash:016x>.json`) persist the
 //! `SimPlatform` evaluation cache per *platform key* (core, dynamic length,
 //! seed — the parameters that determine evaluation results), so a restarted
-//! daemon warm-starts repeat evaluations from disk.
+//! daemon warm-starts repeat evaluations from disk.  A dump is a sequence
+//! of chunks: [`ResultStore::append_cache`] adds one per job, holding just
+//! the evaluations that job added, and [`ResultStore::save_cache`] rewrites
+//! the file as a single chunk (compaction).  A load reads every chunk.
 //!
 //! # Integrity and recovery
 //!
-//! Every file ends in a one-line trailer recording the payload length and
-//! its FNV-1a 64 checksum.  Loads verify the trailer before parsing, so a
+//! Every chunk ends in a one-line trailer recording the payload length and
+//! its FNV-1a 64 checksum; reports and timelines are one chunk each.
+//! [`ResultStore::open`] checks every chunk's trailer of every file (and
+//! sweeps temp files left by a crashed writer); loads parse.  So a
 //! truncated or bit-flipped file is detected even when the damage still
-//! parses as JSON.  A file that fails verification is **quarantined** —
-//! moved into a `quarantine/` subdirectory, never deleted and never
-//! crashed on — and the lookup degrades to a miss, so the daemon simply
-//! recomputes and rewrites a valid file.  [`ResultStore::open`] runs the
-//! same scan over the whole directory at startup (and sweeps temp files
-//! left by a crashed writer), so a daemon restarted over a damaged store
-//! starts clean.  Trailer-less files written by older builds are accepted
-//! as long as they parse.
+//! parses as JSON, a torn last chunk included.  A file that fails either
+//! check is **quarantined** — moved into a `quarantine/` subdirectory,
+//! never deleted and never crashed on — and the lookup degrades to a miss,
+//! so the daemon simply recomputes and rewrites a valid file.
+//! Trailer-less files written by older builds are accepted as long as they
+//! parse; the open scan seals them, so chunks can be appended.
 //!
-//! Files are written atomically (temp file + rename); a store directory can
-//! be shared by consecutive daemon processes but not by concurrent ones.
+//! Reports, timelines and compacted dumps are written atomically (temp
+//! file + rename); a chunk is appended with one write.  A crash mid-append
+//! leaves a torn last chunk, and the next open quarantines that dump: a
+//! cold cache, never a wrong result.  A store directory can be shared by
+//! consecutive daemon processes but not by concurrent ones.
 //! [`ResultStore::in_memory`] provides the same interface without touching
 //! disk, for tests and benches.  For chaos testing, a [`FaultPlan`] seeded
 //! via [`ResultStore::with_fault_plan`] can force read errors and
@@ -46,7 +52,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -80,7 +86,7 @@ pub struct StoredTimeline {
     pub timeline: JobTimeline,
 }
 
-/// The on-disk shape of one memo-cache dump.
+/// The on-disk shape of one chunk of a memo-cache dump.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredCache {
     /// Store format version (currently [`crate::PROTO_VERSION`]).
@@ -102,7 +108,7 @@ pub struct ResultStore {
     // In-memory mode keeps everything here; disk mode keeps nothing
     // resident (reports are read on demand) and only serializes writers.
     reports: Mutex<HashMap<u64, StoredReport>>,
-    caches: Mutex<HashMap<String, StoredCache>>,
+    caches: Mutex<HashMap<String, Vec<(GeneratorInput, Metrics)>>>,
     timelines: Mutex<HashMap<u64, StoredTimeline>>,
 }
 
@@ -145,12 +151,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-const TRAILER_TAG: &str = "#micrograd-store v1";
+/// The start of every trailer line.  JSON never holds a raw newline
+/// followed by `#`, so the first one after a chunk's start ends its
+/// payload.
+const TRAILER_MARK: &str = "\n#micrograd-store v1 ";
 
-/// Appends the integrity trailer to a serialized payload.
+/// Appends the integrity trailer to a serialized payload: one chunk.
 fn seal(mut payload: String) -> String {
     let trailer = format!(
-        "\n{TRAILER_TAG} len={} fnv={:016x}\n",
+        "{TRAILER_MARK}len={} fnv={:016x}\n",
         payload.len(),
         fnv1a(payload.as_bytes())
     );
@@ -158,16 +167,44 @@ fn seal(mut payload: String) -> String {
     payload
 }
 
-/// Splits off and verifies the trailer, returning the payload.
-///
-/// Trailer-less text (a file from a build predating trailers) is returned
-/// whole; the subsequent JSON parse is then the only integrity check.
-fn unseal(text: &str) -> Result<&str, String> {
-    let Some(at) = text.rfind(&format!("\n{TRAILER_TAG} ")) else {
-        return Ok(text);
-    };
-    let (payload, rest) = text.split_at(at);
-    let trailer = rest.trim();
+/// Serializes a value into one sealed chunk.
+fn sealed<T: Serialize>(value: &T) -> io::Result<String> {
+    serde_json::to_string_pretty(value)
+        .map(seal)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Walks a file's chunks, verifying each trailer, and returns their
+/// payloads in file order.  Text after the last complete chunk (a torn
+/// append) is damage.  A file with no trailer at all, written by a build
+/// predating trailers, yields `None`: parsing it is then the only check.
+fn unseal(text: &str) -> Result<Option<Vec<&str>>, String> {
+    let mut payloads = Vec::new();
+    let mut rest = text;
+    while !rest.is_empty() {
+        let Some(at) = rest.find(TRAILER_MARK) else {
+            if payloads.is_empty() {
+                return Ok(None);
+            }
+            return Err(format!("{} bytes after the last sealed chunk", rest.len()));
+        };
+        let (payload, trailer) = rest.split_at(at);
+        let trailer = trailer.strip_prefix('\n').unwrap_or(trailer);
+        let (trailer, next) = trailer.split_once('\n').unwrap_or((trailer, ""));
+        verify(payload, trailer)?;
+        payloads.push(payload);
+        rest = next;
+    }
+    Ok((!payloads.is_empty()).then_some(payloads))
+}
+
+/// A file's payloads: its verified chunks, or a legacy file whole.
+fn payloads(text: &str) -> Result<Vec<&str>, String> {
+    Ok(unseal(text)?.unwrap_or_else(|| vec![text]))
+}
+
+/// Checks one chunk's payload against its trailer line.
+fn verify(payload: &str, trailer: &str) -> Result<(), String> {
     let mut len: Option<usize> = None;
     let mut fnv: Option<u64> = None;
     for field in trailer.split_whitespace() {
@@ -192,20 +229,49 @@ fn unseal(text: &str) -> Result<&str, String> {
             "checksum mismatch: trailer says {fnv:016x}, payload hashes to {actual:016x}"
         ));
     }
-    Ok(payload)
+    Ok(())
 }
 
-/// Verifies the trailer and parses the payload.
-fn parse_sealed<T: Deserialize>(text: &str) -> Result<T, String> {
-    let payload = unseal(text)?;
+fn parse<T: Deserialize>(payload: &str) -> Result<T, String> {
     serde_json::from_str(payload).map_err(|e| format!("invalid document: {e}"))
+}
+
+/// Verifies and parses a one-document file (a report or a timeline).
+fn parse_sealed<T: Deserialize>(text: &str) -> Result<T, String> {
+    match payloads(text)?.as_slice() {
+        [payload] => parse(payload),
+        chunks => Err(format!("expected one document, found {}", chunks.len())),
+    }
+}
+
+/// One chunk of `key`'s dump.
+fn cache_chunk(key: &str, entries: Vec<(GeneratorInput, Metrics)>) -> StoredCache {
+    StoredCache {
+        proto: crate::PROTO_VERSION,
+        platform: key.to_owned(),
+        entries,
+    }
+}
+
+/// Verifies and parses every chunk of a cache dump, keeping the entries
+/// recorded under `key`.
+fn parse_cache(text: &str, key: &str) -> Result<Vec<(GeneratorInput, Metrics)>, String> {
+    let mut entries = Vec::new();
+    for payload in payloads(text)? {
+        let chunk: StoredCache = parse(payload)?;
+        if chunk.platform == key {
+            entries.extend(chunk.entries);
+        }
+    }
+    Ok(entries)
 }
 
 impl ResultStore {
     /// Opens (creating if needed) a store directory and scans it for
-    /// damage: files whose trailer or JSON does not verify are moved into
-    /// `quarantine/` and temp files left by a crashed writer are removed,
-    /// so lookups against the opened store only ever see intact files.
+    /// damage: files with a chunk whose trailer does not verify are moved
+    /// into `quarantine/` and temp files left by a crashed writer are
+    /// removed.  The scan parses only trailer-less legacy files; a sealed
+    /// payload that does not parse is quarantined by its first load.
     ///
     /// # Errors
     ///
@@ -290,8 +356,9 @@ impl ResultStore {
             .map(|d| d.join(format!("trace-{job:016x}.json")))
     }
 
-    /// Startup scan: verify every `report-*`/`cache-*` file, quarantine
-    /// what fails, sweep stale temp files.
+    /// Startup scan: verify every chunk's trailer of every `report-*`,
+    /// `cache-*` and `trace-*` file, quarantine what fails, seal legacy
+    /// files that parse, sweep stale temp files.
     fn recover(&self) -> io::Result<()> {
         let Some(dir) = &self.dir else { return Ok(()) };
         for entry in std::fs::read_dir(dir)? {
@@ -308,21 +375,29 @@ impl ResultStore {
                 let _ = std::fs::remove_file(&path);
                 continue;
             }
-            let verdict = if name.starts_with("report-") && name.ends_with(".json") {
-                std::fs::read_to_string(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|text| parse_sealed::<StoredReport>(&text).map(|_| ()))
-            } else if name.starts_with("cache-") && name.ends_with(".json") {
-                std::fs::read_to_string(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|text| parse_sealed::<StoredCache>(&text).map(|_| ()))
-            } else if name.starts_with("trace-") && name.ends_with(".json") {
-                std::fs::read_to_string(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|text| parse_sealed::<StoredTimeline>(&text).map(|_| ()))
+            let legacy_check: fn(&str) -> Result<(), String> = if !name.ends_with(".json") {
+                continue;
+            } else if name.starts_with("report-") {
+                |text| parse::<StoredReport>(text).map(drop)
+            } else if name.starts_with("cache-") {
+                |text| parse::<StoredCache>(text).map(drop)
+            } else if name.starts_with("trace-") {
+                |text| parse::<StoredTimeline>(text).map(drop)
             } else {
                 continue;
             };
+            let verdict = std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| {
+                    if unseal(&text)?.is_some() {
+                        return Ok(());
+                    }
+                    legacy_check(&text)?;
+                    // Best effort: an unsealed file still loads, it just
+                    // cannot take appended chunks.
+                    let _ = self.write_atomically(&path, &seal(text));
+                    Ok(())
+                });
             if let Err(reason) = verdict {
                 self.quarantine_file(&path, &reason);
             }
@@ -375,7 +450,7 @@ impl ResultStore {
             output: output.clone(),
         };
         match self.report_path(fingerprint) {
-            Some(path) => self.write_atomically(&path, &stored),
+            Some(path) => self.write_atomically(&path, &sealed(&stored)?),
             None => {
                 self.reports.lock().insert(fingerprint, stored);
                 Ok(())
@@ -433,63 +508,82 @@ impl ResultStore {
         }
     }
 
-    /// Persists a memo-cache dump for a platform key, replacing any
-    /// previous dump for that key.
-    ///
-    /// Callers import the existing dump before evaluating and export the
-    /// resulting superset, so replacement only loses entries when two jobs
-    /// with the same platform key race — a best-effort cache, never a
-    /// correctness issue.
+    /// Persists a memo-cache dump for a platform key as one chunk,
+    /// replacing every chunk stored for that key: the compaction writer.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the file cannot be written.
     pub fn save_cache(&self, key: &str, entries: Vec<(GeneratorInput, Metrics)>) -> io::Result<()> {
-        let stored = StoredCache {
-            proto: crate::PROTO_VERSION,
-            platform: key.to_owned(),
-            entries,
-        };
         match self.cache_path(key) {
-            Some(path) => self.write_atomically(&path, &stored),
+            Some(path) => self.write_atomically(&path, &sealed(&cache_chunk(key, entries))?),
             None => {
-                self.caches.lock().insert(key.to_owned(), stored);
+                self.caches.lock().insert(key.to_owned(), entries);
                 Ok(())
             }
         }
     }
 
-    /// Loads the memo-cache dump for a platform key (empty when absent,
-    /// recorded under a different key, or damaged — a damaged dump is
-    /// quarantined).
+    /// Appends memoized evaluations to a platform key's dump as one more
+    /// chunk, with a single write on an append handle; an empty `entries`
+    /// appends nothing.
+    ///
+    /// Entries already in the dump may be appended again (two jobs of one
+    /// key overlap): loads keep them, imports skip them, and compaction
+    /// ([`save_cache`](Self::save_cache)) drops them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the chunk cannot be written.  Under an
+    /// injected `StoreTruncate` fault half the chunk lands, as in a crash
+    /// mid-append.
+    pub fn append_cache(
+        &self,
+        key: &str,
+        entries: Vec<(GeneratorInput, Metrics)>,
+    ) -> io::Result<()> {
+        if entries.is_empty() {
+            return Ok(());
+        }
+        let Some(path) = self.cache_path(key) else {
+            self.caches
+                .lock()
+                .entry(key.to_owned())
+                .or_default()
+                .extend(entries);
+            return Ok(());
+        };
+        let chunk = sealed(&cache_chunk(key, entries))?;
+        self.inject_write_faults()?;
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)?;
+        if self.fault.should_inject(FaultSite::StoreTruncate) {
+            file.write_all(chunk.as_bytes().get(..chunk.len() / 2).unwrap_or_default())?;
+            return Err(self.fault.io_error(FaultSite::StoreTruncate));
+        }
+        file.write_all(chunk.as_bytes())
+    }
+
+    /// Loads every chunk of the memo-cache dump for a platform key (empty
+    /// when absent, recorded under a different key, or damaged — a dump
+    /// with a damaged chunk is quarantined).
     #[must_use]
     pub fn load_cache(&self, key: &str) -> Vec<(GeneratorInput, Metrics)> {
-        let stored = match self.cache_path(key) {
-            Some(path) => {
-                if self.fault.should_inject(FaultSite::StoreRead) {
-                    return Vec::new();
-                }
-                let Ok(text) = std::fs::read_to_string(&path) else {
-                    return Vec::new();
-                };
-                match parse_sealed::<StoredCache>(&text) {
-                    Ok(stored) => stored,
-                    Err(reason) => {
-                        self.quarantine_file(&path, &reason);
-                        return Vec::new();
-                    }
-                }
-            }
-            None => match self.caches.lock().get(key) {
-                Some(stored) => stored.clone(),
-                None => return Vec::new(),
-            },
+        let Some(path) = self.cache_path(key) else {
+            return self.caches.lock().get(key).cloned().unwrap_or_default();
         };
-        if stored.platform == key {
-            stored.entries
-        } else {
-            Vec::new()
+        if self.fault.should_inject(FaultSite::StoreRead) {
+            return Vec::new();
         }
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            return Vec::new();
+        };
+        parse_cache(&text, key).unwrap_or_else(|reason| {
+            self.quarantine_file(&path, &reason);
+            Vec::new()
+        })
     }
 
     /// Persists the timeline of a terminal job, keyed by job id.
@@ -509,7 +603,7 @@ impl ResultStore {
             timeline: timeline.clone(),
         };
         match self.timeline_path(timeline.job) {
-            Some(path) => self.write_atomically(&path, &stored),
+            Some(path) => self.write_atomically(&path, &sealed(&stored)?),
             None => {
                 self.timelines.lock().insert(timeline.job, stored);
                 Ok(())
@@ -541,21 +635,25 @@ impl ResultStore {
         (stored.job == job).then_some(stored.timeline)
     }
 
-    fn write_atomically<T: Serialize>(&self, path: &Path, value: &T) -> io::Result<()> {
-        // Unique temp name per write: two workers persisting the same target
-        // (e.g. the cache dump of a shared platform key) must not interleave
-        // on one temp file — each rename then lands a complete document, and
-        // concurrent saves degrade to last-writer-wins instead of corruption.
-        static NEXT: AtomicU64 = AtomicU64::new(0);
+    /// The fault seams every write passes first: an injected delay, then
+    /// an injected `StoreWrite` failure.
+    fn inject_write_faults(&self) -> io::Result<()> {
         if let Some(delay) = self.fault.write_delay() {
             std::thread::sleep(delay);
         }
         if self.fault.should_inject(FaultSite::StoreWrite) {
             return Err(self.fault.io_error(FaultSite::StoreWrite));
         }
-        let payload = serde_json::to_string_pretty(value)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let text = seal(payload);
+        Ok(())
+    }
+
+    fn write_atomically(&self, path: &Path, text: &str) -> io::Result<()> {
+        // Unique temp name per write: two workers persisting the same target
+        // (e.g. the cache dump of a shared platform key) must not interleave
+        // on one temp file — each rename then lands a complete document, and
+        // concurrent saves degrade to last-writer-wins instead of corruption.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        self.inject_write_faults()?;
         let tmp = path.with_extension(format!(
             "tmp.{}.{}",
             std::process::id(),
@@ -663,6 +761,142 @@ mod tests {
         // Replacement semantics.
         store.save_cache(key, Vec::new()).unwrap();
         assert!(store.load_cache(key).is_empty());
+    }
+
+    /// `n` distinct cache entries, numbered from `from`.
+    fn cache_entries(from: u32, n: u32) -> Vec<(GeneratorInput, Metrics)> {
+        (from..from + n)
+            .map(|i| {
+                (
+                    GeneratorInput {
+                        loop_size: 100 + i as usize,
+                        ..GeneratorInput::default()
+                    },
+                    Metrics::new().with(MetricKind::Ipc, f64::from(i) / 8.0),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn appended_chunks_round_trip_and_survive_reopen() {
+        let scratch = ScratchDir::new("chunks");
+        let key = "small:4000:1";
+        let (first, second) = (cache_entries(0, 3), cache_entries(3, 2));
+        {
+            let store = ResultStore::open(scratch.path()).unwrap();
+            store.append_cache(key, first.clone()).unwrap();
+            store.append_cache(key, Vec::new()).unwrap();
+            store.append_cache(key, second.clone()).unwrap();
+            let text = std::fs::read_to_string(store.cache_path(key).unwrap()).unwrap();
+            assert_eq!(
+                text.matches(TRAILER_MARK).count(),
+                2,
+                "an empty append adds nothing"
+            );
+            assert_eq!(
+                store.load_cache(key),
+                [first.clone(), second.clone()].concat()
+            );
+            assert!(store.load_cache("large:4000:1").is_empty());
+        }
+        let store = ResultStore::open(scratch.path()).unwrap();
+        assert_eq!(store.quarantined_count(), 0, "intact chunks stay put");
+        let all = [first, second].concat();
+        assert_eq!(store.load_cache(key), all);
+
+        // Compaction rewrites the dump as one chunk, which takes appends.
+        store.save_cache(key, all.clone()).unwrap();
+        let text = std::fs::read_to_string(store.cache_path(key).unwrap()).unwrap();
+        assert_eq!(text.matches(TRAILER_MARK).count(), 1);
+        store.append_cache(key, cache_entries(5, 1)).unwrap();
+        assert_eq!(store.load_cache(key), cache_entries(0, 6));
+    }
+
+    #[test]
+    fn a_torn_append_is_quarantined_at_open_and_at_load() {
+        use crate::fault::{FaultPlan, FaultSite};
+        let key = "small:4000:1";
+        // One intact chunk, then half of a second one.
+        let torn = |name: &str| {
+            let scratch = ScratchDir::new(name);
+            ResultStore::open(scratch.path())
+                .unwrap()
+                .append_cache(key, cache_entries(0, 3))
+                .unwrap();
+            let store = ResultStore::open(scratch.path())
+                .unwrap()
+                .with_fault_plan(FaultPlan::new(3).with_fault(FaultSite::StoreTruncate, 1.0, 1));
+            let err = store.append_cache(key, cache_entries(3, 3)).unwrap_err();
+            assert!(err.to_string().contains("store-truncate"));
+            let path = store.cache_path(key).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(text.matches(TRAILER_MARK).count(), 1, "the second is torn");
+            (scratch, store, path)
+        };
+
+        let (_scratch, store, path) = torn("torn-load");
+        assert!(
+            store.load_cache(key).is_empty(),
+            "damage degrades to a miss"
+        );
+        assert_eq!(store.quarantined_count(), 1);
+        assert!(!path.exists());
+
+        let (scratch, store, path) = torn("torn-open");
+        drop(store);
+        let reopened = ResultStore::open(scratch.path()).unwrap();
+        assert_eq!(reopened.quarantined_count(), 1);
+        assert!(!path.exists());
+        assert!(reopened.load_cache(key).is_empty());
+    }
+
+    #[test]
+    fn a_bit_flip_in_the_first_of_two_chunks_quarantines_the_dump() {
+        let scratch = ScratchDir::new("chunk-flip");
+        let store = ResultStore::open(scratch.path()).unwrap();
+        let key = "small:4000:1";
+        store.append_cache(key, cache_entries(0, 2)).unwrap();
+        store.append_cache(key, cache_entries(2, 2)).unwrap();
+        let path = store.cache_path(key).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes
+            .iter()
+            .position(u8::is_ascii_digit)
+            .expect("a digit to damage");
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(store.load_cache(key).is_empty());
+        assert_eq!(store.quarantined_count(), 1);
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn the_open_scan_checks_seals_and_the_first_load_parses() {
+        let scratch = ScratchDir::new("seal-only");
+        let key = "small:4000:1";
+        let path = {
+            let store = ResultStore::open(scratch.path()).unwrap();
+            store.cache_path(key).unwrap()
+        };
+        std::fs::write(&path, seal("{ not a dump".to_owned())).unwrap();
+        let store = ResultStore::open(scratch.path()).unwrap();
+        assert_eq!(store.quarantined_count(), 0, "the trailer verifies");
+        assert!(path.exists());
+        assert!(store.load_cache(key).is_empty());
+        assert_eq!(store.quarantined_count(), 1, "the payload does not parse");
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn in_memory_store_appends_cache_chunks() {
+        let store = ResultStore::in_memory();
+        let key = "small:4000:1";
+        store.append_cache(key, cache_entries(0, 2)).unwrap();
+        store.append_cache(key, cache_entries(2, 1)).unwrap();
+        assert_eq!(store.load_cache(key), cache_entries(0, 3));
+        store.save_cache(key, cache_entries(0, 1)).unwrap();
+        assert_eq!(store.load_cache(key), cache_entries(0, 1));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!    pure seeded function of its input, and best-so-far tie-breaking
 //!    follows input order — so `parallelism: Some(n)` must reproduce the
 //!    `parallelism: None` run exactly, epoch by epoch, also when `Some(0)`
-//!    batches of several platforms share the process's spare cores.
+//!    batches of several platforms share the process's spare cores, and
+//!    when concurrent runs share one memo table.
 //! 2. **Streaming-evaluation determinism** — the fused single-pass
 //!    `Simulator::run_source` over streaming trace sources must produce
 //!    bit-identical `SimStats` to the two-pass materialized `run`, for both
@@ -21,6 +22,7 @@
 //!    facade run must be bit-identical whatever the batch worker count.
 
 use micrograd::codegen::{Generator, GeneratorInput, TraceExpander};
+use micrograd::core::memo::MemoTable;
 use micrograd::core::tuner::{
     BruteForceTuner, GaParams, GdParams, GeneticTuner, GradientDescentTuner, RandomSearchTuner,
     Tuner, TuningBudget, TuningResult,
@@ -31,6 +33,7 @@ use micrograd::core::{
 };
 use micrograd::sim::{CoreConfig, Simulator};
 use micrograd::workloads::{simpoint, ApplicationTraceGenerator, Benchmark};
+use std::sync::Arc;
 
 fn space() -> KnobSpace {
     let mut space = KnobSpace::instruction_fractions();
@@ -290,4 +293,57 @@ fn framework_runs_are_deterministic_under_parallelism() {
     .run()
     .expect("parallel run");
     assert_eq!(sequential, parallel);
+}
+
+#[test]
+fn concurrent_runs_sharing_one_memo_table_match_sequential_runs() {
+    // The service's jobs of one platform key evaluate on one resident
+    // table.  Two runs on it at once see each other's results as they
+    // land, which must change nothing in either report.
+    for core in [CoreKind::Large, CoreKind::Small] {
+        let config = |goal| FrameworkConfig {
+            core,
+            tuner: TunerKind::GradientDescent,
+            knob_space: KnobSpaceKind::InstructionFractions,
+            use_case: UseCaseConfig::Stress {
+                metric: MetricKind::Ipc,
+                goal,
+            },
+            max_epochs: 3,
+            dynamic_len: 4_000,
+            reference_len: 4_000,
+            seed: 3,
+            parallelism: Some(0),
+        };
+        let configs = [config(StressGoal::Minimize), config(StressGoal::Maximize)];
+        let table = Arc::new(MemoTable::new(SimPlatform::DEFAULT_CACHE_CAPACITY));
+        let start = std::sync::Barrier::new(configs.len());
+        let shared: Vec<_> = std::thread::scope(|scope| {
+            let runs: Vec<_> = configs
+                .iter()
+                .map(|config| {
+                    let (table, start) = (&table, &start);
+                    scope.spawn(move || {
+                        let framework = MicroGrad::new(config.clone());
+                        let platform = framework.platform().with_cache(Arc::clone(table));
+                        start.wait();
+                        framework.run_on(&platform).expect("shared-table run")
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("run thread"))
+                .collect()
+        });
+        for (config, report) in configs.iter().zip(&shared) {
+            let sequential = MicroGrad::new(FrameworkConfig {
+                parallelism: None,
+                ..config.clone()
+            })
+            .run()
+            .expect("sequential run");
+            assert_eq!(&sequential, report, "{core:?}");
+        }
+        assert!(!table.is_empty());
+    }
 }
