@@ -8,7 +8,9 @@
 //! * `simulator_throughput` — the materialized baseline (`run` over a
 //!   pre-expanded 50 k trace) next to the fused streaming path
 //!   (`run_source` over a `StreamingExpander`, which pays expansion *and*
-//!   simulation in the measured region yet needs no trace allocation);
+//!   simulation in the measured region yet needs no trace allocation),
+//!   once computing its own ChaCha8 words and once reading a shared
+//!   `Keystream` as `SimPlatform` evaluations do (`run_source_shared`);
 //! * `simulator_throughput_streaming` — a large-`dynamic_len` variant
 //!   (2 M instructions) that is only affordable because the streaming path
 //!   runs in O(window) memory; the materialized two-pass equivalent is
@@ -18,8 +20,11 @@
 //!   linear `find` + `Vec::remove(0)` was O(capacity) per miss).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use micrograd_codegen::{Generator, GeneratorInput, TestCase, TraceExpander};
+use micrograd_codegen::{
+    Generator, GeneratorInput, Keystream, StreamingExpander, TestCase, TraceExpander,
+};
 use micrograd_sim::{CoreConfig, PrefetchConfig, Simulator, StridePrefetcher};
+use std::sync::Arc;
 
 fn testcase() -> TestCase {
     let input = GeneratorInput {
@@ -34,6 +39,7 @@ fn simulator_throughput(c: &mut Criterion) {
     let tc = testcase();
     let expander = TraceExpander::new(50_000, 1);
     let trace = expander.expand(&tc);
+    let keystream = Arc::new(Keystream::new(1, 50_000));
 
     let mut group = c.benchmark_group("simulator_throughput");
     group.throughput(Throughput::Elements(trace.len() as u64));
@@ -46,6 +52,12 @@ fn simulator_throughput(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("run_source", &name), |b| {
             b.iter(|| sim.run_source(&mut expander.stream(&tc)));
+        });
+        group.bench_function(BenchmarkId::new("run_source_shared", &name), |b| {
+            b.iter(|| {
+                let mut source = StreamingExpander::from_keystream(tc.clone(), 50_000, &keystream);
+                sim.run_source(&mut source)
+            });
         });
     }
     group.finish();

@@ -77,7 +77,8 @@ pub use error::CodegenError;
 pub use generator::{Generator, GeneratorInput};
 pub use profile::InstructionProfile;
 pub use source::{
-    collect_trace, PhaseSchedule, StreamingExpander, TraceCursor, TraceSource, WindowedSource,
+    collect_trace, Keystream, PhaseSchedule, StreamingExpander, TraceCursor, TraceSource,
+    WindowedSource,
 };
 pub use synth::Synthesizer;
 pub use testcase::{BuildingBlock, MemoryStream, TestCase, TestCaseMetadata};

@@ -11,7 +11,9 @@
 //! Four implementations ship here:
 //!
 //! * [`StreamingExpander`] — the cursor form of [`TraceExpander::expand`];
-//!   same ChaCha8 seed discipline, bit-identical stream.
+//!   same ChaCha8 seed discipline, bit-identical stream.  Expansions that
+//!   share a seed can read one precomputed [`Keystream`] instead of each
+//!   recomputing the same ChaCha8 words.
 //! * [`TraceCursor`] — replays an already-materialized [`Trace`]
 //!   (obtained via [`Trace::source`]).
 //! * [`PhaseSchedule`] — concatenates per-phase sources with per-phase
@@ -26,9 +28,10 @@
 use crate::trace::{DynamicInstr, Trace};
 use crate::{MemoryStream, TestCase, TraceExpander};
 use micrograd_isa::Instruction;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A stream of dynamic instructions plus the static code they refer to.
 ///
@@ -211,6 +214,13 @@ impl<S: TraceSource> TraceSource for WindowedSource<S> {
 /// of [`TraceExpander`], which the test-only reference expander in
 /// `source/reference.rs` transcribes directly.
 ///
+/// The random words come from the ChaCha8 keystream of the seed, drawn
+/// strictly in order.  [`new`](Self::new) and
+/// [`from_test_case`](Self::from_test_case) compute every word themselves;
+/// [`from_keystream`](Self::from_keystream) reads a shared [`Keystream`]
+/// prefix by index and computes only the words past its end.  Both yield
+/// the same stream.
+///
 /// Created by [`TraceExpander::stream`].
 #[derive(Debug, Clone)]
 pub struct StreamingExpander {
@@ -225,7 +235,134 @@ pub struct StreamingExpander {
     emitted: usize,
     /// Index of the next static instruction to execute.
     cursor: usize,
-    rng: ChaCha8Rng,
+    rng: KeystreamCursor,
+}
+
+/// The ChaCha8 generator an expansion with `seed` draws from.
+fn expansion_rng(seed: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_7ACE)
+}
+
+/// The most keystream words one dynamic instruction draws: a memory op
+/// takes two for the re-use test (`gen::<f64>`) and two for the re-use pick
+/// (`gen_range`), a flipped branch two for the flip test and one for the
+/// coin (`gen::<bool>`), every other instruction none.
+const WORDS_PER_INSTR: usize = 4;
+
+/// The longest [`Keystream`] prefix: 2^18 words, 1 MiB.
+const MAX_PREFIX_WORDS: usize = 1 << 18;
+
+/// The first words of an expansion seed's ChaCha8 keystream, computed once
+/// and read by index by every [`StreamingExpander`] built over it with
+/// [`StreamingExpander::from_keystream`].
+///
+/// An expansion draws its words strictly in order and at most four per
+/// dynamic instruction, so a prefix of `4 × dynamic_len` words covers a
+/// whole expansion of `dynamic_len` instructions.  The prefix is capped at
+/// 2^18 words (1 MiB): a longer expansion reads the first 1 MiB and
+/// continues on a live generator positioned at the prefix's end, so
+/// memory stays bounded for any length.  A prefix costs 4 B per word and
+/// about a nanosecond per word to build.
+pub struct Keystream {
+    /// The expansion seed, as [`StreamingExpander::new`] takes it.
+    seed: u64,
+    words: Box<[u32]>,
+}
+
+impl Keystream {
+    /// The prefix for expansions of up to `dynamic_len` instructions with
+    /// `seed`: `min(4 × dynamic_len, 2^18)` words.
+    #[must_use]
+    pub fn new(seed: u64, dynamic_len: usize) -> Self {
+        let len = dynamic_len
+            .saturating_mul(WORDS_PER_INSTR)
+            .min(MAX_PREFIX_WORDS);
+        Self::with_words(seed, len)
+    }
+
+    /// The first `len` words of `seed`'s expansion keystream.
+    fn with_words(seed: u64, len: usize) -> Self {
+        let mut rng = expansion_rng(seed);
+        Keystream {
+            seed,
+            words: (0..len).map(|_| rng.next_u32()).collect(),
+        }
+    }
+
+    /// Number of precomputed words.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether no word is precomputed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+}
+
+impl std::fmt::Debug for Keystream {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Keystream")
+            .field("seed", &self.seed)
+            .field("len", &self.words.len())
+            .finish()
+    }
+}
+
+/// An expansion's word source: the prefix's words by index while they
+/// last, then a live generator positioned at the prefix's end.  A private
+/// expansion has an empty prefix.
+#[derive(Debug, Clone)]
+struct KeystreamCursor {
+    prefix: Arc<Keystream>,
+    /// Words drawn so far, which is also the next prefix index.
+    pos: usize,
+    live: ChaCha8Rng,
+}
+
+impl KeystreamCursor {
+    /// A cursor over an empty prefix: every word comes from the live
+    /// generator.
+    fn private(seed: u64) -> Self {
+        Self::new(Arc::new(Keystream::with_words(seed, 0)))
+    }
+
+    fn new(prefix: Arc<Keystream>) -> Self {
+        let mut live = expansion_rng(prefix.seed);
+        live.set_word_pos(prefix.words.len() as u128);
+        KeystreamCursor {
+            prefix,
+            pos: 0,
+            live,
+        }
+    }
+}
+
+impl RngCore for KeystreamCursor {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        let word = match self.prefix.words.get(self.pos) {
+            Some(&word) => word,
+            None => self.live.next_u32(),
+        };
+        self.pos += 1;
+        word
+    }
+
+    /// Low word first, as `ChaCha8Rng::next_u64` composes them, also when
+    /// the pair straddles the prefix's end.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let pos = self.pos;
+        self.pos += 2;
+        match self.prefix.words.get(pos..) {
+            Some([lo, hi, ..]) => (u64::from(*hi) << 32) | u64::from(*lo),
+            Some([lo]) => (u64::from(self.live.next_u32()) << 32) | u64::from(*lo),
+            _ => self.live.next_u64(),
+        }
+    }
 }
 
 /// One static instruction, decoded for expansion.
@@ -305,11 +442,12 @@ impl StreamingExpander {
     /// [`TraceExpander::new`], so the stream matches the materialized
     /// expansion bit for bit.  Copies the static table; use
     /// [`from_test_case`](Self::from_test_case) when the test case is not
-    /// needed afterwards.
+    /// needed afterwards.  Computes every ChaCha8 word it draws.
     #[must_use]
     pub fn new(test_case: &TestCase, dynamic_len: usize, seed: u64) -> Self {
         let statics = test_case.block().instructions().to_vec();
-        Self::from_parts(statics, test_case.streams(), dynamic_len, seed)
+        let words = KeystreamCursor::private(seed);
+        Self::from_parts(statics, test_case.streams(), dynamic_len, words)
     }
 
     /// [`new`](Self::new) over a test case that is only generated to be
@@ -317,14 +455,31 @@ impl StreamingExpander {
     #[must_use]
     pub fn from_test_case(mut test_case: TestCase, dynamic_len: usize, seed: u64) -> Self {
         let statics = std::mem::take(test_case.block_mut().instructions_mut());
-        Self::from_parts(statics, test_case.streams(), dynamic_len, seed)
+        let words = KeystreamCursor::private(seed);
+        Self::from_parts(statics, test_case.streams(), dynamic_len, words)
+    }
+
+    /// [`from_test_case`](Self::from_test_case) with the seed of
+    /// `keystream`, reading its precomputed words instead of computing
+    /// them: the stream is the same, and only words past the prefix's end
+    /// are computed.  Expansions of one seed can share one keystream
+    /// across threads.
+    #[must_use]
+    pub fn from_keystream(
+        mut test_case: TestCase,
+        dynamic_len: usize,
+        keystream: &Arc<Keystream>,
+    ) -> Self {
+        let statics = std::mem::take(test_case.block_mut().instructions_mut());
+        let words = KeystreamCursor::new(Arc::clone(keystream));
+        Self::from_parts(statics, test_case.streams(), dynamic_len, words)
     }
 
     fn from_parts(
         statics: Vec<Instruction>,
         streams: &[MemoryStream],
         dynamic_len: usize,
-        seed: u64,
+        rng: KeystreamCursor,
     ) -> Self {
         // A duplicated stream id keeps its last descriptor, as collecting
         // into a map does.
@@ -410,7 +565,7 @@ impl StreamingExpander {
             dynamic_len,
             emitted: 0,
             cursor: 0,
-            rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_7ACE),
+            rng,
         }
     }
 
@@ -664,10 +819,18 @@ mod tests {
         Generator::new().generate(&input).unwrap()
     }
 
-    /// Both constructors against the map-based reference expander.
+    /// Drains `source`, returning the trace and the words it drew.
+    fn drain(mut source: StreamingExpander) -> (Trace, usize) {
+        let trace = collect_trace(&mut source);
+        (trace, source.rng.pos)
+    }
+
+    /// Every constructor against the map-based reference expander, the
+    /// shared one over prefixes shorter than, as long as and longer than
+    /// the words the expansion draws.
     fn assert_matches_reference(tc: &TestCase, len: usize, seed: u64, what: &str) {
         let expected = reference::expand(tc, len, seed);
-        let borrowed = collect_trace(&mut StreamingExpander::new(tc, len, seed));
+        let (borrowed, drawn) = drain(StreamingExpander::new(tc, len, seed));
         assert_eq!(borrowed, expected, "{what}: new");
         let owned = collect_trace(&mut StreamingExpander::from_test_case(
             tc.clone(),
@@ -675,6 +838,26 @@ mod tests {
             seed,
         ));
         assert_eq!(owned, expected, "{what}: from_test_case");
+        let sized = Keystream::new(seed, len).len();
+        for words in [
+            0,
+            1,
+            drawn / 2,
+            drawn.saturating_sub(1),
+            drawn,
+            drawn + 1,
+            sized,
+        ] {
+            let keystream = Arc::new(Keystream::with_words(seed, words));
+            let (shared, shared_drawn) = drain(StreamingExpander::from_keystream(
+                tc.clone(),
+                len,
+                &keystream,
+            ));
+            assert_eq!(shared, expected, "{what}: from_keystream, {words} words");
+            assert_eq!(shared_drawn, drawn, "{what}: from_keystream, {words} words");
+        }
+        assert!(drawn <= sized, "{what}: drew {drawn} of {sized} words");
     }
 
     #[test]
@@ -977,5 +1160,91 @@ mod tests {
         assert!(s.next_dynamic().is_none());
         assert!(s.statics().is_empty());
         assert_eq!(s.scheduled_len(), 0);
+    }
+
+    #[test]
+    fn keystream_holds_the_expansion_seeds_chacha8_words() {
+        for (seed, len, words) in [(3u64, 0usize, 0usize), (3, 1, 4), (9, 25_000, 100_000)] {
+            let keystream = Keystream::new(seed, len);
+            assert_eq!(keystream.len(), words);
+            assert_eq!(keystream.seed, seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_7ACE);
+            let expected: Vec<u32> = (0..words).map(|_| rng.next_u32()).collect();
+            assert_eq!(
+                &keystream.words[..],
+                &expected[..],
+                "seed {seed}, len {len}"
+            );
+        }
+        // Capped at 2^18 words: 1 MiB.
+        assert_eq!(Keystream::new(1, 65_536).len(), 1 << 18);
+        assert_eq!(Keystream::new(1, 100_000_000).len(), 1 << 18);
+        assert_eq!(
+            format!("{:?}", Keystream::new(5, 2)),
+            "Keystream { seed: 5, len: 8 }"
+        );
+    }
+
+    #[test]
+    fn the_cursor_continues_the_plain_generator_past_the_prefix() {
+        // Prefix ends on and around the 16-word blocks and 64-word refills
+        // of the live generator; odd lengths make a `next_u64` straddle the
+        // prefix's end.
+        for words in [0usize, 1, 2, 15, 16, 17, 63, 64, 65, 127, 128, 129, 300] {
+            for lead in 0..2 {
+                let mut plain = expansion_rng(8);
+                let mut cursor = KeystreamCursor::new(Arc::new(Keystream::with_words(8, words)));
+                for _ in 0..lead {
+                    assert_eq!(cursor.next_u32(), plain.next_u32());
+                }
+                for i in 0..200 {
+                    if i % 3 == 2 {
+                        assert_eq!(
+                            cursor.next_u32(),
+                            plain.next_u32(),
+                            "{words} words, draw {i}"
+                        );
+                    } else {
+                        assert_eq!(
+                            cursor.next_u64(),
+                            plain.next_u64(),
+                            "{words} words, draw {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_instruction_draws_at_most_four_words() {
+        // Re-use probability 1 (a period of u64::MAX) makes every memory op
+        // but a stream's first re-use an address; flip probability 1 makes
+        // every body branch draw its coin.
+        let mut flip = Instruction::branch(Opcode::Beq, Reg::x(5), Reg::x(6), 8);
+        flip.set_branch_taken_prob(1.0);
+        let loads = hand_built(
+            vec![load(0, 64, 4096, 0, 0), load(1, 64, 4096, 8, 4)],
+            vec![stream(0, 8, u64::MAX), stream(1, 3, u64::MAX)],
+        );
+        let mixed = hand_built(
+            vec![
+                load(0, 64, 4096, 0, 0),
+                flip.clone(),
+                load(0, 64, 4096, 8, 8),
+                flip.clone(),
+                flip,
+            ],
+            vec![stream(0, 5, u64::MAX)],
+        );
+        for len in [1usize, 2, 3, 1_000, 7_777] {
+            // Four words per load but the first of each stream.
+            let (_, drawn) = drain(StreamingExpander::new(&loads, len, 4));
+            assert_eq!(drawn, 4 * len - 4 * len.min(2), "loads, len {len}");
+            let (_, drawn) = drain(StreamingExpander::new(&mixed, len, 4));
+            assert!(drawn <= 4 * len, "mixed, len {len}: {drawn} words");
+            assert_matches_reference(&loads, len, 4, &format!("loads, len {len}"));
+            assert_matches_reference(&mixed, len, 4, &format!("mixed, len {len}"));
+        }
     }
 }

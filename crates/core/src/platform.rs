@@ -3,7 +3,7 @@
 use crate::memo::MemoTable;
 use crate::{Metrics, MicroGradError};
 use micrograd_codegen::{
-    Generator, GeneratorInput, StreamingExpander, TestCase, Trace, TraceSource,
+    Generator, GeneratorInput, Keystream, StreamingExpander, TestCase, Trace, TraceSource,
 };
 use micrograd_power::{PowerConfig, PowerModel};
 use micrograd_sim::{CancelToken, CoreConfig, SimStats, Simulator};
@@ -242,13 +242,26 @@ pub(crate) fn input_fingerprint(input: &GeneratorInput) -> u64 {
 /// use).  Hits verify the full stored input, so a 64-bit fingerprint
 /// collision can never return wrong metrics.  A hit builds no simulator.
 ///
-/// Each platform owns a table by default.  [`with_cache`](Self::with_cache)
-/// shares one `Arc`-held table among platforms instead: the service keeps
-/// one per platform key, and every job of that key evaluates on it.  Shared
-/// use is sound because every evaluation is a pure, seeded function of its
-/// input: platforms that share a table must have the same core,
+/// Each platform owns a table by default, allocated on its first use.
+/// [`with_cache`](Self::with_cache) shares one `Arc`-held table among
+/// platforms instead, and then the platform allocates none: the service
+/// keeps one per platform key, and every job of that key evaluates on it.
+/// Shared use is sound because every evaluation is a pure, seeded function
+/// of its input: platforms that share a table must have the same core,
 /// `dynamic_len` and seed, and then produce exactly the results they would
 /// on tables of their own.
+///
+/// # Shared keystream
+///
+/// Every evaluation expands its test case with the platform's seed, so all
+/// of them draw the same ChaCha8 words.  The platform computes those words
+/// once, as a [`Keystream`] of `min(4 × dynamic_len, 2^18)` words (16 B
+/// per dynamic instruction, at most 1 MiB), and every evaluation reads it
+/// by index; a longer evaluation computes the words past its end.  The
+/// keystream is built on the first miss, never by [`new`](Self::new), is
+/// shared by every batch thread, and is freed with the platform.
+/// [`with_seed`](Self::with_seed) and
+/// [`with_dynamic_len`](Self::with_dynamic_len) drop it.
 ///
 /// # Parallelism
 ///
@@ -278,7 +291,12 @@ pub struct SimPlatform {
     parallelism: Option<usize>,
     cancel: CancelToken,
     progress: Option<ProgressObserver>,
-    cache: Arc<MemoTable<GeneratorInput, Metrics>>,
+    /// The memo table; a platform's own is allocated on first use.
+    cache: OnceLock<Arc<MemoTable<GeneratorInput, Metrics>>>,
+    /// Slot capacity of the platform's own table.
+    cache_capacity: usize,
+    /// The expansion words of `seed`, built on the first miss.
+    keystream: OnceLock<Arc<Keystream>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_inserts: AtomicU64,
@@ -318,7 +336,9 @@ impl SimPlatform {
             parallelism: None,
             cancel: CancelToken::never(),
             progress: None,
-            cache: Arc::new(MemoTable::new(Self::DEFAULT_CACHE_CAPACITY)),
+            cache: OnceLock::new(),
+            cache_capacity: Self::DEFAULT_CACHE_CAPACITY,
+            keystream: OnceLock::new(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_inserts: AtomicU64::new(0),
@@ -334,7 +354,8 @@ impl SimPlatform {
     /// the tests use to exercise the replacement path.
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Arc::new(MemoTable::new(capacity));
+        self.cache = OnceLock::new();
+        self.cache_capacity = capacity;
         self
     }
 
@@ -344,7 +365,7 @@ impl SimPlatform {
     /// stay its own.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<MemoTable<GeneratorInput, Metrics>>) -> Self {
-        self.cache = cache;
+        self.cache = OnceLock::from(cache);
         self
     }
 
@@ -352,6 +373,7 @@ impl SimPlatform {
     #[must_use]
     pub fn with_dynamic_len(mut self, dynamic_len: usize) -> Self {
         self.dynamic_len = dynamic_len;
+        self.keystream = OnceLock::new();
         self
     }
 
@@ -359,6 +381,7 @@ impl SimPlatform {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.keystream = OnceLock::new();
         self
     }
 
@@ -471,7 +494,7 @@ impl SimPlatform {
     /// Number of evaluations currently memoized.
     #[must_use]
     pub fn cached_evaluations(&self) -> usize {
-        self.cache.len()
+        self.table().len()
     }
 
     /// Current memoization-cache counters: hits, misses, inserts, resident
@@ -485,7 +508,7 @@ impl SimPlatform {
             inserts: self.cache_inserts.load(Ordering::Relaxed),
             entries: self.cached_evaluations() as u64,
             replacements: self.cache_replacements.load(Ordering::Relaxed),
-            capacity: self.cache.capacity() as u64,
+            capacity: self.table().capacity() as u64,
         }
     }
 
@@ -498,7 +521,7 @@ impl SimPlatform {
     /// fingerprint.
     #[must_use]
     pub fn export_cache(&self) -> Vec<(GeneratorInput, Metrics)> {
-        let mut entries = self.cache.export();
+        let mut entries = self.table().export();
         entries.sort_by_key(|(fp, _, _)| *fp);
         // Racing same-fingerprint inserts can momentarily leave duplicate
         // entries in distinct probe slots; they memoize the same evaluation,
@@ -530,13 +553,19 @@ impl SimPlatform {
         let mut admitted = 0;
         for (input, metrics) in entries {
             let fingerprint = input_fingerprint(&input);
-            if self.cache.insert_if_absent(fingerprint, input, metrics) {
+            if self.table().insert_if_absent(fingerprint, input, metrics) {
                 admitted += 1;
             }
         }
         self.cache_inserts
             .fetch_add(admitted as u64, Ordering::Relaxed);
         admitted
+    }
+
+    /// The memo table, allocating the platform's own on first use.
+    fn table(&self) -> &MemoTable<GeneratorInput, Metrics> {
+        self.cache
+            .get_or_init(|| Arc::new(MemoTable::new(self.cache_capacity)))
     }
 
     /// A fresh simulator for this platform's core (batch workers hold one
@@ -552,7 +581,10 @@ impl SimPlatform {
         input: &GeneratorInput,
     ) -> Result<(Metrics, SimStats), MicroGradError> {
         let test_case = self.generate(input)?;
-        let mut source = StreamingExpander::from_test_case(test_case, self.dynamic_len, self.seed);
+        let keystream = self
+            .keystream
+            .get_or_init(|| Arc::new(Keystream::new(self.seed, self.dynamic_len)));
+        let mut source = StreamingExpander::from_keystream(test_case, self.dynamic_len, keystream);
         let stats = sim.run_source_cancellable(&mut source, &self.cancel)?;
         let power = PowerModel::new(self.power.clone()).estimate(&stats);
         Ok((Metrics::from_run(&stats, Some(&power)), stats))
@@ -572,7 +604,7 @@ impl SimPlatform {
         self.check_cancelled()?;
         // `MemoTable::get` verifies the stored input, so a 64-bit hash
         // collision degrades to a recomputation instead of wrong metrics.
-        if let Some(hit) = self.cache.get(fingerprint, input) {
+        if let Some(hit) = self.table().get(fingerprint, input) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
         }
@@ -580,7 +612,7 @@ impl SimPlatform {
         let sim = sim.get_or_insert_with(|| self.simulator());
         let (metrics, _) = self.evaluate_detailed_with(sim, input)?;
         if self
-            .cache
+            .table()
             .insert(fingerprint, input.clone(), metrics.clone())
         {
             self.cache_replacements.fetch_add(1, Ordering::Relaxed);
@@ -777,6 +809,7 @@ impl ExecutionPlatform for SimPlatform {
 mod tests {
     use super::*;
     use crate::MetricKind;
+    use micrograd_isa::Opcode;
     use micrograd_workloads::{ApplicationTraceGenerator, Benchmark};
 
     fn platform() -> SimPlatform {
@@ -1173,6 +1206,43 @@ mod tests {
             p.evaluate(&input),
             Err(MicroGradError::Codegen(_))
         ));
+    }
+
+    #[test]
+    fn evaluations_read_the_shared_keystream_and_match_private_expansion() {
+        let mut input = GeneratorInput {
+            loop_size: 90,
+            mem_temporal_period: 16,
+            branch_randomness: 0.5,
+            ..GeneratorInput::default()
+        };
+        input.set_weight(Opcode::Ld, 6.0);
+        input.set_weight(Opcode::Sd, 6.0);
+        // 120,000 instructions of this input draw about 336,000 words: past
+        // the 2^18-word prefix, the rest come from the live generator.
+        for len in [3_000, 120_000] {
+            let p = platform().with_dynamic_len(len);
+            assert!(p.keystream.get().is_none(), "built before the first miss");
+            let (_, shared) = p.evaluate_detailed(&input).unwrap();
+            let keystream = p.keystream.get().expect("built on the first miss");
+            assert_eq!(keystream.len(), (4 * len).min(1 << 18));
+            let tc = p.generate(&input).unwrap();
+            let private = p
+                .simulator()
+                .run_source(&mut StreamingExpander::new(&tc, len, 3));
+            assert_eq!(shared, private, "len {len}");
+        }
+    }
+
+    #[test]
+    fn a_platform_allocates_its_own_table_only_when_it_has_none() {
+        let own = platform().with_cache_capacity(100);
+        assert!(own.cache.get().is_none());
+        assert_eq!(own.cache_stats().capacity, 128);
+        let table = Arc::new(MemoTable::new(8));
+        let shared = platform().with_cache(Arc::clone(&table));
+        assert!(Arc::ptr_eq(shared.cache.get().unwrap(), &table));
+        assert_eq!(shared.cache_stats().capacity, 8);
     }
 
     #[test]

@@ -893,7 +893,9 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
         // checks it at epoch boundaries and the simulator every
         // `CANCEL_CHECK_INTERVAL` instructions, so an expired deadline
         // frees this worker promptly.  `Some(0)`: each batch evaluates on
-        // this worker plus whatever spare cores no other job holds.
+        // this worker plus whatever spare cores no other job holds.  The
+        // platform evaluates on the key's table and allocates none of its
+        // own.
         let table = resident
             .clone()
             .unwrap_or_else(|| Arc::new(MemoTable::new(SimPlatform::DEFAULT_CACHE_CAPACITY)));
@@ -919,6 +921,10 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
 
         let mark = table.mark();
         let result = framework.run_on(&platform);
+        // Free the platform's evaluation state (its keystream) before the
+        // persistence buffers are built.
+        let cache_stats = platform.cache_stats();
+        drop(platform);
 
         let added = table
             .export_since(mark)
@@ -936,7 +942,7 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
                 }
             }
         }
-        (result, platform.cache_stats())
+        (result, cache_stats)
     }));
 
     // With the job's last table handle gone, its table counts as unheld;

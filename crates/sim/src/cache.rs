@@ -41,58 +41,33 @@ impl CacheStats {
 ///
 /// # Layout
 ///
-/// Each way is one `(tag, stamp)` pair in a dense flat array indexed by
-/// `set * ways + way` — no per-set `Vec`, no pointer chase on the lookup
-/// path — and a lookup walks its set once: the tag match and, on a miss,
-/// the LRU victim come out of the same pass.  Set index and tag are
-/// extracted with precomputed shifts and masks when the line size and set
-/// count are powers of two (they are for every Table II geometry), falling
-/// back to division otherwise; both paths compute identical values, so the
-/// geometry never changes results.
-///
-/// # LRU stamp wrap behaviour
-///
-/// Recency is a monotonically increasing `u64` stamp.  Instead of silently
-/// wrapping to 0 after 2^64 accesses (which would make the most recently
-/// used line look least recently used), the stamp *saturates*: when it
-/// reaches `u64::MAX` the cache re-stamps every resident line, compressing
-/// stamps to `1..=ways` per set while preserving the exact per-set recency
-/// order (invalid lines keep stamp 0 and remain the preferred victims).
-/// Replacement decisions before and after a re-stamp are therefore
-/// identical, and multi-hundred-million-instruction runs can never observe
-/// LRU inversion.  The compression is O(capacity) once per 2^64 accesses —
-/// free in practice, but the invariant is load-bearing and regression
-/// tested.
+/// Each set is `ways` tags in a dense flat array indexed by
+/// `set * ways + way`, kept in recency order: most recently used first.
+/// A hit on the front way is one compare and no write; a hit at way `k`
+/// moves that tag to the front; a miss shifts the set back by one and
+/// installs at the front, dropping the last way — the LRU line, or an
+/// invalid one, since invalid ways always sit behind every valid one.
+/// Tags are unique within a set, so this is exactly true LRU.  Set index
+/// and tag are extracted with precomputed shifts and masks when the line
+/// size and set count are powers of two (they are for every Table II
+/// geometry), falling back to division otherwise; both paths compute
+/// identical values, so the geometry never changes results.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `lines[set * ways + way]`.
-    lines: Vec<Line>,
+    /// `tags[set * ways..][..ways]`: one set, most recently used first.
+    tags: Vec<u64>,
     ways: usize,
     num_sets: u64,
     /// `log2(line_bytes)` when the line size is a power of two.
     line_shift: Option<u32>,
     /// `(log2(num_sets), num_sets - 1)` when the set count is a power of two.
     set_shift_mask: Option<(u32, u64)>,
-    stamp: u64,
     stats: CacheStats,
 }
 
-/// One way of one set.
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    /// `u64::MAX` = invalid.
-    tag: u64,
-    /// Higher = more recently used, 0 = never.
-    stamp: u64,
-}
-
-impl Line {
-    const INVALID: Line = Line {
-        tag: u64::MAX,
-        stamp: 0,
-    };
-}
+/// The tag of a way that holds no line.
+const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
@@ -109,12 +84,11 @@ impl Cache {
             .then(|| (num_sets.trailing_zeros(), num_sets - 1));
         Cache {
             config,
-            lines: vec![Line::INVALID; num_sets as usize * ways],
+            tags: vec![INVALID; num_sets as usize * ways],
             ways,
             num_sets,
             line_shift,
             set_shift_mask,
-            stamp: 0,
             stats: CacheStats::default(),
         }
     }
@@ -149,76 +123,23 @@ impl Cache {
         }
     }
 
-    /// Advances the recency stamp, compressing all stamps when the counter
-    /// saturates so recency order survives (see the type docs).
-    #[inline]
-    fn bump_stamp(&mut self) -> u64 {
-        if self.stamp == u64::MAX {
-            self.restamp();
-        }
-        self.stamp += 1;
-        self.stamp
-    }
-
-    /// Compresses every set's stamps to `1..=ways` preserving per-set
-    /// recency order; invalid lines keep stamp 0.
-    fn restamp(&mut self) {
-        for set in self.lines.chunks_exact_mut(self.ways) {
-            // Rank ways by their current stamp; `ways` is tiny (≤ 16 in
-            // Table II), so a quadratic rank is simpler than sorting and
-            // runs once per 2^64 accesses.
-            let old: [u64; 64] = {
-                let mut buf = [0u64; 64];
-                for (slot, line) in buf.iter_mut().zip(set.iter()) {
-                    *slot = line.stamp;
-                }
-                buf
-            };
-            for (way, line) in set.iter_mut().enumerate() {
-                if line.stamp == 0 {
-                    continue; // invalid / never-touched: stays the victim
-                }
-                let rank = old[..self.ways]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(other, &s)| {
-                        s != 0 && (s < old[way] || (s == old[way] && other < way))
-                    })
-                    .count() as u64;
-                line.stamp = rank + 1;
-            }
-        }
-        self.stamp = self.ways as u64;
-    }
-
-    /// Looks `address` up and stamps its line as most recently used,
-    /// installing it over the LRU way (the first way with the smallest
-    /// stamp; invalid lines carry stamp 0 and win) on a miss.  Returns
-    /// `true` on a hit.
+    /// Looks `address` up and moves its line to the front of its set,
+    /// installing it there over the last way on a miss.  Returns `true`
+    /// on a hit.
     #[inline]
     fn touch(&mut self, address: u64) -> bool {
-        let stamp = self.bump_stamp();
         let (set_idx, tag) = self.set_and_tag(address);
-        let set = &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways];
-        // Walk every way, last to first, with selects rather than an early
-        // exit: the hit way (the first match) and the victim (the first
-        // smallest stamp) fall out of one branch-free pass.
-        let mut hit = usize::MAX;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for (way, line) in set.iter().enumerate().rev() {
-            hit = if line.tag == tag { way } else { hit };
-            let older = line.stamp <= oldest;
-            victim = if older { way } else { victim };
-            oldest = oldest.min(line.stamp);
+        let set = &mut self.tags[set_idx * self.ways..(set_idx + 1) * self.ways];
+        if set[0] == tag {
+            return true;
         }
-        if let Some(line) = set.get_mut(hit) {
-            line.stamp = stamp;
-            true
-        } else {
-            set[victim] = Line { tag, stamp };
-            false
-        }
+        let (hit, way) = match set.iter().position(|&t| t == tag) {
+            Some(way) => (true, way),
+            None => (false, set.len() - 1),
+        };
+        set.copy_within(0..way, 1);
+        set[0] = tag;
+        hit
     }
 
     /// Looks up `address`; returns `true` on hit.  On a miss the line is
@@ -243,15 +164,12 @@ impl Cache {
     pub fn probe(&self, address: u64) -> bool {
         let (set_idx, tag) = self.set_and_tag(address);
         let base = set_idx * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|line| line.tag == tag)
+        self.tags[base..base + self.ways].contains(&tag)
     }
 
     /// Resets contents and statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(Line::INVALID);
-        self.stamp = 0;
+        self.tags.fill(INVALID);
         self.stats = CacheStats::default();
     }
 }
@@ -371,36 +289,111 @@ mod tests {
     }
 
     #[test]
-    fn stamp_saturation_preserves_lru_order() {
-        // Regression test for the u64 stamp wrap: force the counter to the
-        // saturation point and check that replacement decisions across the
-        // re-stamp match a fresh cache performing the same accesses.
-        let mut c = Cache::new(CacheConfig::new(128, 2, 64, 1)); // 1 set, 2 ways
-        c.access(0); // A (older)
-        c.access(64); // B (newer)
-        c.stamp = u64::MAX; // next access must compress, not wrap
-        let before = c.stamp;
-        c.access(0); // touch A: now B is LRU
-        assert!(c.stamp < before, "stamp was compressed, not wrapped");
-        c.access(128); // C must evict B (LRU), not A
-        assert!(c.probe(0), "recently touched line survived the re-stamp");
-        assert!(!c.probe(64), "LRU line was the victim across the re-stamp");
-        assert!(c.probe(128));
-        assert_eq!(c.stats().accesses, 4);
-    }
-
-    #[test]
-    fn restamp_keeps_invalid_lines_as_victims() {
+    fn invalid_ways_are_filled_before_any_valid_line_is_evicted() {
         let mut c = Cache::new(CacheConfig::new(256, 4, 64, 1)); // 1 set, 4 ways
         c.access(0);
         c.access(64);
-        c.stamp = u64::MAX;
-        c.access(128); // triggers re-stamp with 2 valid + 2 invalid ways
+        c.access(0); // hit behind the front way
+        c.access(128);
         c.access(192); // fills the last invalid way: nothing valid evicted
         assert!(c.probe(0));
         assert!(c.probe(64));
         assert!(c.probe(128));
         assert!(c.probe(192));
+        c.access(256); // a full set evicts its LRU line: 64
+        assert!(!c.probe(64));
+        assert!(c.probe(0));
+    }
+
+    /// The stamp-based true LRU the move-to-front sets replaced: every way
+    /// carries the access count of its last use (0 = invalid), a hit
+    /// re-stamps, a miss replaces the first way with the smallest stamp.
+    struct StampLru {
+        sets: Vec<Vec<(u64, u64)>>,
+        line_bytes: u64,
+        stamp: u64,
+    }
+
+    impl StampLru {
+        fn new(config: CacheConfig) -> Self {
+            let ways = config.associativity.max(1) as usize;
+            StampLru {
+                sets: vec![vec![(0, 0); ways]; config.num_sets() as usize],
+                line_bytes: config.line_bytes,
+                stamp: 0,
+            }
+        }
+
+        fn set_and_tag(&self, address: u64) -> (usize, u64) {
+            let line = address / self.line_bytes;
+            let sets = self.sets.len() as u64;
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn touch(&mut self, address: u64) -> bool {
+            self.stamp += 1;
+            let (set, tag) = self.set_and_tag(address);
+            let set = &mut self.sets[set];
+            if let Some(way) = set.iter_mut().find(|(t, s)| *s > 0 && *t == tag) {
+                way.1 = self.stamp;
+                return true;
+            }
+            let victim = (0..set.len()).min_by_key(|&w| set[w].1).unwrap();
+            set[victim] = (tag, self.stamp);
+            false
+        }
+
+        fn probe(&self, address: u64) -> bool {
+            let (set, tag) = self.set_and_tag(address);
+            self.sets[set].iter().any(|&(t, s)| s > 0 && t == tag)
+        }
+    }
+
+    #[test]
+    fn move_to_front_sets_match_stamp_lru() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for ways in 1..=16u32 {
+            // Power-of-two geometries, a non-power-of-two set count and a
+            // non-power-of-two line size.
+            for config in [
+                CacheConfig::new(u64::from(ways) * 64 * 8, ways, 64, 1),
+                CacheConfig::new(u64::from(ways) * 64, ways, 64, 1),
+                CacheConfig::new(u64::from(ways) * 64 * 5, ways, 64, 1),
+                CacheConfig::new(u64::from(ways) * 48 * 3, ways, 48, 1),
+            ] {
+                let mut cache = Cache::new(config);
+                let mut reference = StampLru::new(config);
+                // Lines from a pool about twice the cache's capacity, so sets
+                // both hit and thrash.
+                let lines = 2 * config.num_sets() * u64::from(ways);
+                let (mut hits, mut fills) = (0, 0);
+                for i in 0..4_000 {
+                    let address = (next() % lines) * config.line_bytes + next() % config.line_bytes;
+                    let what = format!("{ways} ways, {config:?}, op {i}");
+                    match next() % 4 {
+                        0 => {
+                            let present = reference.touch(address);
+                            fills += u64::from(!present);
+                            assert_eq!(cache.fill(address), present, "fill: {what}");
+                        }
+                        1 => assert_eq!(cache.probe(address), reference.probe(address), "{what}"),
+                        _ => {
+                            let hit = reference.touch(address);
+                            hits += u64::from(hit);
+                            assert_eq!(cache.access(address), hit, "access: {what}");
+                        }
+                    }
+                }
+                assert_eq!(cache.stats().hits, hits);
+                assert_eq!(cache.stats().prefetch_fills, fills);
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!    pure seeded function of its input, and best-so-far tie-breaking
 //!    follows input order — so `parallelism: Some(n)` must reproduce the
 //!    `parallelism: None` run exactly, epoch by epoch, also when `Some(0)`
-//!    batches of several platforms share the process's spare cores, and
+//!    batches of several platforms share the process's spare cores, when
+//!    concurrent batches race a platform's first-miss keystream build, and
 //!    when concurrent runs share one memo table.
 //! 2. **Streaming-evaluation determinism** — the fused single-pass
 //!    `Simulator::run_source` over streaming trace sources must produce
@@ -167,6 +168,95 @@ fn concurrent_spare_core_batches_match_sequential_evaluation() {
             });
         }
     });
+}
+
+#[test]
+fn batches_racing_a_fresh_platforms_keystream_build_match_sequential_evaluation() {
+    // A platform builds its shared expansion keystream on its first miss.
+    // Two batches started together on one fresh `Some(0)` platform race
+    // that build; each must still reproduce sequential evaluation on
+    // another fresh platform.  The halves share no input, so every
+    // evaluation is a miss.
+    let inputs: Vec<GeneratorInput> = (0..16)
+        .map(|i| GeneratorInput {
+            loop_size: 50 + 10 * i,
+            mem_temporal_window: 4 + (i % 3) as u64 * 60,
+            mem_temporal_period: 1 + (i % 4) as u64,
+            branch_randomness: 0.25 * (i % 5) as f64,
+            ..GeneratorInput::default()
+        })
+        .collect();
+    let platform = |parallelism| {
+        SimPlatform::new(CoreConfig::large())
+            .with_dynamic_len(6_000)
+            .with_seed(12)
+            .with_parallelism(parallelism)
+    };
+    let sequential = platform(None);
+    let expected: Vec<_> = inputs.iter().map(|i| sequential.evaluate(i)).collect();
+    let (first, second) = inputs.split_at(inputs.len() / 2);
+    for round in 0..3 {
+        let racing = platform(Some(0));
+        let start = std::sync::Barrier::new(2);
+        let batches: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = [first, second]
+                .into_iter()
+                .map(|half| {
+                    let (racing, start) = (&racing, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        racing.evaluate_batch(half)
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|batch| batch.join().expect("batch thread"))
+                .collect()
+        });
+        assert_eq!(batches.concat(), expected, "round {round}");
+    }
+}
+
+#[test]
+fn a_platform_reconfigured_after_evaluating_matches_a_fresh_one() {
+    // `with_seed` and `with_dynamic_len` drop the keystream the first
+    // evaluation built, so the next evaluation expands with the new
+    // settings.  `evaluate_detailed` bypasses the memo table.
+    let input = GeneratorInput {
+        loop_size: 120,
+        mem_temporal_period: 3,
+        branch_randomness: 0.5,
+        ..GeneratorInput::default()
+    };
+    let fresh = |len, seed| {
+        SimPlatform::new(CoreConfig::small())
+            .with_dynamic_len(len)
+            .with_seed(seed)
+    };
+    let used = || {
+        let platform = fresh(4_000, 5);
+        platform
+            .evaluate_detailed(&input)
+            .expect("first evaluation");
+        platform
+    };
+    let before = fresh(4_000, 5).evaluate_detailed(&input).expect("evaluate");
+    for (reconfigured, len, seed) in [
+        (used().with_seed(6), 4_000, 6),
+        (used().with_dynamic_len(9_000), 9_000, 5),
+        (used().with_dynamic_len(1_000).with_seed(7), 1_000, 7),
+    ] {
+        let expected = fresh(len, seed)
+            .evaluate_detailed(&input)
+            .expect("evaluate");
+        assert_ne!(expected, before, "len {len}, seed {seed}");
+        assert_eq!(
+            reconfigured.evaluate_detailed(&input).expect("evaluate"),
+            expected,
+            "len {len}, seed {seed}"
+        );
+    }
 }
 
 #[test]
