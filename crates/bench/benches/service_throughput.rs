@@ -76,7 +76,8 @@ fn protocol_roundtrip(c: &mut Criterion) {
 }
 
 /// Drains a workerless scheduler inline: submit every config, step until
-/// the queue is empty, return the completed-job count.
+/// the queue is empty, return the completed-job count (read from the
+/// registry, which costs no store scan).
 fn run_batch(scheduler: &Scheduler, jobs: &[FrameworkConfig]) -> u64 {
     for config in jobs {
         scheduler
@@ -84,7 +85,12 @@ fn run_batch(scheduler: &Scheduler, jobs: &[FrameworkConfig]) -> u64 {
             .expect("queue has capacity");
     }
     while scheduler.step() {}
-    scheduler.stats().jobs_completed
+    scheduler
+        .metrics()
+        .samples()
+        .into_iter()
+        .find(|sample| sample.name == "micrograd_jobs_completed_total")
+        .map_or(0, |sample| sample.value)
 }
 
 fn scheduler_throughput(c: &mut Criterion) {

@@ -101,18 +101,11 @@ const POLICIES: [ModulePolicy; 6] = [
         }],
     },
     ModulePolicy {
-        // Event-loop reactor: all its atomics are monitoring counters
-        // mirrored into stats responses; none publish memory.
+        // Event-loop reactor: its counters live in the metrics registry, so
+        // it owns no statistics atomics; any atomic added here publishes
+        // and must use the publication-grade orderings.
         suffix: "crates/service/src/reactor.rs",
-        fields: &[
-            counter("connections_open"),
-            counter("connections_accepted"),
-            counter("connections_closed"),
-            counter("loop_wakeups"),
-            counter("write_queue_hwm"),
-            counter("notifications_pushed"),
-            counter("watches_active"),
-        ],
+        fields: &[],
     },
     ModulePolicy {
         // Metrics registry: counter and gauge cells are plain statistics

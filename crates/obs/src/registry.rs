@@ -77,6 +77,13 @@ impl Gauge {
         self.value.store(v, Relaxed);
     }
 
+    /// Raises the gauge to `v` unless it already holds more (a
+    /// high-water mark).
+    #[inline]
+    pub fn set_max(&self, v: u64) {
+        self.value.fetch_max(v, Relaxed);
+    }
+
     /// Current value.
     #[must_use]
     pub fn value(&self) -> u64 {
@@ -365,6 +372,17 @@ mod tests {
         assert_eq!(g.value(), 42);
         g.set(7);
         assert_eq!(g.value(), 7);
+    }
+
+    #[test]
+    fn set_max_only_raises_a_gauge() {
+        let registry = Registry::new();
+        let hwm = registry.gauge("micrograd_test_hwm", "test high-water mark");
+        hwm.set_max(9);
+        hwm.set_max(4);
+        assert_eq!(hwm.value(), 9);
+        hwm.set_max(12);
+        assert_eq!(hwm.value(), 12);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! micrograd-cli [--addr HOST:PORT] status <job>
 //! micrograd-cli [--addr HOST:PORT] fetch <job>
 //! micrograd-cli [--addr HOST:PORT] list
-//! micrograd-cli [--addr HOST:PORT] stats
 //! micrograd-cli [--addr HOST:PORT] metrics
 //! micrograd-cli [--addr HOST:PORT] trace <job>
 //! micrograd-cli [--addr HOST:PORT] shutdown
@@ -25,12 +24,11 @@ COMMANDS:
     submit <config.json|->   Submit a framework job (config file, or `-` for stdin)
         --priority N         Scheduling priority, higher runs earlier (default 0)
         --deadline-secs N    Server-side deadline; the job times out after N seconds
-        --wait               Poll until the job finishes, then print the report
+        --wait               Block until the job finishes, then print the report
         --timeout-secs N     Give up waiting after N seconds (default 600)
     status <job>             Print a job's state
     fetch <job>              Print a completed job's report as JSON
     list                     List all jobs
-    stats                    Print server counters as JSON
     metrics                  Scrape the metrics registry (Prometheus text format)
     trace <job>              Print a job's stage-by-stage timeline
     shutdown                 Ask the daemon to shut down gracefully
@@ -150,9 +148,7 @@ fn run(args: &[String]) -> Result<(), ExitCode> {
                 receipt.job, receipt.deduped, receipt.cached
             );
             if wait {
-                let state = client
-                    .wait(receipt.job, Duration::from_millis(200), timeout)
-                    .map_err(fail)?;
+                let state = client.wait(receipt.job, timeout).map_err(fail)?;
                 match state {
                     JobState::Failed { error } => {
                         return Err(fail(format_args!("job {} failed: {error}", receipt.job)));
@@ -204,14 +200,6 @@ fn run(args: &[String]) -> Result<(), ExitCode> {
                     job.job, job.priority, job.use_case, job.fingerprint, job.state
                 );
             }
-            Ok(())
-        }
-        "stats" => {
-            let stats = client.stats().map_err(fail)?;
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&stats).unwrap_or_default()
-            );
             Ok(())
         }
         "metrics" => {

@@ -175,20 +175,15 @@ fn main() -> ExitCode {
         signal_pipe.notify();
     });
     println!("microgradd shutting down (finishing in-flight jobs)");
-    let stats = server.scheduler().stats();
     // Snapshot the registry before shutdown consumes the server, so the
     // exit report covers every in-flight job it just finished draining.
-    server
-        .scheduler()
-        .metrics()
-        .sync_reactor(&server.reactor_stats());
     let samples = {
-        let _ = server.scheduler().metrics_text(); // sync store/cache gauges
+        let _ = server.scheduler().metrics_text(); // count the stored reports
         server.scheduler().metrics().samples()
     };
     server.shutdown();
     println!("microgradd final metrics:");
-    for sample in samples {
+    for sample in &samples {
         match sample.quantiles {
             Some((p50, p95, p99)) => println!(
                 "  {} count={} p50={p50} p95={p95} p99={p99}",
@@ -198,9 +193,18 @@ fn main() -> ExitCode {
             None => {}
         }
     }
+    let value = |name: &str| {
+        samples
+            .iter()
+            .find(|sample| sample.name == name)
+            .map_or(0, |sample| sample.value)
+    };
     println!(
         "microgradd served {} submissions ({} executed, {} deduped, {} from store); bye",
-        stats.jobs_submitted, stats.executions, stats.jobs_deduped, stats.store_hits
+        value("micrograd_jobs_submitted_total"),
+        value("micrograd_executions_total"),
+        value("micrograd_jobs_deduped_total"),
+        value("micrograd_store_hits_total")
     );
     ExitCode::SUCCESS
 }

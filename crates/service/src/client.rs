@@ -17,7 +17,6 @@
 
 use crate::protocol::{
     decode_response, encode_line, JobState, JobSummary, Request, RequestBody, ResponseBody,
-    ServerStats,
 };
 use micrograd_core::{FrameworkConfig, FrameworkOutput};
 use micrograd_obs::JobTimeline;
@@ -161,15 +160,9 @@ pub struct Client {
     addrs: Vec<SocketAddr>,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    poll_interval: Duration,
 }
 
 impl Client {
-    /// Historical default poll interval.  Waiting is now push-based
-    /// ([`Client::watch`]), so this only remains as the value
-    /// [`Client::poll_interval`] reports when never overridden.
-    pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_millis(50);
-
     /// Grace added to the socket read timeout on top of a watch budget,
     /// covering request transit and server scheduling so the *server's*
     /// deadline (not a racing socket timeout) resolves the wait.
@@ -189,22 +182,7 @@ impl Client {
             addrs,
             reader: BufReader::new(stream),
             writer,
-            poll_interval: Self::DEFAULT_POLL_INTERVAL,
         })
-    }
-
-    /// Sets the reported poll interval.  Kept for API compatibility;
-    /// waiting no longer sleeps, so this changes nothing server-side.
-    #[must_use]
-    pub fn with_poll_interval(mut self, poll_interval: Duration) -> Self {
-        self.poll_interval = poll_interval;
-        self
-    }
-
-    /// The configured poll interval.
-    #[must_use]
-    pub fn poll_interval(&self) -> Duration {
-        self.poll_interval
     }
 
     /// Drops the current session and dials the daemon again at the same
@@ -430,18 +408,6 @@ impl Client {
         }
     }
 
-    /// Reads the server-wide counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection, protocol and server errors.
-    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.roundtrip(RequestBody::Stats)? {
-            ResponseBody::Stats { stats } => Ok(stats),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
     /// Scrapes the server's metrics registry in the Prometheus text
     /// exposition format (counters, gauges and latency histograms from
     /// which p50/p95/p99 are derivable).
@@ -485,21 +451,13 @@ impl Client {
     /// Waits for a job to reach a terminal state, then returns it.
     ///
     /// Implemented as a blocking [`Client::watch`] bounded by `timeout`:
-    /// one request, one pushed response, no sleeping.  The `poll`
-    /// parameter is retained for API compatibility and ignored — there
-    /// is no poll loop left to pace.
+    /// one request, one pushed response, no sleeping.
     ///
     /// # Errors
     ///
     /// Returns [`ClientError::Timeout`] when the deadline passes first, and
     /// propagates connection, protocol and server errors.
-    pub fn wait(
-        &mut self,
-        job: u64,
-        poll: Duration,
-        timeout: Duration,
-    ) -> Result<JobState, ClientError> {
-        let _ = poll;
+    pub fn wait(&mut self, job: u64, timeout: Duration) -> Result<JobState, ClientError> {
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -536,7 +494,7 @@ impl Client {
         timeout: Duration,
     ) -> Result<FrameworkOutput, ClientError> {
         let receipt = self.submit(config, priority)?;
-        match self.wait(receipt.job, self.poll_interval, timeout)? {
+        match self.wait(receipt.job, timeout)? {
             JobState::Failed { error } => Err(ClientError::Server(error)),
             state @ JobState::TimedOut => Err(ClientError::Timeout {
                 job: receipt.job,

@@ -16,7 +16,7 @@
 //! | event loop | [`reactor`] | `poll(2)` readiness loop: one thread, every socket |
 //! | server | [`server`] | reactor + handler pool wiring, clean shutdown |
 //! | client | [`client`] | blocking session client (also behind `micrograd-cli`) |
-//! | observability | [`metrics`] | metrics registry, latency histograms, job trace sink |
+//! | observability | [`metrics`] | metrics registry (every layer's counters), latency histograms, job trace sink |
 //! | fault injection | [`fault`] | seeded, replayable chaos plans for the seams above |
 //!
 //! Job identity is
@@ -79,10 +79,10 @@ pub use client::{Client, ClientError, RetryPolicy, SubmitReceipt};
 pub use fault::{FaultPlan, FaultSite};
 pub use metrics::{ServiceMetrics, REQUEST_OPS};
 pub use protocol::{
-    decode_request, decode_response, encode_line, JobState, JobSummary, LineDecoder, ReactorStats,
-    Request, RequestBody, Response, ResponseBody, ServerStats, WireError, PROTO_VERSION,
+    decode_request, decode_response, encode_line, JobState, JobSummary, LineDecoder, Request,
+    RequestBody, Response, ResponseBody, WireError, PROTO_VERSION,
 };
-pub use reactor::{ReactorCounters, WakePipe};
+pub use reactor::WakePipe;
 pub use scheduler::{
     FetchResult, Scheduler, SchedulerConfig, SubmitError, SubmitOutcome, TerminalHook,
 };

@@ -2,32 +2,28 @@
 //! [`TraceSink`] shared by the scheduler, the reactor and the request
 //! handlers.
 //!
-//! Every counter the legacy `stats` endpoint reports now lives in the
-//! registry — [`Scheduler::stats`](crate::Scheduler::stats) is a *view*
-//! over these cells, so the two surfaces can never disagree.  On top of
-//! the counters sit the latency histograms (`request_duration_us`,
-//! `job_queue_wait_us`, `job_execution_us`, `job_total_us`) from which
-//! p50/p95/p99 are derived, and the trace sink that turns per-stage job
-//! events into the timelines served by the `trace` request.
+//! The registry is the daemon's only counter surface.  Each layer writes
+//! its series where the value changes — the scheduler its job, queue and
+//! memo-cache series, the reactor its `micrograd_reactor_*` series — and
+//! the `metrics` request renders them.  On top of the counters sit the
+//! latency histograms (`request_duration_us`, `job_queue_wait_us`,
+//! `job_execution_us`, `job_total_us`) from which p50/p95/p99 are derived,
+//! and the trace sink that turns per-stage job events into the timelines
+//! served by the `trace` request.
 //!
 //! All record paths are atomics (no locks, no allocation): the scheduler
 //! bumps counters while holding its state lock, the reactor from its
-//! event loop, and neither pays more than a `fetch_add`.  Gauges that
-//! mirror externally-owned state (queue depth, reactor counters, memo
-//! cache totals) are synchronized at scrape time by
-//! [`ServiceMetrics::sync_queue`] and friends — a scrape is the only
-//! reader, so eventual consistency at scrape granularity is exact.
+//! event loop, and neither pays more than a `fetch_add`.  The one value
+//! read at scrape time is the store's report count.
 
-use crate::protocol::ReactorStats;
 use micrograd_core::CacheStats;
 use micrograd_obs::{Counter, Gauge, Histogram, Registry, Sample, TraceSink};
 use std::sync::Arc;
 
 /// The request-op labels [`ServiceMetrics::record_request`] accepts;
 /// unknown lines are recorded under `"invalid"`.
-pub const REQUEST_OPS: [&str; 10] = [
-    "submit", "status", "watch", "fetch", "list", "stats", "metrics", "trace", "shutdown",
-    "invalid",
+pub const REQUEST_OPS: [&str; 9] = [
+    "submit", "status", "watch", "fetch", "list", "metrics", "trace", "shutdown", "invalid",
 ];
 
 /// The shared metrics registry plus every handle the service records
@@ -59,11 +55,11 @@ pub struct ServiceMetrics {
     pub(crate) queue_depth: Gauge,
     /// Jobs currently running.
     pub(crate) running: Gauge,
-    /// Deferred `watch` responses currently registered with the reactor.
-    pub(crate) watches_active: Gauge,
+    /// Background workers serving the queue.
+    pub(crate) workers: Gauge,
     /// The last `retry_after_ms` hint attached to a transient rejection.
     pub(crate) retry_after_ms: Gauge,
-    /// Reports resident in the durable store (synced at scrape time).
+    /// Reports resident in the durable store (counted at scrape time).
     pub(crate) stored_reports: Gauge,
     /// Request service time (decode to encoded response), microseconds.
     pub(crate) request_duration_us: Arc<Histogram>,
@@ -73,10 +69,38 @@ pub struct ServiceMetrics {
     pub(crate) job_execution_us: Arc<Histogram>,
     /// Admission-to-terminal total latency per job, microseconds.
     pub(crate) job_total_us: Arc<Histogram>,
+    /// The event loop's series.
+    pub(crate) reactor: ReactorMetrics,
     /// Per-op request counters, one series per [`REQUEST_OPS`] entry.
     requests: Vec<(&'static str, Counter)>,
-    cache: [Gauge; 6],
-    reactor: [Gauge; 7],
+    /// Memo-cache hits, misses, inserts, entries and replacements, summed
+    /// over executed jobs.
+    cache: [Counter; 5],
+    /// The largest memo-table capacity an executed job reported.
+    cache_capacity: Gauge,
+}
+
+/// The `micrograd_reactor_*` series, written by the event loop where each
+/// value changes.
+#[derive(Debug, Clone)]
+pub(crate) struct ReactorMetrics {
+    /// Connections registered with the event loop.
+    pub connections_open: Gauge,
+    /// Connections accepted since startup.
+    pub connections_accepted: Counter,
+    /// Connections closed since startup (EOF, error, backpressure cap or
+    /// shutdown).
+    pub connections_closed: Counter,
+    /// Times the event loop woke from `poll(2)`.  With idle connections
+    /// this stays flat: readiness is interrupt-shaped, not timer-shaped.
+    pub loop_wakeups: Counter,
+    /// High-water mark of any single connection's pending write-queue
+    /// bytes (the backpressure gauge).
+    pub write_queue_hwm: Gauge,
+    /// Deferred `watch` responses pushed on job completion.
+    pub notifications_pushed: Counter,
+    /// Watch responses currently deferred in the event loop.
+    pub watches_active: Gauge,
 }
 
 impl Default for ServiceMetrics {
@@ -105,61 +129,62 @@ impl ServiceMetrics {
             })
             .collect();
         let cache = [
-            registry.gauge(
+            registry.counter(
                 "micrograd_cache_hits",
                 "Memo-cache hits over all executed jobs",
             ),
-            registry.gauge(
+            registry.counter(
                 "micrograd_cache_misses",
                 "Memo-cache misses over all executed jobs",
             ),
-            registry.gauge(
+            registry.counter(
                 "micrograd_cache_inserts",
                 "Memo-cache inserts over all executed jobs",
             ),
-            registry.gauge(
+            registry.counter(
                 "micrograd_cache_entries",
-                "Memo-cache resident entries (last merge)",
+                "Memo-table entries each executed job ended with, summed over jobs \
+                 (jobs sharing a key's table each count its entries)",
             ),
-            registry.gauge(
+            registry.counter(
                 "micrograd_cache_replacements",
                 "Memo-cache replacements over all executed jobs",
             ),
-            registry.gauge(
-                "micrograd_cache_capacity",
-                "Memo-cache capacity (last merge)",
-            ),
         ];
-        let reactor = [
-            registry.gauge(
+        let cache_capacity = registry.gauge(
+            "micrograd_cache_capacity",
+            "Largest memo-table capacity of any executed job",
+        );
+        let reactor = ReactorMetrics {
+            connections_open: registry.gauge(
                 "micrograd_reactor_connections_open",
                 "Connections registered with the event loop",
             ),
-            registry.gauge(
+            connections_accepted: registry.counter(
                 "micrograd_reactor_connections_accepted",
                 "Connections accepted since startup",
             ),
-            registry.gauge(
+            connections_closed: registry.counter(
                 "micrograd_reactor_connections_closed",
                 "Connections closed since startup",
             ),
-            registry.gauge(
+            loop_wakeups: registry.counter(
                 "micrograd_reactor_loop_wakeups",
                 "Event-loop wakeups from poll(2)",
             ),
-            registry.gauge(
+            write_queue_hwm: registry.gauge(
                 "micrograd_reactor_write_queue_hwm",
                 "High-water mark of any connection's pending write bytes",
             ),
-            registry.gauge(
+            notifications_pushed: registry.counter(
                 "micrograd_reactor_notifications_pushed",
                 "Deferred watch responses pushed on job completion",
             ),
-            registry.gauge(
+            watches_active: registry.gauge(
                 "micrograd_reactor_watches_active",
                 "Watch responses currently deferred in the event loop",
             ),
-        ];
+        };
         ServiceMetrics {
             jobs_submitted: registry
                 .counter("micrograd_jobs_submitted_total", "Submit requests accepted"),
@@ -194,10 +219,7 @@ impl ServiceMetrics {
             ),
             queue_depth: registry.gauge("micrograd_queue_depth", "Jobs waiting in the queue"),
             running: registry.gauge("micrograd_jobs_running", "Jobs currently executing"),
-            watches_active: registry.gauge(
-                "micrograd_watches_active",
-                "Watch responses currently deferred",
-            ),
+            workers: registry.gauge("micrograd_workers", "Background workers serving the queue"),
             retry_after_ms: registry.gauge(
                 "micrograd_retry_after_ms",
                 "Last retry hint attached to a transient rejection, milliseconds",
@@ -222,9 +244,10 @@ impl ServiceMetrics {
                 "micrograd_job_total_us",
                 "Admission-to-terminal latency per job, microseconds",
             ),
+            reactor,
             requests,
             cache,
-            reactor,
+            cache_capacity,
             sink: TraceSink::new(),
             registry,
         }
@@ -256,36 +279,24 @@ impl ServiceMetrics {
         self.request_duration_us.record(duration_us);
     }
 
-    /// Mirrors the scheduler's queue gauges (called at change points and
-    /// scrape time).
+    /// Mirrors the scheduler's queue gauges (called wherever the queue
+    /// depth or the running count changes).
     pub fn sync_queue(&self, queue_depth: u64, running: u64) {
         self.queue_depth.set(queue_depth);
         self.running.set(running);
     }
 
-    /// Mirrors the merged memo-cache totals into the registry.
-    pub fn sync_cache(&self, cache: &CacheStats) {
-        let [hits, misses, inserts, entries, replacements, capacity] = &self.cache;
-        hits.set(cache.hits);
-        misses.set(cache.misses);
-        inserts.set(cache.inserts);
-        entries.set(cache.entries);
-        replacements.set(cache.replacements);
-        capacity.set(cache.capacity);
-    }
-
-    /// Mirrors a reactor counter snapshot into the registry (the reactor
-    /// owns its live atomics; the registry is its exposition surface).
-    pub fn sync_reactor(&self, stats: &ReactorStats) {
-        let [open, accepted, closed, wakeups, hwm, pushed, watches] = &self.reactor;
-        open.set(stats.connections_open);
-        accepted.set(stats.connections_accepted);
-        closed.set(stats.connections_closed);
-        wakeups.set(stats.loop_wakeups);
-        hwm.set(stats.write_queue_hwm);
-        pushed.set(stats.notifications_pushed);
-        watches.set(stats.watches_active);
-        self.watches_active.set(stats.watches_active);
+    /// Adds one executed job's memo-cache counters.  `entries` adds too,
+    /// so jobs sharing a key's table each count its entries; `capacity`
+    /// keeps the largest.
+    pub(crate) fn record_cache(&self, stats: &CacheStats) {
+        let [hits, misses, inserts, entries, replacements] = &self.cache;
+        hits.add(stats.hits);
+        misses.add(stats.misses);
+        inserts.add(stats.inserts);
+        entries.add(stats.entries);
+        replacements.add(stats.replacements);
+        self.cache_capacity.set_max(stats.capacity);
     }
 
     /// Renders the whole registry in the Prometheus text exposition
@@ -300,6 +311,18 @@ impl ServiceMetrics {
     pub fn samples(&self) -> Vec<Sample> {
         self.registry.samples()
     }
+
+    /// The current value of the counter or gauge series `name`: the one
+    /// way the crate's tests read the registry.  Panics when no such
+    /// series is registered, so a misspelled name cannot read as zero.
+    #[cfg(test)]
+    pub(crate) fn value(&self, name: &str) -> u64 {
+        self.samples()
+            .into_iter()
+            .find(|sample| sample.name == name)
+            .map(|sample| sample.value)
+            .unwrap_or_else(|| panic!("no `{name}` series registered"))
+    }
 }
 
 #[cfg(test)]
@@ -311,26 +334,75 @@ mod tests {
         let metrics = ServiceMetrics::new();
         metrics.jobs_submitted.inc();
         metrics.record_request("submit", 120);
-        metrics.record_request("warp-core", 5); // folded into "invalid"
+        metrics.record_request("stats", 5); // not an op: folded into "invalid"
         metrics.sync_queue(3, 1);
-        metrics.sync_cache(&CacheStats::default());
-        metrics.sync_reactor(&ReactorStats {
-            watches_active: 2,
-            ..ReactorStats::default()
+        metrics.workers.set(2);
+        metrics.reactor.watches_active.set(2);
+        metrics.record_cache(&CacheStats {
+            hits: 4,
+            entries: 6,
+            capacity: 64,
+            ..CacheStats::default()
+        });
+        metrics.record_cache(&CacheStats {
+            hits: 1,
+            entries: 7,
+            capacity: 32,
+            ..CacheStats::default()
         });
         let text = metrics.render_prometheus();
-        for family in [
+        for series in [
             "micrograd_jobs_submitted_total 1",
             "micrograd_requests_total{op=\"submit\"} 1",
             "micrograd_requests_total{op=\"invalid\"} 1",
             "micrograd_queue_depth 3",
             "micrograd_jobs_running 1",
-            "micrograd_watches_active 2",
+            "micrograd_workers 2",
             "micrograd_reactor_watches_active 2",
-            "micrograd_cache_hits 0",
+            "micrograd_cache_hits 5",
+            "micrograd_cache_entries 13",
+            "micrograd_cache_capacity 64",
             "micrograd_request_duration_us_count 2",
         ] {
-            assert!(text.contains(family), "missing `{family}` in:\n{text}");
+            assert!(text.contains(series), "missing `{series}` in:\n{text}");
+        }
+        // Every field the retired `stats` response carried has a series.
+        for name in [
+            "micrograd_jobs_submitted_total",
+            "micrograd_jobs_deduped_total",
+            "micrograd_jobs_rejected_total",
+            "micrograd_store_hits_total",
+            "micrograd_executions_total",
+            "micrograd_jobs_completed_total",
+            "micrograd_jobs_failed_total",
+            "micrograd_jobs_timed_out_total",
+            "micrograd_queue_depth",
+            "micrograd_jobs_running",
+            "micrograd_workers",
+            "micrograd_stored_reports",
+            "micrograd_cache_hits",
+            "micrograd_cache_misses",
+            "micrograd_cache_inserts",
+            "micrograd_cache_entries",
+            "micrograd_cache_replacements",
+            "micrograd_cache_capacity",
+            "micrograd_reactor_connections_open",
+            "micrograd_reactor_connections_accepted",
+            "micrograd_reactor_connections_closed",
+            "micrograd_reactor_loop_wakeups",
+            "micrograd_reactor_write_queue_hwm",
+            "micrograd_reactor_notifications_pushed",
+            "micrograd_reactor_watches_active",
+        ] {
+            assert_eq!(
+                text.lines()
+                    .filter(|line| line
+                        .strip_prefix(name)
+                        .is_some_and(|rest| rest.starts_with(' ')))
+                    .count(),
+                1,
+                "one `{name}` series in:\n{text}"
+            );
         }
         // Histogram quantiles are derivable from the samples view.
         let samples = metrics.samples();

@@ -15,7 +15,7 @@
 //!
 //! See `docs/service.md` for the full message catalogue.
 
-use micrograd_core::{CacheStats, FrameworkConfig, FrameworkOutput};
+use micrograd_core::{FrameworkConfig, FrameworkOutput};
 use micrograd_obs::JobTimeline;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -95,12 +95,10 @@ pub enum RequestBody {
     },
     /// List every job the server knows about.
     List,
-    /// Server-wide counters (queue, executions, memo-cache totals, store).
-    Stats,
     /// The full metrics registry in Prometheus text exposition format:
-    /// every counter and gauge the `stats` endpoint summarizes, plus the
-    /// latency histograms (request service time, queue wait, execution
-    /// time) from which p50/p95/p99 are derived.
+    /// every layer's counters and gauges (scheduler, memo cache, store,
+    /// event loop), plus the latency histograms (request service time,
+    /// queue wait, execution time) from which p50/p95/p99 are derived.
     Metrics,
     /// The per-stage timeline of a job: when it was received, queued,
     /// dequeued, executed (with per-epoch marks), persisted and answered.
@@ -166,11 +164,6 @@ pub enum ResponseBody {
     Jobs {
         /// One summary per job, ordered by id.
         jobs: Vec<JobSummary>,
-    },
-    /// Server-wide counters.
-    Stats {
-        /// The counters.
-        stats: ServerStats,
     },
     /// The metrics registry rendered as Prometheus text exposition.
     Metrics {
@@ -258,69 +251,6 @@ pub struct JobSummary {
     pub priority: i64,
     /// Current state.
     pub state: JobState,
-}
-
-/// Server-wide counters, the payload of the stats endpoint.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServerStats {
-    /// Submit requests accepted (including deduplicated and store-answered
-    /// ones).
-    pub jobs_submitted: u64,
-    /// Submits answered with an already-known job id.
-    pub jobs_deduped: u64,
-    /// Submits rejected because the queue was full.
-    pub jobs_rejected: u64,
-    /// Submits answered from the durable store without executing.
-    pub store_hits: u64,
-    /// Jobs actually executed on the platform.
-    pub executions: u64,
-    /// Jobs that finished successfully.
-    pub jobs_completed: u64,
-    /// Jobs that failed.
-    pub jobs_failed: u64,
-    /// Jobs whose deadline expired before they finished.
-    #[serde(default)]
-    pub jobs_timed_out: u64,
-    /// Jobs currently waiting in the queue.
-    pub queue_depth: u64,
-    /// Jobs currently running.
-    pub running: u64,
-    /// Background workers serving the queue.
-    pub workers: u64,
-    /// Reports resident in the durable store.
-    pub stored_reports: u64,
-    /// Memo-cache counters summed over all executed jobs
-    /// ([`SimPlatform::cache_stats`](micrograd_core::SimPlatform::cache_stats)).
-    pub cache: CacheStats,
-    /// Event-loop counters (connection churn, wakeups, backpressure
-    /// high-water mark).  Zero when the stats come from a bare
-    /// [`Scheduler`](crate::Scheduler) with no server in front of it.
-    #[serde(default)]
-    pub reactor: ReactorStats,
-}
-
-/// Counters of the readiness event loop serving the daemon's sockets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ReactorStats {
-    /// Connections currently registered with the event loop.
-    pub connections_open: u64,
-    /// Connections accepted since startup.
-    pub connections_accepted: u64,
-    /// Connections closed since startup (EOF, error, backpressure cap or
-    /// shutdown).
-    pub connections_closed: u64,
-    /// Times the event loop woke from `poll(2)`.  With idle connections
-    /// this stays flat — readiness is interrupt-shaped, not timer-shaped.
-    pub loop_wakeups: u64,
-    /// High-water mark of any single connection's pending write-queue
-    /// bytes (the backpressure gauge).
-    pub write_queue_hwm: u64,
-    /// Deferred `watch` responses pushed on job completion.
-    pub notifications_pushed: u64,
-    /// Watch responses currently deferred in the event loop (defaults for
-    /// peers that predate the field).
-    #[serde(default)]
-    pub watches_active: u64,
 }
 
 /// Incremental JSON-lines decoder: feed raw socket bytes in, take complete
@@ -535,7 +465,6 @@ mod tests {
             }),
             Request::new(RequestBody::Fetch { job: 3 }),
             Request::new(RequestBody::List),
-            Request::new(RequestBody::Stats),
             Request::new(RequestBody::Metrics),
             Request::new(RequestBody::Trace { job: 3 }),
             Request::new(RequestBody::Shutdown),
@@ -571,12 +500,6 @@ mod tests {
                     priority: -4,
                     state: JobState::Running,
                 }],
-            }),
-            Response::new(ResponseBody::Stats {
-                stats: ServerStats {
-                    jobs_submitted: 5,
-                    ..ServerStats::default()
-                },
             }),
             Response::new(ResponseBody::Metrics {
                 text: "# TYPE micrograd_jobs_submitted_total counter\n\
@@ -637,8 +560,7 @@ mod tests {
                 retry_after_ms: None,
             }
         );
-        // A watch without a timeout waits indefinitely; a stats payload
-        // from a pre-reactor server defaults the reactor counters to zero.
+        // A watch without a timeout waits indefinitely.
         let bare_watch = r#"{"proto":1,"body":{"op":"watch","job":7}}"#;
         let request = decode_request(bare_watch).unwrap();
         assert_eq!(
@@ -648,15 +570,6 @@ mod tests {
                 timeout_ms: None,
             }
         );
-        let legacy_stats = r#"{"proto":1,"body":{"result":"stats","stats":{"jobs_submitted":3,"jobs_deduped":0,"jobs_rejected":0,"store_hits":0,"executions":3,"jobs_completed":3,"jobs_failed":0,"queue_depth":0,"running":0,"workers":2,"stored_reports":0,"cache":{"hits":0,"misses":0,"inserts":0,"entries":0,"replacements":0,"capacity":0}}}}"#;
-        let response = decode_response(legacy_stats).unwrap();
-        match response.body {
-            ResponseBody::Stats { stats } => {
-                assert_eq!(stats.jobs_submitted, 3);
-                assert_eq!(stats.reactor, ReactorStats::default());
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
     }
 
     #[test]

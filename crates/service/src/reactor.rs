@@ -32,13 +32,14 @@
 //! shape the threaded server injected.
 
 use crate::fault::{FaultPlan, FaultSite};
-use crate::protocol::{encode_line, JobState, LineDecoder, ReactorStats, Response, ResponseBody};
+use crate::metrics::ReactorMetrics;
+use crate::protocol::{encode_line, JobState, LineDecoder, Response, ResponseBody};
 use crate::scheduler::Scheduler;
 use crate::server::ShutdownSignal;
+use micrograd_obs::Gauge;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -344,37 +345,6 @@ impl Drop for WakePipe {
     }
 }
 
-/// Live counters of the event loop, snapshotted into
-/// [`ReactorStats`] for the `stats` endpoint.
-#[derive(Debug, Default)]
-pub struct ReactorCounters {
-    pub(crate) connections_open: AtomicU64,
-    pub(crate) connections_accepted: AtomicU64,
-    pub(crate) connections_closed: AtomicU64,
-    pub(crate) loop_wakeups: AtomicU64,
-    pub(crate) write_queue_hwm: AtomicU64,
-    pub(crate) notifications_pushed: AtomicU64,
-    pub(crate) watches_active: AtomicU64,
-}
-
-impl ReactorCounters {
-    /// A consistent-enough snapshot of the counters (each is read
-    /// atomically; the set is not fenced — these are gauges, not an
-    /// audit log).
-    #[must_use]
-    pub fn snapshot(&self) -> ReactorStats {
-        ReactorStats {
-            connections_open: self.connections_open.load(Ordering::Relaxed),
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            loop_wakeups: self.loop_wakeups.load(Ordering::Relaxed),
-            write_queue_hwm: self.write_queue_hwm.load(Ordering::Relaxed),
-            notifications_pushed: self.notifications_pushed.load(Ordering::Relaxed),
-            watches_active: self.watches_active.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// One complete request line, dispatched from the reactor to the
 /// handler pool.
 pub(crate) struct WorkItem {
@@ -495,7 +465,6 @@ pub(crate) struct ReactorShared {
     pub work: Arc<WorkQueue>,
     pub inbox: Arc<Inbox>,
     pub wake: Arc<WakePipe>,
-    pub counters: Arc<ReactorCounters>,
 }
 
 /// One ordered response slot: created when its request line is
@@ -557,14 +526,14 @@ impl Connection {
 
     /// Fills the response slot `seq` and commits the filled prefix to
     /// the write queue (where the connection-drop fault is seated).
-    fn fill(&mut self, seq: u64, line: String, fault: &FaultPlan, counters: &ReactorCounters) {
+    fn fill(&mut self, seq: u64, line: String, fault: &FaultPlan, hwm: &Gauge) {
         if let Some(slot) = self.pending.iter_mut().find(|slot| slot.seq == seq) {
             slot.line = Some(line);
         }
-        self.promote(fault, counters);
+        self.promote(fault, hwm);
     }
 
-    fn promote(&mut self, fault: &FaultPlan, counters: &ReactorCounters) {
+    fn promote(&mut self, fault: &FaultPlan, hwm: &Gauge) {
         while self.pending.front().is_some_and(|slot| slot.line.is_some()) {
             let line = self
                 .pending
@@ -588,10 +557,7 @@ impl Connection {
             }
             self.out.extend_from_slice(line.as_bytes());
         }
-        counters.write_queue_hwm.fetch_max(
-            u64::try_from(self.out_bytes()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+        hwm.set_max(u64::try_from(self.out_bytes()).unwrap_or(u64::MAX));
     }
 
     /// Nonblocking drain of the write queue; `false` means the
@@ -720,6 +686,11 @@ impl Slab {
         self.iter().map(|(token, _)| token).collect()
     }
 
+    /// Live connections: every slot not on the free list.
+    fn len(&self) -> u64 {
+        self.slots.len().saturating_sub(self.free.len()) as u64
+    }
+
     fn is_empty(&self) -> bool {
         self.slots.iter().all(Option::is_none)
     }
@@ -764,6 +735,7 @@ enum Target {
 
 struct EventLoop<'a> {
     shared: &'a ReactorShared,
+    metrics: ReactorMetrics,
     fault: FaultPlan,
     conns: Slab,
     listener: Option<TcpListener>,
@@ -781,6 +753,7 @@ pub(crate) fn run(listener: TcpListener, shared: &ReactorShared) {
     let fault = shared.scheduler.store().fault_plan().clone();
     let mut event_loop = EventLoop {
         shared,
+        metrics: shared.scheduler.metrics().reactor.clone(),
         fault,
         conns: Slab::default(),
         listener: Some(listener),
@@ -860,10 +833,7 @@ impl EventLoop<'_> {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
-            self.shared
-                .counters
-                .loop_wakeups
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.loop_wakeups.inc();
 
             for (fd, target) in fds.iter().zip(&targets) {
                 if fd.revents == 0 {
@@ -892,10 +862,7 @@ impl EventLoop<'_> {
             // missed decrement would drift forever.  The loop owns every
             // connection, so summing here is exact at publication time.
             let watches: u64 = self.conns.iter().map(|(_, c)| c.watches.len() as u64).sum();
-            self.shared
-                .counters
-                .watches_active
-                .store(watches, Ordering::Relaxed);
+            self.metrics.watches_active.set(watches);
         }
     }
 
@@ -937,7 +904,7 @@ impl EventLoop<'_> {
                     Some(state) => status_line(watch.job, &state),
                     None => error_line(&format!("unknown job {}", watch.job), None),
                 };
-                conn.fill(watch.seq, line, &self.fault, &self.shared.counters);
+                conn.fill(watch.seq, line, &self.fault, &self.metrics.write_queue_hwm);
             }
         }
     }
@@ -954,14 +921,8 @@ impl EventLoop<'_> {
                     }
                     stream.set_nodelay(true).ok();
                     self.conns.insert(stream);
-                    self.shared
-                        .counters
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .connections_open
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.metrics.connections_accepted.inc();
+                    self.metrics.connections_open.set(self.conns.len());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -997,7 +958,7 @@ impl EventLoop<'_> {
         conn.inflight = false;
         match outcome {
             HandlerOutcome::Line(line) => {
-                conn.fill(seq, line, &self.fault, &self.shared.counters);
+                conn.fill(seq, line, &self.fault, &self.metrics.write_queue_hwm);
             }
             HandlerOutcome::Watch { job, deadline } => {
                 // Re-check at registration: the job may have reached a
@@ -1018,7 +979,7 @@ impl EventLoop<'_> {
                     }
                 };
                 if let Some(line) = line {
-                    conn.fill(seq, line, &self.fault, &self.shared.counters);
+                    conn.fill(seq, line, &self.fault, &self.metrics.write_queue_hwm);
                 }
             }
         }
@@ -1035,12 +996,9 @@ impl EventLoop<'_> {
                             watch.seq,
                             status_line(job, &state),
                             &self.fault,
-                            &self.shared.counters,
+                            &self.metrics.write_queue_hwm,
                         );
-                        self.shared
-                            .counters
-                            .notifications_pushed
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.metrics.notifications_pushed.inc();
                     } else {
                         i += 1;
                     }
@@ -1061,7 +1019,7 @@ impl EventLoop<'_> {
                         Some(state) => status_line(watch.job, &state),
                         None => error_line(&format!("unknown job {}", watch.job), None),
                     };
-                    conn.fill(watch.seq, line, &self.fault, &self.shared.counters);
+                    conn.fill(watch.seq, line, &self.fault, &self.metrics.write_queue_hwm);
                 } else {
                     i += 1;
                 }
@@ -1121,14 +1079,8 @@ impl EventLoop<'_> {
 
     fn close(&mut self, token: usize) {
         if self.conns.remove(token).is_some() {
-            self.shared
-                .counters
-                .connections_open
-                .fetch_sub(1, Ordering::Relaxed);
-            self.shared
-                .counters
-                .connections_closed
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.connections_open.set(self.conns.len());
+            self.metrics.connections_closed.inc();
         }
     }
 }
@@ -1203,16 +1155,17 @@ mod tests {
         let stream = TcpStream::connect(addr).expect("connect");
         let mut conn = Connection::new(stream, 0);
         let fault = FaultPlan::none();
-        let counters = ReactorCounters::default();
+        let metrics = crate::ServiceMetrics::new();
+        let hwm = &metrics.reactor.write_queue_hwm;
         conn.pending.push_back(Slot { seq: 0, line: None });
         conn.pending.push_back(Slot { seq: 1, line: None });
         // Filling the *second* slot first must not emit anything…
-        conn.fill(1, "second\n".into(), &fault, &counters);
+        conn.fill(1, "second\n".into(), &fault, hwm);
         assert_eq!(conn.out_bytes(), 0, "out-of-order slot is held back");
         // …until the first resolves, then both flush in request order.
-        conn.fill(0, "first\n".into(), &fault, &counters);
+        conn.fill(0, "first\n".into(), &fault, hwm);
         assert_eq!(&conn.out, b"first\nsecond\n");
         assert!(conn.pending.is_empty());
-        assert!(counters.snapshot().write_queue_hwm >= 13);
+        assert!(metrics.value("micrograd_reactor_write_queue_hwm") >= 13);
     }
 }

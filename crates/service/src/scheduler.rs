@@ -21,13 +21,13 @@
 
 use crate::fault::FaultSite;
 use crate::metrics::ServiceMetrics;
-use crate::protocol::{JobState, JobSummary, ReactorStats, ServerStats};
+use crate::protocol::{JobState, JobSummary};
 use crate::store::{job_identity, platform_key, ResultStore};
 use crate::sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
 use micrograd_codegen::GeneratorInput;
 use micrograd_core::memo::MemoTable;
 use micrograd_core::{
-    CacheStats, CancelToken, FrameworkConfig, FrameworkOutput, Metrics, MicroGrad, MicroGradError,
+    CancelToken, FrameworkConfig, FrameworkOutput, Metrics, MicroGrad, MicroGradError,
     ProgressObserver, SimPlatform,
 };
 use micrograd_obs::clock::now_ns;
@@ -176,7 +176,6 @@ struct SchedState {
     /// `retained_jobs`.
     terminal_order: VecDeque<u64>,
     running: u64,
-    cache_totals: CacheStats,
     /// Resident memo tables by platform key, least recently released
     /// first.  A table is *held* while a job evaluates on it; at most
     /// `max(workers, 1)` unheld ones stay (see [`SchedState::release_table`]).
@@ -206,7 +205,7 @@ struct SchedulerInner {
     store: ResultStore,
     config: SchedulerConfig,
     /// The registry, histograms and trace sink every counter bump and
-    /// stage event goes through.  `stats()` is a view over these cells.
+    /// stage event goes through.
     metrics: Arc<ServiceMetrics>,
     shutting_down: AtomicBool,
 }
@@ -249,6 +248,8 @@ impl Scheduler {
     /// Creates a scheduler over a result store and starts its workers.
     #[must_use]
     pub fn new(config: SchedulerConfig, store: ResultStore) -> Self {
+        let metrics = ServiceMetrics::new();
+        metrics.workers.set(config.workers as u64);
         let inner = Arc::new(SchedulerInner {
             state: Mutex::new(SchedState {
                 next_job: 1,
@@ -258,7 +259,6 @@ impl Scheduler {
                 by_fingerprint: HashMap::new(),
                 terminal_order: VecDeque::new(),
                 running: 0,
-                cache_totals: CacheStats::default(),
                 tables: Vec::new(),
                 shutdown: false,
             }),
@@ -267,7 +267,7 @@ impl Scheduler {
             terminal_hook: Mutex::new(None),
             store,
             config,
-            metrics: Arc::new(ServiceMetrics::new()),
+            metrics: Arc::new(metrics),
             shutting_down: AtomicBool::new(false),
         });
         let workers = (0..config.workers)
@@ -448,37 +448,6 @@ impl Scheduler {
         jobs
     }
 
-    /// Scheduler-wide counters (the stats endpoint payload).  A *view*
-    /// over the metrics registry: every counter here is read from the
-    /// same cell the `metrics` endpoint exposes, so the two surfaces can
-    /// never disagree.
-    #[must_use]
-    pub fn stats(&self) -> ServerStats {
-        // Count stored reports (a directory scan for disk stores) before
-        // taking the lock — the same discipline as submit's store probe.
-        let stored_reports = self.inner.store.report_count();
-        let metrics = &self.inner.metrics;
-        let state = lock_or_recover(&self.inner.state);
-        ServerStats {
-            jobs_submitted: metrics.jobs_submitted.value(),
-            jobs_deduped: metrics.jobs_deduped.value(),
-            jobs_rejected: metrics.jobs_rejected.value(),
-            store_hits: metrics.store_hits.value(),
-            executions: metrics.executions.value(),
-            jobs_completed: metrics.jobs_completed.value(),
-            jobs_failed: metrics.jobs_failed.value(),
-            jobs_timed_out: metrics.jobs_timed_out.value(),
-            queue_depth: state.queue.len() as u64,
-            running: state.running,
-            workers: self.inner.config.workers as u64,
-            stored_reports,
-            cache: state.cache_totals,
-            // A bare scheduler has no event loop; the server overlays the
-            // live reactor counters before answering a stats request.
-            reactor: ReactorStats::default(),
-        }
-    }
-
     /// The metrics registry, histograms and trace sink this scheduler
     /// records through.
     #[must_use]
@@ -487,19 +456,11 @@ impl Scheduler {
     }
 
     /// Renders the metrics registry in the Prometheus text exposition
-    /// format, after synchronizing the gauges that mirror scheduler and
-    /// store state (queue depth, running jobs, cache totals, stored
-    /// reports).
+    /// format, after counting the store's reports (the one series not
+    /// written where its value changes).
     #[must_use]
     pub fn metrics_text(&self) -> String {
         let stored_reports = self.inner.store.report_count();
-        {
-            let state = lock_or_recover(&self.inner.state);
-            self.inner
-                .metrics
-                .sync_queue(state.queue.len() as u64, state.running);
-            self.inner.metrics.sync_cache(&state.cache_totals);
-        }
         self.inner.metrics.stored_reports.set(stored_reports);
         self.inner.metrics.render_prometheus()
     }
@@ -568,7 +529,7 @@ impl Scheduler {
     /// [`submit`](Self::submit) returns [`SubmitError::ShuttingDown`]
     /// instead of acknowledging work that would be lost on exit.  Running
     /// jobs finish, queued jobs stay queued, and reads (status / fetch /
-    /// list / stats) keep being served.  Non-blocking;
+    /// list / metrics) keep being served.  Non-blocking;
     /// [`shutdown`](Self::shutdown) additionally joins the workers.
     pub fn begin_shutdown(&self) {
         let mut state = lock_or_recover(&self.inner.state);
@@ -951,6 +912,9 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
     let _evicted = {
         let mut state = lock_or_recover(&inner.state);
         state.running = state.running.saturating_sub(1);
+        inner
+            .metrics
+            .sync_queue(state.queue.len() as u64, state.running);
         let evicted = state.release_table(&key, inner.config.workers.max(1));
         let Some(record) = state.jobs.get_mut(&job) else {
             // Evicted mid-run (unreachable today); still wake any waiters so
@@ -984,7 +948,7 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
                         inner.metrics.sink().record(job, Stage::Failed, 0);
                     }
                 }
-                state.cache_totals = state.cache_totals.merged(cache_stats);
+                inner.metrics.record_cache(&cache_stats);
             }
             Err(payload) => {
                 record.state = JobState::Failed {
@@ -1005,9 +969,6 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
             .record(now.saturating_sub(received_ns) / 1_000);
         let hook = inner.hook();
         state.mark_terminal(job, inner.config.retained_jobs, hook.as_ref());
-        inner
-            .metrics
-            .sync_queue(state.queue.len() as u64, state.running);
         inner.job_done.notify_all();
         evicted
     };
@@ -1074,7 +1035,7 @@ mod tests {
             }
         }
         assert_eq!(completion_order, vec![high, tied_first, tied_second, low]);
-        assert_eq!(scheduler.stats().executions, 4);
+        assert_eq!(scheduler.metrics().value("micrograd_executions_total"), 4);
     }
 
     #[test]
@@ -1089,10 +1050,10 @@ mod tests {
 
         assert!(scheduler.step());
         assert!(!scheduler.step(), "one execution for two submissions");
-        let stats = scheduler.stats();
-        assert_eq!(stats.jobs_submitted, 2);
-        assert_eq!(stats.jobs_deduped, 1);
-        assert_eq!(stats.executions, 1);
+        let metrics = scheduler.metrics();
+        assert_eq!(metrics.value("micrograd_jobs_submitted_total"), 2);
+        assert_eq!(metrics.value("micrograd_jobs_deduped_total"), 1);
+        assert_eq!(metrics.value("micrograd_executions_total"), 1);
 
         // Dedup also applies to completed jobs.
         let third = scheduler.submit(tiny_config(1), 0).unwrap();
@@ -1108,10 +1069,10 @@ mod tests {
         let err = scheduler.submit(tiny_config(3), 0).unwrap_err();
         assert_eq!(err, SubmitError::QueueFull { capacity: 2 });
         assert!(err.to_string().contains("full"));
-        let stats = scheduler.stats();
-        assert_eq!(stats.jobs_rejected, 1);
-        assert_eq!(stats.jobs_submitted, 2);
-        assert_eq!(stats.queue_depth, 2);
+        let metrics = scheduler.metrics();
+        assert_eq!(metrics.value("micrograd_jobs_rejected_total"), 1);
+        assert_eq!(metrics.value("micrograd_jobs_submitted_total"), 2);
+        assert_eq!(metrics.value("micrograd_queue_depth"), 2);
 
         // Draining the queue admits work again.
         assert!(scheduler.step());
@@ -1151,9 +1112,9 @@ mod tests {
         let receipt = scheduler.submit(config, 0).unwrap();
         assert!(receipt.cached, "answered from the durable store");
         assert_eq!(scheduler.status(receipt.job), Some(JobState::Done));
-        let stats = scheduler.stats();
-        assert_eq!(stats.executions, 0);
-        assert_eq!(stats.store_hits, 1);
+        let metrics = scheduler.metrics();
+        assert_eq!(metrics.value("micrograd_executions_total"), 0);
+        assert_eq!(metrics.value("micrograd_store_hits_total"), 1);
         assert!(matches!(
             scheduler.fetch(receipt.job),
             FetchResult::Ready(_)
@@ -1214,7 +1175,11 @@ mod tests {
         let again = scheduler.submit(tiny_config(1), 0).unwrap();
         assert!(again.cached, "evicted job's report served from the store");
         assert_ne!(again.job, a);
-        assert_eq!(scheduler.stats().executions, 3, "nothing re-executed");
+        assert_eq!(
+            scheduler.metrics().value("micrograd_executions_total"),
+            3,
+            "nothing re-executed"
+        );
     }
 
     #[test]
@@ -1284,7 +1249,7 @@ mod tests {
         let third = scheduler.submit(with(Some(0)), 0).unwrap();
         assert!(third.cached, "answered from the durable store");
         assert_eq!(scheduler.fetch(third.job), FetchResult::Ready(first));
-        assert_eq!(scheduler.stats().executions, 0);
+        assert_eq!(scheduler.metrics().value("micrograd_executions_total"), 0);
     }
 
     #[test]
@@ -1299,9 +1264,9 @@ mod tests {
             Err(SubmitError::ShuttingDown)
         );
         assert_eq!(scheduler.status(job), Some(JobState::Queued));
-        let stats = scheduler.stats();
-        assert_eq!(stats.queue_depth, 1);
-        assert_eq!(stats.jobs_submitted, 1);
+        let metrics = scheduler.metrics();
+        assert_eq!(metrics.value("micrograd_queue_depth"), 1);
+        assert_eq!(metrics.value("micrograd_jobs_submitted_total"), 1);
     }
 
     #[test]
@@ -1355,10 +1320,14 @@ mod tests {
         // the job is retired without ever reaching a worker.
         assert!(!scheduler.step(), "nothing runnable was left");
         assert_eq!(scheduler.status(job), Some(JobState::TimedOut));
-        let stats = scheduler.stats();
-        assert_eq!(stats.executions, 0, "never occupied a worker");
-        assert_eq!(stats.jobs_timed_out, 1);
-        assert_eq!(stats.jobs_failed, 0);
+        let metrics = scheduler.metrics();
+        assert_eq!(
+            metrics.value("micrograd_executions_total"),
+            0,
+            "never occupied a worker"
+        );
+        assert_eq!(metrics.value("micrograd_jobs_timed_out_total"), 1);
+        assert_eq!(metrics.value("micrograd_jobs_failed_total"), 0);
         assert!(matches!(
             scheduler.fetch(job),
             FetchResult::NotReady(JobState::TimedOut)
@@ -1380,10 +1349,14 @@ mod tests {
             .job;
         assert!(scheduler.step(), "the job did start running");
         assert_eq!(scheduler.status(job), Some(JobState::TimedOut));
-        let stats = scheduler.stats();
-        assert_eq!(stats.executions, 1);
-        assert_eq!(stats.jobs_timed_out, 1);
-        assert_eq!(stats.jobs_failed, 0, "a timeout is not a failure");
+        let metrics = scheduler.metrics();
+        assert_eq!(metrics.value("micrograd_executions_total"), 1);
+        assert_eq!(metrics.value("micrograd_jobs_timed_out_total"), 1);
+        assert_eq!(
+            metrics.value("micrograd_jobs_failed_total"),
+            0,
+            "a timeout is not a failure"
+        );
     }
 
     #[test]
@@ -1478,20 +1451,20 @@ mod tests {
         let key = platform_key(&tiny_config(1));
 
         // Two jobs of one key append one chunk each.
-        let cold_stats = {
+        let cold_misses = {
             let scheduler = disk_scheduler(scratch.path());
             scheduler.submit(tiny_config(1), 0).unwrap();
             assert!(scheduler.step());
-            let first = scheduler.stats().cache;
+            let first = scheduler.metrics().value("micrograd_cache_misses");
             scheduler
                 .submit(same_key_variant(MetricKind::Ipc, StressGoal::Maximize), 0)
                 .unwrap();
             assert!(scheduler.step());
-            let second = scheduler.stats().cache;
-            assert!(second.misses > first.misses, "the second job computed some");
+            let second = scheduler.metrics().value("micrograd_cache_misses");
+            assert!(second > first, "the second job computed some");
             second
         };
-        assert!(cold_stats.misses > 0, "cold run computes evaluations");
+        assert!(cold_misses > 0, "cold run computes evaluations");
         let (path, chunks) = cache_dump(scratch.path());
         assert_eq!(chunks, 2);
 
@@ -1500,7 +1473,7 @@ mod tests {
         let scheduler = disk_scheduler(scratch.path());
         assert_eq!(
             scheduler.store().load_cache(&key).len() as u64,
-            cold_stats.misses,
+            cold_misses,
             "every computed evaluation was appended once"
         );
         scheduler
@@ -1510,14 +1483,16 @@ mod tests {
             )
             .unwrap();
         assert!(scheduler.step());
-        let warm_stats = scheduler.stats().cache;
-        assert!(
-            warm_stats.inserts > warm_stats.misses,
-            "imported entries ({} inserts) exceed computed ones ({} misses)",
-            warm_stats.inserts,
-            warm_stats.misses
+        let metrics = scheduler.metrics();
+        let (inserts, misses) = (
+            metrics.value("micrograd_cache_inserts"),
+            metrics.value("micrograd_cache_misses"),
         );
-        assert!(warm_stats.hits > 0);
+        assert!(
+            inserts > misses,
+            "imported entries ({inserts} inserts) exceed computed ones ({misses} misses)"
+        );
+        assert!(metrics.value("micrograd_cache_hits") > 0);
         assert_eq!(scheduler.store().quarantined_count(), 0);
         drop(scheduler);
 
@@ -1534,16 +1509,16 @@ mod tests {
             )
             .unwrap();
         assert!(scheduler.step());
-        let stats = scheduler.stats().cache;
+        let misses = scheduler.metrics().value("micrograd_cache_misses");
         let (_, chunks) = cache_dump(scratch.path());
         assert_eq!(
             chunks,
-            1 + usize::from(stats.misses > 0),
+            1 + usize::from(misses > 0),
             "one compacted chunk, then the job's own"
         );
         assert_eq!(
             scheduler.store().load_cache(&key).len() as u64,
-            held as u64 / 2 + stats.misses,
+            held as u64 / 2 + misses,
             "no duplicates survive"
         );
     }
@@ -1569,13 +1544,20 @@ mod tests {
             tiny_config(1),
             same_key_variant(MetricKind::Ipc, StressGoal::Maximize),
         );
+        let hits_misses = || {
+            let metrics = scheduler.metrics();
+            (
+                metrics.value("micrograd_cache_hits"),
+                metrics.value("micrograd_cache_misses"),
+            )
+        };
         scheduler.submit(first.clone(), 0).unwrap();
         assert!(scheduler.step());
-        let after_first = scheduler.stats().cache;
+        let after_first = hits_misses();
         let reads = plan.operations(FaultSite::StoreRead);
         scheduler.submit(second.clone(), 0).unwrap();
         assert!(scheduler.step());
-        let after_second = scheduler.stats().cache;
+        let after_second = hits_misses();
         assert_eq!(
             plan.operations(FaultSite::StoreRead),
             reads + 1,
@@ -1598,11 +1580,11 @@ mod tests {
             reference_first.cache_stats(),
             reference_second.cache_stats(),
         );
-        assert_eq!((after_first.hits, after_first.misses), (r1.hits, r1.misses));
+        assert_eq!(after_first, (r1.hits, r1.misses));
         assert_eq!(
             (
-                after_second.hits - after_first.hits,
-                after_second.misses - after_first.misses
+                after_second.0 - after_first.0,
+                after_second.1 - after_first.1
             ),
             (r2.hits, r2.misses)
         );

@@ -26,11 +26,9 @@
 //! [`Server::shutdown`] returns.
 
 use crate::protocol::{
-    decode_request, encode_line, ReactorStats, RequestBody, Response, ResponseBody, WireError,
+    decode_request, encode_line, RequestBody, Response, ResponseBody, WireError,
 };
-use crate::reactor::{
-    self, HandlerOutcome, Inbox, ReactorCounters, ReactorShared, WakePipe, WorkQueue,
-};
+use crate::reactor::{self, HandlerOutcome, Inbox, ReactorShared, WakePipe, WorkQueue};
 use crate::scheduler::{FetchResult, Scheduler, SchedulerConfig, SubmitError};
 use crate::store::ResultStore;
 use micrograd_obs::clock::now_ns;
@@ -125,7 +123,6 @@ pub struct Server {
     signal: Arc<ShutdownSignal>,
     wake: Arc<WakePipe>,
     work: Arc<WorkQueue>,
-    counters: Arc<ReactorCounters>,
     reactor_thread: Option<std::thread::JoinHandle<()>>,
     handler_threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -143,7 +140,6 @@ struct HandlerCtx {
     scheduler: Arc<Scheduler>,
     signal: Arc<ShutdownSignal>,
     wake: Arc<WakePipe>,
-    counters: Arc<ReactorCounters>,
 }
 
 impl Server {
@@ -176,7 +172,6 @@ impl Server {
         let signal = Arc::new(ShutdownSignal::new());
         let work = Arc::new(WorkQueue::new());
         let inbox = Arc::new(Inbox::default());
-        let counters = Arc::new(ReactorCounters::default());
 
         // Job completions reach waiting clients with no polling anywhere:
         // the scheduler's terminal hook (invoked under the scheduler
@@ -198,7 +193,6 @@ impl Server {
                 work: Arc::clone(&work),
                 inbox: Arc::clone(&inbox),
                 wake: Arc::clone(&wake),
-                counters: Arc::clone(&counters),
             };
             std::thread::spawn(move || reactor::run(listener, &shared))
         };
@@ -209,7 +203,6 @@ impl Server {
                     scheduler: Arc::clone(&scheduler),
                     signal: Arc::clone(&signal),
                     wake: Arc::clone(&wake),
-                    counters: Arc::clone(&counters),
                 };
                 let work = Arc::clone(&work);
                 let inbox = Arc::clone(&inbox);
@@ -229,7 +222,6 @@ impl Server {
             signal,
             wake,
             work,
-            counters,
             reactor_thread: Some(reactor_thread),
             handler_threads,
         })
@@ -246,13 +238,6 @@ impl Server {
     #[must_use]
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
-    }
-
-    /// A snapshot of the event loop's counters (also served to clients
-    /// inside the `stats` response).
-    #[must_use]
-    pub fn reactor_stats(&self) -> ReactorStats {
-        self.counters.snapshot()
     }
 
     /// Whether a shutdown has been requested (by a client or locally).
@@ -417,22 +402,12 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
                 jobs: scheduler.list(),
             },
         ),
-        RequestBody::Stats => {
-            let mut stats = scheduler.stats();
-            stats.reactor = ctx.counters.snapshot();
-            ("stats", ResponseBody::Stats { stats })
-        }
-        RequestBody::Metrics => {
-            // Mirror the reactor's live counters into the registry so one
-            // scrape sees every layer, then render the whole registry.
-            scheduler.metrics().sync_reactor(&ctx.counters.snapshot());
-            (
-                "metrics",
-                ResponseBody::Metrics {
-                    text: scheduler.metrics_text(),
-                },
-            )
-        }
+        RequestBody::Metrics => (
+            "metrics",
+            ResponseBody::Metrics {
+                text: scheduler.metrics_text(),
+            },
+        ),
         RequestBody::Trace { job } => (
             "trace",
             match scheduler.timeline(job) {

@@ -13,6 +13,9 @@
 //! Fault plans are seeded so every run is replayable; set
 //! `MICROGRAD_CHAOS_SEED` to sweep different plans (CI runs two seeds).
 
+mod common;
+
+use common::series;
 use micrograd_core::{
     CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, MicroGrad, StressGoal, TunerKind,
     UseCaseConfig,
@@ -26,7 +29,6 @@ use std::time::Duration;
 
 /// Generous bound for one tiny tuning job; polling returns far earlier.
 const JOB_TIMEOUT: Duration = Duration::from_secs(300);
-const POLL: Duration = Duration::from_millis(20);
 
 /// The fault-plan seed: fixed by default so failures replay, overridable
 /// so CI can demonstrate the invariants hold across different plans.
@@ -106,7 +108,7 @@ fn start_server(store_dir: Option<PathBuf>, fault: FaultPlan) -> Server {
 fn run_to_done(client: &mut Client, config: &FrameworkConfig) -> String {
     let receipt = client.submit(config, 0).expect("submit accepted");
     let state = client
-        .wait(receipt.job, POLL, JOB_TIMEOUT)
+        .wait(receipt.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     assert_eq!(state, JobState::Done, "job completes");
     let output = client.fetch(receipt.job).expect("report fetchable");
@@ -127,7 +129,7 @@ fn expired_deadline_times_out_cleanly_and_resubmission_recovers() {
         .submit_with_deadline(&config, 0, Some(0))
         .expect("submit accepted");
     let state = client
-        .wait(receipt.job, POLL, JOB_TIMEOUT)
+        .wait(receipt.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     assert_eq!(state, JobState::TimedOut, "expired deadline surfaces");
 
@@ -142,7 +144,7 @@ fn expired_deadline_times_out_cleanly_and_resubmission_recovers() {
     assert!(!retry.deduped, "terminal TimedOut is not a dedup target");
     assert_ne!(retry.job, receipt.job);
     let state = client
-        .wait(retry.job, POLL, JOB_TIMEOUT)
+        .wait(retry.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     assert_eq!(state, JobState::Done);
     let output = client.fetch(retry.job).expect("report fetchable");
@@ -152,10 +154,10 @@ fn expired_deadline_times_out_cleanly_and_resubmission_recovers() {
         "recovered report is bit-identical to the fault-free run"
     );
 
-    let stats = client.stats().expect("stats succeed");
-    assert_eq!(stats.jobs_timed_out, 1);
-    assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(stats.jobs_failed, 0);
+    let text = client.metrics().expect("metrics scrape succeeds");
+    assert_eq!(series(&text, "micrograd_jobs_timed_out_total"), 1);
+    assert_eq!(series(&text, "micrograd_jobs_completed_total"), 1);
+    assert_eq!(series(&text, "micrograd_jobs_failed_total"), 0);
     server.shutdown();
 }
 
@@ -172,7 +174,7 @@ fn injected_worker_panic_fails_one_job_and_the_retry_matches_baseline() {
 
     let receipt = client.submit(&config, 0).expect("submit accepted");
     let state = client
-        .wait(receipt.job, POLL, JOB_TIMEOUT)
+        .wait(receipt.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     match state {
         JobState::Failed { error } => {
@@ -186,9 +188,9 @@ fn injected_worker_panic_fails_one_job_and_the_retry_matches_baseline() {
     let bytes = run_to_done(&mut client, &config);
     assert_eq!(bytes, baseline, "retry is bit-identical to fault-free run");
 
-    let stats = client.stats().expect("stats succeed");
-    assert_eq!(stats.jobs_failed, 1);
-    assert_eq!(stats.jobs_completed, 1);
+    let text = client.metrics().expect("metrics scrape succeeds");
+    assert_eq!(series(&text, "micrograd_jobs_failed_total"), 1);
+    assert_eq!(series(&text, "micrograd_jobs_completed_total"), 1);
     server.shutdown();
 }
 
@@ -225,7 +227,7 @@ fn store_write_faults_degrade_to_memory_and_a_restart_recomputes() {
     let receipt = client.submit(&config, 0).expect("submit accepted");
     assert!(!receipt.cached, "no durable report survived the faults");
     let state = client
-        .wait(receipt.job, POLL, JOB_TIMEOUT)
+        .wait(receipt.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     assert_eq!(state, JobState::Done);
     let output = client.fetch(receipt.job).expect("report fetchable");
@@ -276,7 +278,7 @@ fn truncated_store_files_are_quarantined_on_restart_and_recomputed() {
     let receipt = client.submit(&config, 0).expect("submit accepted");
     assert!(!receipt.cached, "damaged report is not served");
     let state = client
-        .wait(receipt.job, POLL, JOB_TIMEOUT)
+        .wait(receipt.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     assert_eq!(state, JobState::Done);
     let output = client.fetch(receipt.job).expect("report fetchable");
@@ -327,7 +329,7 @@ fn mid_line_connection_drop_is_survived_by_retrying_clients() {
         .submit_with_retry(&config, 0, None, &policy)
         .expect("retry path survives the drop");
     let state = naive
-        .wait(receipt.job, POLL, JOB_TIMEOUT)
+        .wait(receipt.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     assert_eq!(state, JobState::Done);
     let output = naive.fetch(receipt.job).expect("report fetchable");
@@ -338,8 +340,12 @@ fn mid_line_connection_drop_is_survived_by_retrying_clients() {
     );
 
     // Exactly one execution: the replayed submit did not double-run.
-    let stats = naive.stats().expect("stats succeed");
-    assert_eq!(stats.executions, 1, "resubmission deduped, not re-run");
+    let text = naive.metrics().expect("metrics scrape succeeds");
+    assert_eq!(
+        series(&text, "micrograd_executions_total"),
+        1,
+        "resubmission deduped, not re-run"
+    );
     server.shutdown();
 }
 
@@ -382,14 +388,14 @@ fn queue_full_rejections_carry_retry_hints_and_clear() {
     // Back-pressure clears: every accepted job reaches a terminal state,
     // and a patient retrying submit eventually gets through.
     for job in accepted {
-        let state = client.wait(job, POLL, JOB_TIMEOUT).expect("polling");
+        let state = client.wait(job, JOB_TIMEOUT).expect("polling");
         assert_eq!(state, JobState::Done);
     }
     let receipt = client
         .submit_with_retry(&config, 0, None, &RetryPolicy::default())
         .expect("retry absorbs transient queue-full");
     let state = client
-        .wait(receipt.job, POLL, JOB_TIMEOUT)
+        .wait(receipt.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     assert_eq!(state, JobState::Done);
     server.shutdown();

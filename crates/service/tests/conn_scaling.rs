@@ -5,6 +5,9 @@
 //! the *process's* threads via `/proc/self/task`, which sibling tests
 //! running concurrently would pollute.
 
+mod common;
+
+use common::series;
 use micrograd_core::{
     CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, StressGoal, TunerKind, UseCaseConfig,
 };
@@ -29,6 +32,12 @@ fn stress_config(seed: u64) -> FrameworkConfig {
         seed,
         ..FrameworkConfig::default()
     }
+}
+
+/// A reactor series, read in process: a scrape over the wire would wake
+/// the event loop whose idleness is under test.
+fn reactor_series(server: &Server, name: &str) -> u64 {
+    series(&server.scheduler().metrics().render_prometheus(), name)
 }
 
 #[cfg(target_os = "linux")]
@@ -89,29 +98,30 @@ fn a_thousand_idle_connections_cost_no_threads_and_no_wakeups() {
     // owns every connection before asserting quiescence.
     let accept_deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
-        let stats = server.reactor_stats();
-        if stats.connections_open >= 1_025 {
+        let open = reactor_series(&server, "micrograd_reactor_connections_open");
+        if open >= 1_025 {
             break;
         }
         assert!(
             std::time::Instant::now() < accept_deadline,
-            "accept backlog never drained: {stats:?}"
+            "accept backlog never drained: {open} connections open"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
 
     // Idle means *idle*: with 1024 open connections and no traffic, the
     // reactor must stay parked in poll(2) — its wakeup counter frozen.
-    // (The in-process snapshot touches atomics only, not the loop.)
-    let before = server.reactor_stats();
+    // (The in-process read touches the registry only, not the loop.)
+    let before = reactor_series(&server, "micrograd_reactor_loop_wakeups");
     std::thread::sleep(Duration::from_millis(400));
-    let after = server.reactor_stats();
+    let after = reactor_series(&server, "micrograd_reactor_loop_wakeups");
     assert_eq!(
-        after.loop_wakeups, before.loop_wakeups,
+        after, before,
         "an idle reactor must perform zero timer-driven wakeups"
     );
-    assert!(after.connections_open >= 1_025, "stats: {after:?}");
-    assert!(after.connections_accepted >= 1_025);
+    let open = reactor_series(&server, "micrograd_reactor_connections_open");
+    assert!(open >= 1_025, "{open} connections open");
+    assert!(reactor_series(&server, "micrograd_reactor_connections_accepted") >= 1_025);
 
     // The daemon still serves work promptly with the idle fleet attached.
     client

@@ -5,6 +5,9 @@
 //! (Connection-count scaling lives in `conn_scaling.rs`, alone in its
 //! binary so thread-count assertions are not polluted by sibling tests.)
 
+mod common;
+
+use common::series;
 use micrograd_core::{
     CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, StressGoal, TunerKind, UseCaseConfig,
 };
@@ -17,7 +20,6 @@ use std::time::{Duration, Instant};
 
 /// Generous bound for one tiny tuning job; the wait returns far earlier.
 const JOB_TIMEOUT: Duration = Duration::from_secs(300);
-const POLL: Duration = Duration::from_millis(20);
 
 fn stress_config(seed: u64) -> FrameworkConfig {
     FrameworkConfig {
@@ -73,7 +75,7 @@ fn one_byte_at_a_time_requests_reassemble_and_pipelines_stay_ordered() {
     // responses, in request order.
     stream
         .write_all(
-            b"{\"proto\":1,\"body\":{\"op\":\"list\"}}\n{\"proto\":1,\"body\":{\"op\":\"stats\"}}\n",
+            b"{\"proto\":1,\"body\":{\"op\":\"list\"}}\n{\"proto\":1,\"body\":{\"op\":\"metrics\"}}\n",
         )
         .expect("pipeline");
     stream.flush().expect("flush");
@@ -86,11 +88,11 @@ fn one_byte_at_a_time_requests_reassemble_and_pipelines_stay_ordered() {
     let mut second = String::new();
     reader.read_line(&mut second).expect("second response");
     match decode_response(&second).expect("decodes").body {
-        ResponseBody::Stats { stats } => {
-            assert!(stats.reactor.connections_open >= 1);
-            assert!(stats.reactor.connections_accepted >= 1);
+        ResponseBody::Metrics { text } => {
+            assert!(series(&text, "micrograd_reactor_connections_open") >= 1);
+            assert!(series(&text, "micrograd_reactor_connections_accepted") >= 1);
         }
-        other => panic!("expected stats, got {other:?}"),
+        other => panic!("expected metrics, got {other:?}"),
     }
     server.shutdown();
 }
@@ -132,7 +134,7 @@ fn watch_pushes_completions_and_honors_its_budget() {
     assert!(client.fetch(first.job).is_ok(), "report is fetchable");
 
     // The deadline-aware wait path (watch under the hood) still works.
-    let state = client.wait(second.job, POLL, JOB_TIMEOUT).expect("wait");
+    let state = client.wait(second.job, JOB_TIMEOUT).expect("wait");
     assert!(state.is_terminal());
     server.shutdown();
 }
@@ -159,12 +161,17 @@ fn graceful_shutdown_answers_then_closes_every_session() {
 }
 
 /// Waits until the reactor is parked in `poll`: an idle reactor makes no
-/// wakeups, so the count holds still.
+/// wakeups, so the count holds still.  The count is read in process: a
+/// scrape over the wire would wake the loop itself.
 fn wait_until_parked(server: &Server) {
-    let mut wakeups = server.reactor_stats().loop_wakeups;
+    let wakeups_now = || {
+        let text = server.scheduler().metrics().render_prometheus();
+        series(&text, "micrograd_reactor_loop_wakeups")
+    };
+    let mut wakeups = wakeups_now();
     loop {
         std::thread::sleep(Duration::from_millis(50));
-        let now = server.reactor_stats().loop_wakeups;
+        let now = wakeups_now();
         if now == wakeups {
             return;
         }

@@ -8,6 +8,9 @@
 //! answering a repeat submission from the durable store — again
 //! bit-identically.
 
+mod common;
+
+use common::series;
 use micrograd_core::{
     CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, Metrics, MicroGrad, StressGoal,
     TunerKind, UseCaseConfig,
@@ -20,7 +23,6 @@ use std::time::Duration;
 
 /// Generous bound for one tiny tuning job; polling returns far earlier.
 const JOB_TIMEOUT: Duration = Duration::from_secs(300);
-const POLL: Duration = Duration::from_millis(20);
 
 /// A unique, self-cleaning scratch directory (no `tempfile` in the
 /// offline build; integration tests cannot see the crate's private
@@ -103,7 +105,7 @@ fn submit_poll_fetch(client: &mut Client, config: &FrameworkConfig) -> (u64, Str
     let receipt = client.submit(config, 0).expect("submit accepted");
     assert!(!receipt.cached, "first submission must execute");
     let state = client
-        .wait(receipt.job, POLL, JOB_TIMEOUT)
+        .wait(receipt.job, JOB_TIMEOUT)
         .expect("polling succeeds");
     assert_eq!(state, JobState::Done, "job completes");
     let output = client.fetch(receipt.job).expect("report fetchable");
@@ -123,22 +125,21 @@ fn daemon_serves_submit_poll_fetch_for_clone_and_stress() {
     assert_ne!(clone_job, stress_job);
     assert!(clone_bytes.contains("\"clone\""), "got: {clone_bytes}");
 
-    // The same session also serves list and stats.
+    // The same session also serves list and metrics.
     let jobs = client.list().expect("list succeeds");
     assert_eq!(jobs.len(), 2);
     assert!(jobs.iter().any(|j| j.use_case == "stress"));
     assert!(jobs.iter().any(|j| j.use_case == "clone-metrics"));
     assert!(jobs.iter().all(|j| j.state == JobState::Done));
 
-    let stats = client.stats().expect("stats succeed");
-    assert_eq!(stats.jobs_submitted, 2);
-    assert_eq!(stats.executions, 2);
-    assert_eq!(stats.jobs_completed, 2);
-    assert_eq!(stats.workers, 2);
+    let text = client.metrics().expect("metrics scrape succeeds");
+    assert_eq!(series(&text, "micrograd_jobs_submitted_total"), 2);
+    assert_eq!(series(&text, "micrograd_executions_total"), 2);
+    assert_eq!(series(&text, "micrograd_jobs_completed_total"), 2);
+    assert_eq!(series(&text, "micrograd_workers"), 2);
     assert!(
-        stats.cache.lookups() > 0,
-        "executed jobs surface memo-cache counters: {:?}",
-        stats.cache
+        series(&text, "micrograd_cache_hits") + series(&text, "micrograd_cache_misses") > 0,
+        "executed jobs surface memo-cache counters:\n{text}"
     );
 
     // Server-side report equals an in-process run of the same config —
@@ -168,7 +169,7 @@ fn concurrent_identical_submissions_run_once_and_match_bitwise() {
                     let mut client = Client::connect(addr).expect("client connects");
                     let receipt = client.submit(config, 0).expect("submit accepted");
                     let state = client
-                        .wait(receipt.job, POLL, JOB_TIMEOUT)
+                        .wait(receipt.job, JOB_TIMEOUT)
                         .expect("polling succeeds");
                     assert_eq!(state, JobState::Done);
                     let output = client.fetch(receipt.job).expect("report fetchable");
@@ -196,10 +197,20 @@ fn concurrent_identical_submissions_run_once_and_match_bitwise() {
     assert!(results.iter().all(|(_, _, bytes)| bytes == reference));
 
     let mut client = Client::connect(addr).expect("client connects");
-    let stats = client.stats().expect("stats succeed");
-    assert_eq!(stats.jobs_submitted, CLIENTS as u64);
-    assert_eq!(stats.jobs_deduped, CLIENTS as u64 - 1);
-    assert_eq!(stats.executions, 1, "one execution for {CLIENTS} clients");
+    let text = client.metrics().expect("metrics scrape succeeds");
+    assert_eq!(
+        series(&text, "micrograd_jobs_submitted_total"),
+        CLIENTS as u64
+    );
+    assert_eq!(
+        series(&text, "micrograd_jobs_deduped_total"),
+        CLIENTS as u64 - 1
+    );
+    assert_eq!(
+        series(&text, "micrograd_executions_total"),
+        1,
+        "one execution for {CLIENTS} clients"
+    );
 
     server.shutdown();
 }
@@ -241,10 +252,14 @@ fn restarted_daemon_answers_repeat_jobs_from_the_durable_store() {
             "stored report is bit-identical to the original run"
         );
     }
-    let stats = client.stats().expect("stats succeed");
-    assert_eq!(stats.executions, 0, "nothing re-executed after restart");
-    assert_eq!(stats.store_hits, 2);
-    assert_eq!(stats.stored_reports, 2);
+    let text = client.metrics().expect("metrics scrape succeeds");
+    assert_eq!(
+        series(&text, "micrograd_executions_total"),
+        0,
+        "nothing re-executed after restart"
+    );
+    assert_eq!(series(&text, "micrograd_store_hits_total"), 2);
+    assert_eq!(series(&text, "micrograd_stored_reports"), 2);
     server.shutdown();
 }
 
@@ -333,14 +348,24 @@ fn malformed_and_mismatched_lines_get_error_responses_not_disconnects() {
     assert!(line.contains("version"), "got: {line}");
     assert!(line.contains("99"), "got: {line}");
 
-    // The same connection still serves well-formed requests afterwards.
+    // `stats` is not an op: an error, and the session stays open.
     line.clear();
     writer
         .write_all(b"{\"proto\":1,\"body\":{\"op\":\"stats\"}}\n")
         .unwrap();
     writer.flush().unwrap();
     reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"stats\""), "got: {line}");
+    assert!(line.contains("\"error\""), "got: {line}");
+    assert!(line.contains("malformed"), "got: {line}");
+
+    // The same connection still serves well-formed requests afterwards.
+    line.clear();
+    writer
+        .write_all(b"{\"proto\":1,\"body\":{\"op\":\"list\"}}\n")
+        .unwrap();
+    writer.flush().unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"jobs\""), "got: {line}");
 
     server.shutdown();
 }

@@ -84,6 +84,15 @@ fn main() -> Result<(), MicroGradError> {
         report.mean_accuracy * 100.0,
         report.converged
     );
+    let cache = platform.cache_stats();
+    println!(
+        "memo cache: {} hits, {} misses, {} inserts, {} entries ({:.1}% hit rate)",
+        cache.hits,
+        cache.misses,
+        cache.inserts,
+        cache.entries,
+        cache.hit_rate() * 100.0
+    );
 
     // Time-resolved behaviour of the clone: regenerate the winning test
     // case and re-run it under the simulator's sampled profiler.  The
@@ -128,9 +137,9 @@ fn main() -> Result<(), MicroGradError> {
     // event loop: one reactor thread multiplexes every socket, so idle
     // connections cost file descriptors, not threads. Boot an
     // in-process server, park a crowd of idle sessions on it, exercise
-    // a couple of requests, and render the *unified* metrics registry —
-    // scheduler counters, request series, latency histograms, reactor
-    // and memo-cache gauges, one table for every layer.
+    // a couple of requests, and render the daemon's metrics registry —
+    // scheduler counters, request series, latency histograms and the
+    // event loop's series, one table for every layer.
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
@@ -141,15 +150,10 @@ fn main() -> Result<(), MicroGradError> {
         .map(|_| std::net::TcpStream::connect(server.local_addr()).expect("idle connect"))
         .collect();
     let mut client = Client::connect(server.local_addr()).expect("client connects");
-    client.stats().expect("stats answers");
+    client.metrics().expect("metrics answers");
     client.list().expect("list answers");
 
     let metrics = server.scheduler().metrics();
-    // Fold the *local* run's memo-cache counters and the reactor's live
-    // counters into the registry, so the table below covers every layer
-    // this example touched.
-    metrics.sync_cache(&platform.cache_stats());
-    metrics.sync_reactor(&server.reactor_stats());
     println!();
     println!(
         "unified metrics registry ({} idle sessions parked on the daemon):",

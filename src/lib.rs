@@ -59,8 +59,7 @@
 //! Results are **bit-identical across all settings** — batches are
 //! post-processed in submission order and every evaluation is a pure,
 //! seeded function of its input — so parallelism is purely a wall-clock
-//! knob (see `tests/determinism.rs` and the `batch_evaluation` /
-//! `tuning_epoch` benches).
+//! knob (see `tests/determinism.rs` and the `batch_evaluation` bench).
 //!
 //! # Streaming traces
 //!
