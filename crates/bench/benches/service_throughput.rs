@@ -8,16 +8,22 @@
 //! jobs/sec through a workerless (inline-stepped) scheduler against a cold
 //! store — every job pays a real tuning run — and against a warm durable
 //! store, where every submission is answered from disk without executing.
+//! The store group measures the cache-dump codec a job's persistence and a
+//! warm start pay: one job-sized chunk of 1,000 memoized evaluations
+//! appended to a disk store, and loaded back.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use micrograd_codegen::GeneratorInput;
 use micrograd_core::{
-    CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, MicroGrad, StressGoal, TunerKind,
-    UseCaseConfig,
+    CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, Metrics, MicroGrad, StressGoal,
+    TunerKind, UseCaseConfig,
 };
 use micrograd_service::{
     decode_request, decode_response, encode_line, Request, RequestBody, Response, ResponseBody,
     ResultStore, Scheduler, SchedulerConfig,
 };
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn tiny_config(seed: u64) -> FrameworkConfig {
     FrameworkConfig {
@@ -151,5 +157,59 @@ fn scheduler_throughput(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&warm_dir);
 }
 
-criterion_group!(benches, protocol_roundtrip, scheduler_throughput);
+/// `n` evaluations shaped like a tuning run's: random knob weights and a
+/// full metric vector of full-precision values.
+fn evaluations(n: usize) -> Vec<(GeneratorInput, Metrics)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(18);
+    (0..n)
+        .map(|i| {
+            let mut input = GeneratorInput {
+                loop_size: 300,
+                reg_dependency_distance: rng.gen_range(1..=10),
+                branch_randomness: rng.gen_range(0.0..1.0),
+                seed: i as u64,
+                ..GeneratorInput::default()
+            };
+            for weight in input.instr_weights.values_mut() {
+                *weight = f64::from(rng.gen_range(0..=10u32));
+            }
+            let metrics = MetricKind::ALL.iter().fold(Metrics::new(), |m, &kind| {
+                m.with(kind, rng.gen_range(0.0..4.0))
+            });
+            (input, metrics)
+        })
+        .collect()
+}
+
+fn store_codec(c: &mut Criterion) {
+    let entries = evaluations(1_000);
+    let pairs = || entries.iter().map(|(input, metrics)| (input, metrics));
+    let dir = std::env::temp_dir().join(format!("micrograd-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ResultStore::open(&dir).expect("scratch store opens");
+    // Appends go to one key (its dump grows by a chunk per sample); loads
+    // read another key's single chunk.
+    let (appended, loaded) = ("large:25000:1", "large:25000:2");
+    store.append_cache(loaded, pairs()).expect("chunk lands");
+
+    let mut group = c.benchmark_group("service_store");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(entries.len() as u64));
+    group.bench_function("append_cache", |b| {
+        b.iter(|| store.append_cache(appended, pairs()).expect("chunk lands"));
+    });
+    group.bench_function("load_cache", |b| {
+        b.iter(|| store.load_cache(loaded).len());
+    });
+    group.finish();
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(
+    benches,
+    protocol_roundtrip,
+    scheduler_throughput,
+    store_codec
+);
 criterion_main!(benches);

@@ -54,9 +54,12 @@ pub fn run_cloning_experiment(
 
     let mut rows = Vec::new();
     for benchmark in Benchmark::ALL {
-        let trace = ApplicationTraceGenerator::new(sizes.reference_len, sizes.seed)
-            .generate(&benchmark.profile());
-        let target = platform.measure_trace(&trace);
+        // Streamed, not materialized: the reference trace is never held
+        // through the tuning run.
+        let target = platform.measure_source(
+            &mut ApplicationTraceGenerator::new(sizes.reference_len, sizes.seed)
+                .stream(&benchmark.profile()),
+        );
 
         let mut tuner: Box<dyn Tuner> = match tuner_kind {
             TunerKind::Genetic => Box::new(GeneticTuner::new(GaParams {

@@ -36,9 +36,9 @@
 //!   pile up across its users.
 //! * **Insertion marks**: every entry is stamped with the table's running
 //!   insert count.  [`mark`](MemoTable::mark) reads the count and
-//!   [`export_since`](MemoTable::export_since) returns the entries stamped
-//!   at or after it, so a user of a shared table can persist just the
-//!   entries that appeared while it ran.
+//!   [`iter_since`](MemoTable::iter_since) borrows the entries stamped at
+//!   or after it, so a user of a shared table can persist just the entries
+//!   that appeared while it ran, without copying them.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -128,7 +128,7 @@ impl<K: PartialEq, V> MemoTable<K, V> {
 
     /// The insertion mark: every entry inserted from now on — by
     /// [`insert`](Self::insert) or [`insert_if_absent`](Self::insert_if_absent)
-    /// — is returned by [`export_since`](Self::export_since) with this mark.
+    /// — is walked by [`iter_since`](Self::iter_since) with this mark.
     ///
     /// The count guards no data, so `Relaxed` suffices: an insert that
     /// happens after this call (in program order, or in a thread spawned
@@ -275,31 +275,25 @@ impl<K: PartialEq, V> MemoTable<K, V> {
         K: Clone,
         V: Clone,
     {
-        self.export_since(0)
+        self.iter_since(0)
+            .map(|(fingerprint, key, value)| (fingerprint, key.clone(), value.clone()))
+            .collect()
     }
 
-    /// Snapshots the live entries inserted at or after `mark` (see
-    /// [`mark`](Self::mark)), imports included, in bucket order.  Entries
-    /// other threads insert meanwhile may or may not be included.
-    #[must_use]
-    pub fn export_since(&self, mark: u64) -> Vec<(u64, K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        self.buckets
-            .iter()
-            .filter_map(|bucket| {
-                let ptr = bucket.load(Ordering::Acquire);
-                if ptr.is_null() {
-                    return None;
-                }
-                // SAFETY: see `get`.
-                let entry = unsafe { &*ptr };
-                (entry.mark >= mark)
-                    .then(|| (entry.fingerprint, entry.key.clone(), entry.value.clone()))
-            })
-            .collect()
+    /// Borrows the live entries inserted at or after `mark` (see
+    /// [`mark`](Self::mark)), imports included, as `(fingerprint, key,
+    /// value)` in bucket order.  Entries other threads insert meanwhile may
+    /// or may not be included.
+    pub fn iter_since(&self, mark: u64) -> impl Iterator<Item = (u64, &K, &V)> {
+        self.buckets.iter().filter_map(move |bucket| {
+            let ptr = bucket.load(Ordering::Acquire);
+            if ptr.is_null() {
+                return None;
+            }
+            // SAFETY: see `get`; the borrows live no longer than `&self`.
+            let entry = unsafe { &*ptr };
+            (entry.mark >= mark).then_some((entry.fingerprint, &entry.key, &entry.value))
+        })
     }
 
     fn retire(&self, ptr: *mut Entry<K, V>) {
@@ -434,12 +428,12 @@ mod tests {
     }
 
     #[test]
-    fn export_since_returns_exactly_the_entries_from_the_mark_on() {
+    fn iter_since_walks_exactly_the_entries_from_the_mark_on() {
         let t: MemoTable<u64, u64> = MemoTable::new(64);
         t.insert(1, 1, 10);
         assert!(t.insert_if_absent(2, 2, 20));
         let mark = t.mark();
-        assert!(t.export_since(mark).is_empty());
+        assert_eq!(t.iter_since(mark).count(), 0);
         t.insert(3, 3, 30);
         assert!(t.insert_if_absent(4, 4, 40), "imports are stamped too");
         assert!(
@@ -447,11 +441,14 @@ mod tests {
             "a declined import adds nothing"
         );
         t.insert(2, 2, 21); // an in-place replace is a new entry
-        let mut since = t.export_since(mark);
+        let mut since: Vec<_> = t
+            .iter_since(mark)
+            .map(|(fp, &key, &value)| (fp, key, value))
+            .collect();
         since.sort_unstable();
         assert_eq!(since, vec![(2, 2, 21), (3, 3, 30), (4, 4, 40)]);
-        assert_eq!(t.export_since(0).len(), 4);
-        assert_eq!(t.export_since(t.mark()), vec![]);
+        assert_eq!(t.iter_since(0).count(), 4);
+        assert_eq!(t.iter_since(t.mark()).count(), 0);
     }
 
     #[test]

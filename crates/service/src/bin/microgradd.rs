@@ -8,6 +8,7 @@
 //! microgradd [--addr HOST:PORT] [--workers N] [--queue-capacity N] [--store DIR]
 //! ```
 
+use micrograd_obs::Sample;
 use micrograd_service::{Server, ServerConfig, WakePipe};
 use std::process::ExitCode;
 
@@ -116,6 +117,17 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     Ok(config)
 }
 
+/// Finishes the in-flight jobs, samples the registry (stored reports
+/// counted), then stops the server: the exit report covers every job the
+/// drain finished.
+fn drain(server: Server) -> Vec<Sample> {
+    server.scheduler().shutdown();
+    let _ = server.scheduler().metrics_text(); // count the stored reports
+    let samples = server.scheduler().metrics().samples();
+    server.shutdown();
+    samples
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let config = match parse_args(&args) {
@@ -175,13 +187,7 @@ fn main() -> ExitCode {
         signal_pipe.notify();
     });
     println!("microgradd shutting down (finishing in-flight jobs)");
-    // Snapshot the registry before shutdown consumes the server, so the
-    // exit report covers every in-flight job it just finished draining.
-    let samples = {
-        let _ = server.scheduler().metrics_text(); // count the stored reports
-        server.scheduler().metrics().samples()
-    };
-    server.shutdown();
+    let samples = drain(server);
     println!("microgradd final metrics:");
     for sample in &samples {
         match sample.quantiles {
@@ -207,4 +213,62 @@ fn main() -> ExitCode {
         value("micrograd_store_hits_total")
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use micrograd_core::{CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, StressGoal};
+    use micrograd_core::{TunerKind, UseCaseConfig};
+    use micrograd_service::{FaultPlan, FaultSite, JobState};
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn the_exit_report_covers_a_job_the_drain_finished() {
+        let store = std::env::temp_dir().join(format!("microgradd-drain-{}", std::process::id()));
+        // Every store write waits, so the job is still running when the
+        // shutdown is requested.
+        let fault = FaultPlan::new(1)
+            .with_fault(FaultSite::StoreDelay, 1.0, u64::MAX)
+            .with_write_delay(Duration::from_millis(200));
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            store_dir: Some(store.clone()),
+            fault,
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let config = FrameworkConfig {
+            core: CoreKind::Small,
+            tuner: TunerKind::GradientDescent,
+            knob_space: KnobSpaceKind::InstructionFractions,
+            use_case: UseCaseConfig::Stress {
+                metric: MetricKind::Ipc,
+                goal: StressGoal::Minimize,
+            },
+            max_epochs: 1,
+            dynamic_len: 2_000,
+            reference_len: 2_000,
+            ..FrameworkConfig::default()
+        };
+        let job = server.scheduler().submit(config, 0).expect("accepted").job;
+        let start = Instant::now();
+        while server.scheduler().status(job) != Some(JobState::Running) {
+            assert!(start.elapsed() < Duration::from_secs(60), "job never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.request_shutdown();
+        let samples = drain(server);
+        let _ = std::fs::remove_dir_all(&store);
+        let value = |name: &str| {
+            samples
+                .iter()
+                .find(|sample| sample.name == name)
+                .map(|sample| sample.value)
+        };
+        assert_eq!(value("micrograd_jobs_running"), Some(0));
+        assert_eq!(value("micrograd_jobs_completed_total"), Some(1));
+        assert_eq!(value("micrograd_job_execution_us"), Some(1), "one sample");
+        assert_eq!(value("micrograd_stored_reports"), Some(1));
+    }
 }

@@ -73,9 +73,11 @@ pub struct ServiceMetrics {
     pub(crate) reactor: ReactorMetrics,
     /// Per-op request counters, one series per [`REQUEST_OPS`] entry.
     requests: Vec<(&'static str, Counter)>,
-    /// Memo-cache hits, misses, inserts, entries and replacements, summed
-    /// over executed jobs.
-    cache: [Counter; 5],
+    /// Memo-cache hits, misses, inserts and replacements, summed over
+    /// executed jobs.
+    cache: [Counter; 4],
+    /// Entries held in the resident memo tables, set when a job ends.
+    pub(crate) cache_entries: Gauge,
     /// The largest memo-table capacity an executed job reported.
     cache_capacity: Gauge,
 }
@@ -128,7 +130,7 @@ impl ServiceMetrics {
                 )
             })
             .collect();
-        let cache = [
+        let [hits, misses, inserts] = [
             registry.counter(
                 "micrograd_cache_hits",
                 "Memo-cache hits over all executed jobs",
@@ -141,16 +143,15 @@ impl ServiceMetrics {
                 "micrograd_cache_inserts",
                 "Memo-cache inserts over all executed jobs",
             ),
-            registry.counter(
-                "micrograd_cache_entries",
-                "Memo-table entries each executed job ended with, summed over jobs \
-                 (jobs sharing a key's table each count its entries)",
-            ),
-            registry.counter(
-                "micrograd_cache_replacements",
-                "Memo-cache replacements over all executed jobs",
-            ),
         ];
+        let cache_entries = registry.gauge(
+            "micrograd_cache_entries",
+            "Entries held in the resident memo tables, as of the last job's end",
+        );
+        let replacements = registry.counter(
+            "micrograd_cache_replacements",
+            "Memo-cache replacements over all executed jobs",
+        );
         let cache_capacity = registry.gauge(
             "micrograd_cache_capacity",
             "Largest memo-table capacity of any executed job",
@@ -246,7 +247,8 @@ impl ServiceMetrics {
             ),
             reactor,
             requests,
-            cache,
+            cache: [hits, misses, inserts, replacements],
+            cache_entries,
             cache_capacity,
             sink: TraceSink::new(),
             registry,
@@ -286,15 +288,14 @@ impl ServiceMetrics {
         self.running.set(running);
     }
 
-    /// Adds one executed job's memo-cache counters.  `entries` adds too,
-    /// so jobs sharing a key's table each count its entries; `capacity`
-    /// keeps the largest.
+    /// Adds one executed job's memo-cache counters; `capacity` keeps the
+    /// largest.  Its `entries` are the shared table's, so they go to no
+    /// series: the scheduler sets `cache_entries` from its resident tables.
     pub(crate) fn record_cache(&self, stats: &CacheStats) {
-        let [hits, misses, inserts, entries, replacements] = &self.cache;
+        let [hits, misses, inserts, replacements] = &self.cache;
         hits.add(stats.hits);
         misses.add(stats.misses);
         inserts.add(stats.inserts);
-        entries.add(stats.entries);
         replacements.add(stats.replacements);
         self.cache_capacity.set_max(stats.capacity);
     }
@@ -350,6 +351,7 @@ mod tests {
             capacity: 32,
             ..CacheStats::default()
         });
+        metrics.cache_entries.set(7);
         let text = metrics.render_prometheus();
         for series in [
             "micrograd_jobs_submitted_total 1",
@@ -360,7 +362,8 @@ mod tests {
             "micrograd_workers 2",
             "micrograd_reactor_watches_active 2",
             "micrograd_cache_hits 5",
-            "micrograd_cache_entries 13",
+            "# TYPE micrograd_cache_entries gauge",
+            "micrograd_cache_entries 7",
             "micrograd_cache_capacity 64",
             "micrograd_request_duration_us_count 2",
         ] {

@@ -887,9 +887,10 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
         let cache_stats = platform.cache_stats();
         drop(platform);
 
-        let added = table
-            .export_since(mark)
-            .into_iter()
+        // The job's additions, borrowed from the table: the store renders
+        // the chunk from them one entry at a time.
+        let added: Vec<_> = table
+            .iter_since(mark)
             .map(|(_, input, metrics)| (input, metrics))
             .collect();
         if let Err(e) = inner.store.append_cache(&key, added) {
@@ -916,6 +917,13 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
             .metrics
             .sync_queue(state.queue.len() as u64, state.running);
         let evicted = state.release_table(&key, inner.config.workers.max(1));
+        inner.metrics.cache_entries.set(
+            state
+                .tables
+                .iter()
+                .map(|(_, table)| table.len() as u64)
+                .sum(),
+        );
         let Some(record) = state.jobs.get_mut(&job) else {
             // Evicted mid-run (unreachable today); still wake any waiters so
             // a `wait` on the vanished id re-checks and returns `None`.
@@ -1549,6 +1557,7 @@ mod tests {
             (
                 metrics.value("micrograd_cache_hits"),
                 metrics.value("micrograd_cache_misses"),
+                metrics.value("micrograd_cache_entries"),
             )
         };
         scheduler.submit(first.clone(), 0).unwrap();
@@ -1580,7 +1589,7 @@ mod tests {
             reference_first.cache_stats(),
             reference_second.cache_stats(),
         );
-        assert_eq!(after_first, (r1.hits, r1.misses));
+        assert_eq!(after_first, (r1.hits, r1.misses, r1.entries));
         assert_eq!(
             (
                 after_second.0 - after_first.0,
@@ -1589,6 +1598,10 @@ mod tests {
             (r2.hits, r2.misses)
         );
         assert!(r2.hits > 0, "the second job reuses the first one's results");
+        assert_eq!(
+            after_second.2, r2.entries,
+            "the one shared table's entries, not a sum over its jobs"
+        );
     }
 
     #[test]
@@ -1615,6 +1628,11 @@ mod tests {
                 "after seed {seed}"
             );
             assert_eq!(Arc::strong_count(&state.tables[0].1), 1, "no job holds it");
+            assert_eq!(
+                scheduler.metrics().value("micrograd_cache_entries"),
+                state.tables[0].1.len() as u64,
+                "the resident table's entries after seed {seed}"
+            );
         }
     }
 }

@@ -18,6 +18,8 @@
 //! of chunks: [`ResultStore::append_cache`] adds one per job, holding just
 //! the evaluations that job added, and [`ResultStore::save_cache`] rewrites
 //! the file as a single chunk (compaction).  A load reads every chunk.
+//! Both writers render a chunk from borrowed entries, one entry's value
+//! tree at a time, into one buffer sized for the whole chunk.
 //!
 //! # Integrity and recovery
 //!
@@ -167,11 +169,19 @@ fn seal(mut payload: String) -> String {
     payload
 }
 
+/// The longest trailer [`seal`] appends (a 20-digit length, a 16-digit
+/// checksum): reserved with a chunk's text, so sealing never regrows it.
+const TRAILER_MAX: usize = TRAILER_MARK.len() + "len= fnv=\n".len() + 20 + 16;
+
+/// Serializes a value as pretty JSON.
+fn pretty<T: Serialize>(value: &T) -> io::Result<String> {
+    serde_json::to_string_pretty(value)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
 /// Serializes a value into one sealed chunk.
 fn sealed<T: Serialize>(value: &T) -> io::Result<String> {
-    serde_json::to_string_pretty(value)
-        .map(seal)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    pretty(value).map(seal)
 }
 
 /// Walks a file's chunks, verifying each trailer, and returns their
@@ -251,6 +261,51 @@ fn cache_chunk(key: &str, entries: Vec<(GeneratorInput, Metrics)>) -> StoredCach
         platform: key.to_owned(),
         entries,
     }
+}
+
+/// One sealed chunk of `key`'s dump, byte for byte what
+/// `sealed(&cache_chunk(key, entries))` renders, without that call's value
+/// tree of the whole chunk: the envelope is rendered once, then each entry
+/// on its own, so one entry's tree is alive at a time.  The buffer is
+/// sized for the whole chunk, trailer included, at the first entry's size
+/// plus a sixteenth; should later entries run longer, it is resized for
+/// the rest at the mean so far.
+fn cache_chunk_text<'a, I>(key: &str, entries: I) -> io::Result<String>
+where
+    I: ExactSizeIterator<Item = (&'a GeneratorInput, &'a Metrics)>,
+{
+    const CLOSE: &str = "\n  ]\n}";
+    const TAIL: usize = CLOSE.len() + TRAILER_MAX;
+    let malformed = || io::Error::new(io::ErrorKind::InvalidData, "unexpected chunk layout");
+    let envelope = pretty(&cache_chunk(key, Vec::new()))?;
+    if entries.len() == 0 {
+        return Ok(seal(envelope));
+    }
+    // The empty envelope ends `"entries": []\n}`; entries go between the
+    // brackets.
+    let head = envelope.strip_suffix("]\n}").ok_or_else(malformed)?;
+    let (total, mut text) = (entries.len(), head.to_owned());
+    for (done, entry) in entries.enumerate() {
+        // `[[entry]]` renders the entry at the depth the chunk's `entries`
+        // array holds it; between the outer `[\n  [` and `\n  ]\n]` is a
+        // line break, that depth's indent and the entry, as the chunk has it.
+        let nested = pretty(&std::slice::from_ref(&std::slice::from_ref(&entry)))?;
+        let item = nested
+            .strip_prefix("[\n  [")
+            .and_then(|inner| inner.strip_suffix("\n  ]\n]"))
+            .ok_or_else(malformed)?;
+        let need = ",".len() + item.len();
+        if text.capacity() - text.len() < need + TAIL {
+            let mean = ((text.len() - head.len()) / done.max(1)).max(need);
+            text.reserve_exact((total - done) * mean * 17 / 16 + TAIL);
+        }
+        if done > 0 {
+            text.push(',');
+        }
+        text.push_str(item);
+    }
+    text.push_str(CLOSE);
+    Ok(seal(text))
 }
 
 /// Verifies and parses every chunk of a cache dump, keeping the entries
@@ -516,7 +571,10 @@ impl ResultStore {
     /// Returns the I/O error if the file cannot be written.
     pub fn save_cache(&self, key: &str, entries: Vec<(GeneratorInput, Metrics)>) -> io::Result<()> {
         match self.cache_path(key) {
-            Some(path) => self.write_atomically(&path, &sealed(&cache_chunk(key, entries))?),
+            Some(path) => {
+                let chunk = cache_chunk_text(key, entries.iter().map(|(input, m)| (input, m)))?;
+                self.write_atomically(&path, &chunk)
+            }
             None => {
                 self.caches.lock().insert(key.to_owned(), entries);
                 Ok(())
@@ -525,8 +583,10 @@ impl ResultStore {
     }
 
     /// Appends memoized evaluations to a platform key's dump as one more
-    /// chunk, with a single write on an append handle; an empty `entries`
-    /// appends nothing.
+    /// chunk, with a single write on an append handle; no entries append
+    /// nothing.  The entries are borrowed — the scheduler passes them
+    /// straight from the key's resident memo table — and only the
+    /// in-memory mode copies them.
     ///
     /// Entries already in the dump may be appended again (two jobs of one
     /// key overlap): loads keep them, imports skip them, and compaction
@@ -537,12 +597,13 @@ impl ResultStore {
     /// Returns the I/O error if the chunk cannot be written.  Under an
     /// injected `StoreTruncate` fault half the chunk lands, as in a crash
     /// mid-append.
-    pub fn append_cache(
-        &self,
-        key: &str,
-        entries: Vec<(GeneratorInput, Metrics)>,
-    ) -> io::Result<()> {
-        if entries.is_empty() {
+    pub fn append_cache<'a, I>(&self, key: &str, entries: I) -> io::Result<()>
+    where
+        I: IntoIterator<Item = (&'a GeneratorInput, &'a Metrics)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let entries = entries.into_iter();
+        if entries.len() == 0 {
             return Ok(());
         }
         let Some(path) = self.cache_path(key) else {
@@ -550,10 +611,10 @@ impl ResultStore {
                 .lock()
                 .entry(key.to_owned())
                 .or_default()
-                .extend(entries);
+                .extend(entries.map(|(input, metrics)| (input.clone(), metrics.clone())));
             return Ok(());
         };
-        let chunk = sealed(&cache_chunk(key, entries))?;
+        let chunk = cache_chunk_text(key, entries)?;
         self.inject_write_faults()?;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
@@ -778,6 +839,39 @@ mod tests {
             .collect()
     }
 
+    /// `entries` as the borrowed pairs the chunk writers take.
+    fn refs(
+        entries: &[(GeneratorInput, Metrics)],
+    ) -> impl ExactSizeIterator<Item = (&GeneratorInput, &Metrics)> {
+        entries.iter().map(|(input, metrics)| (input, metrics))
+    }
+
+    #[test]
+    fn streamed_chunks_equal_the_whole_chunk_rendering_byte_for_byte() {
+        // Names that need escaping, a newline among them, and that grow:
+        // later entries outrun the buffer sized from the first.
+        let entries: Vec<_> = cache_entries(0, 40)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut input, metrics))| {
+                input.name = format!("q\"b\\n\nt\t\u{1} é {}", "x".repeat(i * 40));
+                (
+                    input,
+                    metrics.with(MetricKind::DynamicPower, 1.0 / (i as f64 + 3.0)),
+                )
+            })
+            .collect();
+        for key in ["large:4000:1", "a \"key\"\n"] {
+            for n in [0, 1, 2, 40] {
+                let entries = &entries[..n];
+                let streamed = cache_chunk_text(key, refs(entries)).unwrap();
+                let whole = sealed(&cache_chunk(key, entries.to_vec())).unwrap();
+                assert_eq!(streamed, whole, "{n} entries under {key:?}");
+                assert_eq!(parse_cache(&streamed, key).unwrap(), entries);
+            }
+        }
+    }
+
     #[test]
     fn appended_chunks_round_trip_and_survive_reopen() {
         let scratch = ScratchDir::new("chunks");
@@ -785,9 +879,9 @@ mod tests {
         let (first, second) = (cache_entries(0, 3), cache_entries(3, 2));
         {
             let store = ResultStore::open(scratch.path()).unwrap();
-            store.append_cache(key, first.clone()).unwrap();
-            store.append_cache(key, Vec::new()).unwrap();
-            store.append_cache(key, second.clone()).unwrap();
+            store.append_cache(key, refs(&first)).unwrap();
+            store.append_cache(key, refs(&[])).unwrap();
+            store.append_cache(key, refs(&second)).unwrap();
             let text = std::fs::read_to_string(store.cache_path(key).unwrap()).unwrap();
             assert_eq!(
                 text.matches(TRAILER_MARK).count(),
@@ -809,7 +903,7 @@ mod tests {
         store.save_cache(key, all.clone()).unwrap();
         let text = std::fs::read_to_string(store.cache_path(key).unwrap()).unwrap();
         assert_eq!(text.matches(TRAILER_MARK).count(), 1);
-        store.append_cache(key, cache_entries(5, 1)).unwrap();
+        store.append_cache(key, refs(&cache_entries(5, 1))).unwrap();
         assert_eq!(store.load_cache(key), cache_entries(0, 6));
     }
 
@@ -822,12 +916,14 @@ mod tests {
             let scratch = ScratchDir::new(name);
             ResultStore::open(scratch.path())
                 .unwrap()
-                .append_cache(key, cache_entries(0, 3))
+                .append_cache(key, refs(&cache_entries(0, 3)))
                 .unwrap();
             let store = ResultStore::open(scratch.path())
                 .unwrap()
                 .with_fault_plan(FaultPlan::new(3).with_fault(FaultSite::StoreTruncate, 1.0, 1));
-            let err = store.append_cache(key, cache_entries(3, 3)).unwrap_err();
+            let err = store
+                .append_cache(key, refs(&cache_entries(3, 3)))
+                .unwrap_err();
             assert!(err.to_string().contains("store-truncate"));
             let path = store.cache_path(key).unwrap();
             let text = std::fs::read_to_string(&path).unwrap();
@@ -856,8 +952,8 @@ mod tests {
         let scratch = ScratchDir::new("chunk-flip");
         let store = ResultStore::open(scratch.path()).unwrap();
         let key = "small:4000:1";
-        store.append_cache(key, cache_entries(0, 2)).unwrap();
-        store.append_cache(key, cache_entries(2, 2)).unwrap();
+        store.append_cache(key, refs(&cache_entries(0, 2))).unwrap();
+        store.append_cache(key, refs(&cache_entries(2, 2))).unwrap();
         let path = store.cache_path(key).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes
@@ -892,8 +988,8 @@ mod tests {
     fn in_memory_store_appends_cache_chunks() {
         let store = ResultStore::in_memory();
         let key = "small:4000:1";
-        store.append_cache(key, cache_entries(0, 2)).unwrap();
-        store.append_cache(key, cache_entries(2, 1)).unwrap();
+        store.append_cache(key, refs(&cache_entries(0, 2))).unwrap();
+        store.append_cache(key, refs(&cache_entries(2, 1))).unwrap();
         assert_eq!(store.load_cache(key), cache_entries(0, 3));
         store.save_cache(key, cache_entries(0, 1)).unwrap();
         assert_eq!(store.load_cache(key), cache_entries(0, 1));
