@@ -3,16 +3,15 @@
 //! recorder is a branch and an enabled one a handful of relaxed atomics;
 //! this group keeps both claims measured.
 //!
-//! * `obs_overhead` — the primitive record paths: counter increments,
-//!   histogram records across the bucket range, and trace-sink event
-//!   records with the sink enabled vs disabled;
+//! * `obs_overhead` — the primitive record paths: counter increments and
+//!   histogram records across the bucket range;
 //! * `obs_overhead_sim` — a full simulator run with profiling off vs
 //!   sampling every 4096 retired instructions, the end-to-end form of the
 //!   same question (the delta is the profiler's cost inside the hot loop).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use micrograd_codegen::{Generator, GeneratorInput, TestCase, TraceExpander};
-use micrograd_obs::{Registry, Stage, TraceSink};
+use micrograd_obs::Registry;
 use micrograd_sim::{CoreConfig, Simulator};
 use std::hint::black_box;
 
@@ -30,8 +29,6 @@ fn obs_overhead(c: &mut Criterion) {
     let registry = Registry::new();
     let counter = registry.counter("bench_events_total", "bench counter");
     let histogram = registry.histogram("bench_latency_us", "bench histogram");
-    let enabled = TraceSink::new();
-    let disabled = TraceSink::disabled();
 
     let mut group = c.benchmark_group("obs_overhead");
     group.throughput(Throughput::Elements(BATCH));
@@ -51,15 +48,6 @@ fn obs_overhead(c: &mut Criterion) {
             }
         });
     });
-    for (name, sink) in [("enabled", &enabled), ("disabled", &disabled)] {
-        group.bench_with_input(BenchmarkId::new("trace_record", name), sink, |b, sink| {
-            b.iter(|| {
-                for i in 0..BATCH {
-                    sink.record(black_box(7), Stage::Epoch, i);
-                }
-            });
-        });
-    }
     group.finish();
 }
 

@@ -130,25 +130,6 @@ impl CacheStats {
             self.hits as f64 / lookups as f64
         }
     }
-
-    /// Componentwise sum of two counter sets (used to aggregate the stats
-    /// of several platforms, e.g. across service jobs).
-    ///
-    /// The per-platform counters (`hits`, `misses`, `inserts`,
-    /// `replacements`) add, and so does `entries`: platforms that share one
-    /// table (the service's jobs of one platform key) each count its
-    /// entries.  `capacity` takes the maximum.
-    #[must_use]
-    pub fn merged(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            inserts: self.inserts + other.inserts,
-            entries: self.entries + other.entries,
-            replacements: self.replacements + other.replacements,
-            capacity: self.capacity.max(other.capacity),
-        }
-    }
 }
 
 /// An observer of batch-evaluation progress.
@@ -874,10 +855,6 @@ mod tests {
         assert_eq!(after_hit.misses, 1);
         assert_eq!(after_hit.lookups(), 2);
         assert!((after_hit.hit_rate() - 0.5).abs() < 1e-12);
-
-        let merged = after_hit.merged(after_miss);
-        assert_eq!(merged.misses, 2);
-        assert_eq!(merged.hits, 1);
     }
 
     #[test]

@@ -74,7 +74,7 @@ struct ModulePolicy {
 
 /// The policy table.  Every module scanned by this rule must appear here;
 /// fields not listed fall back to [`PUBLISH`].
-const POLICIES: [ModulePolicy; 6] = [
+const POLICIES: [ModulePolicy; 5] = [
     ModulePolicy {
         // Lock-free memo table: bucket pointers are published via
         // AcqRel swaps/CAS and acquired before dereference; the occupancy
@@ -125,40 +125,6 @@ const POLICIES: [ModulePolicy; 6] = [
             counter("sum"),
             counter("min"),
             counter("max"),
-        ],
-    },
-    ModulePolicy {
-        // Per-thread trace ring: a seqlock.  `seq` publishes with
-        // Release/Acquire (the PUBLISH default); the payload words between
-        // the seq bumps are Relaxed stores ordered by them, and `head` is
-        // single-writer (Relaxed self-reads, Release publication).
-        suffix: "crates/obs/src/trace.rs",
-        fields: &[
-            FieldPolicy {
-                field: "head",
-                load: &["Relaxed", "Acquire"],
-                store: &["Release", "SeqCst"],
-                rmw: &["AcqRel", "SeqCst"],
-            },
-            FieldPolicy {
-                field: "job",
-                load: &["Acquire", "SeqCst"],
-                store: &["Relaxed", "Release"],
-                rmw: &["AcqRel", "SeqCst"],
-            },
-            FieldPolicy {
-                field: "stage_arg",
-                load: &["Acquire", "SeqCst"],
-                store: &["Relaxed", "Release"],
-                rmw: &["AcqRel", "SeqCst"],
-            },
-            FieldPolicy {
-                field: "at_ns",
-                load: &["Acquire", "SeqCst"],
-                store: &["Relaxed", "Release"],
-                rmw: &["AcqRel", "SeqCst"],
-            },
-            counter("NEXT_SINK_ID"),
         ],
     },
 ];

@@ -20,7 +20,7 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 /// Method names that perform file/socket I/O (or block the thread).
-const IO_METHODS: [&str; 17] = [
+const IO_METHODS: [&str; 21] = [
     "write_all",
     "write_fmt",
     "flush",
@@ -38,11 +38,16 @@ const IO_METHODS: [&str; 17] = [
     "load_cache",
     "save_cache",
     "append_cache",
+    "save_timeline",
+    "load_timeline",
+    "report_count",
     "write_atomically",
+    // The scheduler's timeline write, a `save_timeline` behind one call.
+    "persist_timeline",
 ];
 
 /// Free functions / types whose mention means I/O is happening.
-const IO_IDENTS: [&str; 7] = [
+const IO_IDENTS: [&str; 8] = [
     "File",
     "OpenOptions",
     "TcpStream",
@@ -50,6 +55,7 @@ const IO_IDENTS: [&str; 7] = [
     "UdpSocket",
     "sleep",
     "rename",
+    "read_dir",
 ];
 
 /// Method names that acquire a lock inside a `let` initializer.  The

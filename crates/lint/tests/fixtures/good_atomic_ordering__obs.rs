@@ -1,7 +1,7 @@
 //! Fixture: the observability layer's two atomic shapes, done right.
 //! Metric cells (`value`, as in `micrograd_obs::registry`) are plain
-//! statistics and stay Relaxed; the trace ring's seqlock word publishes
-//! with Release and is acquired before the payload is trusted.
+//! statistics and stay Relaxed; a seqlock's sequence word publishes with
+//! Release and is acquired before the payload is trusted.
 
 use std::sync::atomic::{
     AtomicU64,

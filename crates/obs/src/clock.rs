@@ -2,10 +2,10 @@
 //!
 //! Bit-identical cloning is the paper's core claim, so the `nondeterminism`
 //! lint rule confines clock reads to explicitly allowlisted modules; this is
-//! the observability layer's.  Every timestamp the registry, the trace rings
-//! and the timelines carry comes from [`now_ns`], so "where may time enter
-//! the system" has a one-line answer — and that answer is observability
-//! metadata only, never job identity or tuning results.
+//! the observability layer's.  Every timestamp the registry, the job
+//! records' marks and the timelines carry comes from [`now_ns`], so "where
+//! may time enter the system" has a one-line answer — and that answer is
+//! observability metadata only, never job identity or tuning results.
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -1,10 +1,10 @@
 //! Per-job timelines: the durable, human-readable view of a job's trace.
 //!
-//! A [`JobTimeline`] is assembled from the raw [`TraceEvent`]s a
-//! [`crate::trace::TraceSink`] retained for a job, normalised so the first
-//! event is offset zero.  Timelines serialize with serde and are persisted
-//! next to the job's report in the durable store, so `micrograd-cli trace
-//! <job-id>` can answer long after the in-memory rings have wrapped.
+//! A [`JobTimeline`] is assembled from the [`TraceEvent`]s a job's record
+//! holds, normalised so the first event is offset zero.  Timelines
+//! serialize with serde and are persisted next to the job's report in the
+//! durable store, so `micrograd-cli trace <job-id>` can answer long after
+//! the job's record has been evicted.
 //!
 //! Offsets are observability metadata only: two runs of the same job will
 //! produce different timelines and identical reports.
@@ -37,9 +37,9 @@ pub struct JobTimeline {
 }
 
 impl JobTimeline {
-    /// Builds a timeline from collected trace events (assumed sorted, as
-    /// [`crate::trace::TraceSink::collect`] returns them).  Returns `None`
-    /// when there are no events to anchor on.
+    /// Builds a timeline from a job's trace events, in the order they
+    /// were recorded.  Returns `None` when there are no events to anchor
+    /// on.
     #[must_use]
     pub fn from_events(job: u64, events: &[TraceEvent]) -> Option<JobTimeline> {
         let first = events.first()?;
@@ -118,12 +118,7 @@ mod tests {
     use crate::trace::Stage;
 
     fn event(stage: Stage, arg: u64, at_ns: u64) -> TraceEvent {
-        TraceEvent {
-            job: 42,
-            stage,
-            arg,
-            at_ns,
-        }
+        TraceEvent { stage, arg, at_ns }
     }
 
     #[test]

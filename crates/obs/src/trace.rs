@@ -1,71 +1,42 @@
-//! Structured span/event tracing: per-thread, lock-free, bounded,
-//! overwrite-oldest ring-buffer recorders.
+//! Job lifecycle stages and the timestamped marks a job's record keeps.
 //!
-//! A [`TraceSink`] hands every recording thread its own single-writer ring
-//! (registered lazily through a thread-local), so the record path is a
-//! thread-local lookup plus a few relaxed stores — no locks, no allocation
-//! after a thread's first record, and writers never contend with each
-//! other.  Collection ([`TraceSink::collect`]) scans all registered rings
-//! for a job's events; each slot is guarded by a per-slot sequence counter
-//! (a seqlock), so a reader that races the writer detects the torn slot and
-//! skips it rather than reporting a frankenevent.  The ring is bounded and
-//! overwrite-oldest: a job that outlives [`RING_CAPACITY`] events on one
-//! thread loses its *oldest* marks, never blocks the recorder.
+//! The scheduler pushes one [`TraceEvent`] onto a job's own record at
+//! each stage, under the lock it already holds there, so nothing is
+//! shared between jobs and nothing overwrites a mark.  A
+//! [`crate::JobTimeline`] is built from those marks.
 //!
 //! Timestamps come from [`crate::clock::now_ns`] and are observability
 //! metadata only — they order timeline marks, they never feed job identity
 //! or tuning results.
 
-use crate::clock;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Events retained per recording thread (power of two).
-pub const RING_CAPACITY: usize = 1024;
-
 /// The lifecycle stage a trace event marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
 pub enum Stage {
     /// The request arrived at the scheduler.
-    Received = 0,
+    Received,
     /// The job was admitted to the priority queue.
-    Queued = 1,
+    Queued,
     /// A worker dequeued the job.
-    Dequeued = 2,
+    Dequeued,
     /// Execution began on a worker.
-    Executing = 3,
+    Executing,
     /// One tuning epoch finished (the event's `arg` is the epoch index).
-    Epoch = 4,
+    Epoch,
     /// The report was persisted to the durable store (`arg` 1 = answered
     /// from the store without executing).
-    Persisted = 5,
-    /// A response for the job was handed to the wire layer.
-    Responded = 6,
+    Persisted,
+    /// The scheduler answered a submission with the job: a fresh one, or
+    /// one deduplicated onto the job while it was live.
+    Responded,
     /// The job reached the `Done` terminal state.
-    Completed = 7,
+    Completed,
     /// The job reached the `Failed` terminal state.
-    Failed = 8,
+    Failed,
     /// The job reached the `TimedOut` terminal state.
-    TimedOut = 9,
+    TimedOut,
 }
 
 impl Stage {
-    /// All stages, in lifecycle order.
-    pub const ALL: [Stage; 10] = [
-        Stage::Received,
-        Stage::Queued,
-        Stage::Dequeued,
-        Stage::Executing,
-        Stage::Epoch,
-        Stage::Persisted,
-        Stage::Responded,
-        Stage::Completed,
-        Stage::Failed,
-        Stage::TimedOut,
-    ];
-
     /// The stage's wire/display name.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -82,280 +53,15 @@ impl Stage {
             Stage::TimedOut => "timed-out",
         }
     }
-
-    fn from_u8(raw: u8) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| *s as u8 == raw)
-    }
 }
 
-/// One recorded event.
+/// One recorded mark on a job's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// The job the event belongs to.
-    pub job: u64,
     /// Lifecycle stage.
     pub stage: Stage,
     /// Stage-specific detail (epoch index, store-hit flag, ...).
     pub arg: u64,
-    /// Monotonic timestamp ([`clock::now_ns`]).
+    /// Monotonic timestamp ([`crate::clock::now_ns`]).
     pub at_ns: u64,
-}
-
-/// One seqlock-guarded slot: `seq` is odd while the owner thread rewrites
-/// the payload, and carries the write generation when even, so a racing
-/// reader detects both mid-write and overwritten slots.
-struct Slot {
-    seq: AtomicU64,
-    job: AtomicU64,
-    stage_arg: AtomicU64,
-    at_ns: AtomicU64,
-}
-
-/// A bounded single-writer ring.  Only the owning thread advances `head`
-/// and rewrites slots; any thread may scan.
-struct Ring {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-}
-
-impl Ring {
-    fn new() -> Ring {
-        Ring {
-            slots: (0..RING_CAPACITY)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    job: AtomicU64::new(0),
-                    stage_arg: AtomicU64::new(0),
-                    at_ns: AtomicU64::new(0),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one event.  Called only by the ring's owner thread.
-    fn push(&self, job: u64, stage: Stage, arg: u64, at_ns: u64) {
-        let head = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(head as usize) & (RING_CAPACITY - 1)];
-        // Seqlock write: odd marks the slot torn, the closing even value is
-        // the generation and publishes the payload stores before it.
-        slot.seq.store(2 * head + 1, Ordering::Release);
-        slot.job.store(job, Ordering::Relaxed);
-        slot.stage_arg.store(
-            (u64::from(stage as u8) << 56) | (arg & ((1 << 56) - 1)),
-            Ordering::Relaxed,
-        );
-        slot.at_ns.store(at_ns, Ordering::Relaxed);
-        slot.seq.store(2 * (head + 1), Ordering::Release);
-        self.head.store(head + 1, Ordering::Release);
-    }
-
-    /// Appends every stable event matching `job` to `out`.
-    fn collect_into(&self, job: u64, out: &mut Vec<TraceEvent>) {
-        for slot in self.slots.iter() {
-            let before = slot.seq.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                continue; // never written, or mid-write
-            }
-            let slot_job = slot.job.load(Ordering::Acquire);
-            let stage_arg = slot.stage_arg.load(Ordering::Acquire);
-            let at_ns = slot.at_ns.load(Ordering::Acquire);
-            if slot.seq.load(Ordering::Acquire) != before {
-                continue; // overwritten while reading
-            }
-            if slot_job != job {
-                continue;
-            }
-            #[allow(clippy::cast_possible_truncation)]
-            let Some(stage) = Stage::from_u8((stage_arg >> 56) as u8) else {
-                continue;
-            };
-            out.push(TraceEvent {
-                job,
-                stage,
-                arg: stage_arg & ((1 << 56) - 1),
-                at_ns,
-            });
-        }
-    }
-}
-
-static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// This thread's rings, one per sink it has recorded into.
-    static THREAD_RINGS: RefCell<Vec<(u64, Arc<Ring>)>> = const { RefCell::new(Vec::new()) };
-}
-
-struct SinkInner {
-    id: u64,
-    enabled: bool,
-    rings: Mutex<Vec<Arc<Ring>>>,
-}
-
-/// A cloneable sink of trace events, backed by per-thread rings.
-#[derive(Clone)]
-pub struct TraceSink {
-    inner: Arc<SinkInner>,
-}
-
-impl std::fmt::Debug for TraceSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSink")
-            .field("id", &self.inner.id)
-            .field("enabled", &self.inner.enabled)
-            .finish()
-    }
-}
-
-impl Default for TraceSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceSink {
-    /// An enabled sink.
-    #[must_use]
-    pub fn new() -> Self {
-        TraceSink {
-            inner: Arc::new(SinkInner {
-                id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
-                enabled: true,
-                rings: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// A sink whose [`record`](Self::record) is a branch and nothing else:
-    /// no ring registration, no timestamp read, no allocation.
-    #[must_use]
-    pub fn disabled() -> Self {
-        TraceSink {
-            inner: Arc::new(SinkInner {
-                id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
-                enabled: false,
-                rings: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// Whether this sink records at all.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
-    fn rings_lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<Ring>>> {
-        self.inner
-            .rings
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records one event at the current monotonic time.
-    ///
-    /// The calling thread's ring is created and registered on its first
-    /// record into this sink; afterwards the path is a thread-local scan
-    /// plus four relaxed stores.
-    pub fn record(&self, job: u64, stage: Stage, arg: u64) {
-        if !self.inner.enabled {
-            return;
-        }
-        let at_ns = clock::now_ns();
-        THREAD_RINGS.with(|cell| {
-            let mut rings = cell.borrow_mut();
-            if let Some((_, ring)) = rings.iter().find(|(id, _)| *id == self.inner.id) {
-                ring.push(job, stage, arg, at_ns);
-                return;
-            }
-            let ring = Arc::new(Ring::new());
-            self.rings_lock().push(Arc::clone(&ring));
-            ring.push(job, stage, arg, at_ns);
-            rings.push((self.inner.id, ring));
-        });
-    }
-
-    /// Collects every retained event for `job` across all threads' rings,
-    /// ordered by timestamp (ties broken by lifecycle stage order).
-    #[must_use]
-    pub fn collect(&self, job: u64) -> Vec<TraceEvent> {
-        let rings: Vec<Arc<Ring>> = self.rings_lock().clone();
-        let mut events = Vec::new();
-        for ring in rings {
-            ring.collect_into(job, &mut events);
-        }
-        events.sort_by_key(|e| (e.at_ns, e.stage as u8, e.arg));
-        events
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn records_and_collects_in_order() {
-        let sink = TraceSink::new();
-        sink.record(7, Stage::Received, 0);
-        sink.record(9, Stage::Received, 0);
-        sink.record(7, Stage::Queued, 0);
-        sink.record(7, Stage::Epoch, 3);
-        let events = sink.collect(7);
-        let stages: Vec<Stage> = events.iter().map(|e| e.stage).collect();
-        assert_eq!(stages, [Stage::Received, Stage::Queued, Stage::Epoch]);
-        assert_eq!(events[2].arg, 3);
-        assert!(events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
-        assert_eq!(sink.collect(8), Vec::new());
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_without_blocking() {
-        let sink = TraceSink::new();
-        for i in 0..(RING_CAPACITY as u64 + 10) {
-            sink.record(1, Stage::Epoch, i);
-        }
-        let events = sink.collect(1);
-        assert_eq!(events.len(), RING_CAPACITY);
-        // The oldest events were overwritten: the survivors are the last
-        // RING_CAPACITY epochs.
-        assert_eq!(events.first().map(|e| e.arg), Some(10));
-        assert_eq!(events.last().map(|e| e.arg), Some(RING_CAPACITY as u64 + 9));
-    }
-
-    #[test]
-    fn threads_get_their_own_rings() {
-        let sink = TraceSink::new();
-        sink.record(5, Stage::Received, 0);
-        let clone = sink.clone();
-        std::thread::spawn(move || {
-            clone.record(5, Stage::Executing, 0);
-            clone.record(5, Stage::Completed, 0);
-        })
-        .join()
-        .expect("recorder thread");
-        let events = sink.collect(5);
-        let stages: Vec<Stage> = events.iter().map(|e| e.stage).collect();
-        assert_eq!(
-            stages,
-            [Stage::Received, Stage::Executing, Stage::Completed]
-        );
-    }
-
-    #[test]
-    fn disabled_sink_records_nothing() {
-        let sink = TraceSink::disabled();
-        sink.record(1, Stage::Received, 0);
-        assert!(sink.collect(1).is_empty());
-        assert!(!sink.is_enabled());
-    }
-
-    #[test]
-    fn stage_names_round_trip() {
-        for stage in Stage::ALL {
-            assert_eq!(Stage::from_u8(stage as u8), Some(stage));
-            assert!(!stage.name().is_empty());
-        }
-        assert_eq!(Stage::from_u8(200), None);
-    }
 }

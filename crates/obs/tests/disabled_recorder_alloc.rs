@@ -1,14 +1,13 @@
 //! Proves "zero overhead when off" is literal: a disabled
-//! [`ProfileRecorder`] and a disabled [`TraceSink`] record nothing and
-//! allocate nothing, and the *enabled* histogram/counter record paths are
-//! allocation-free too.
+//! [`ProfileRecorder`] records nothing and allocates nothing, and the
+//! *enabled* histogram/counter record paths are allocation-free too.
 //!
 //! The binary installs a counting global allocator (the same pattern as
 //! `crates/sim/tests/alloc_free.rs`) and asserts a zero delta across the
 //! hot paths.  The file holds exactly one test so no concurrent test can
 //! pollute the counter.
 
-use micrograd_obs::{ProfileRecorder, ProfileSample, Registry, Stage, TraceSink};
+use micrograd_obs::{ProfileRecorder, ProfileSample, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,12 +54,8 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn disabled_recorders_and_hot_record_paths_do_not_allocate() {
-    // Construct everything up front: handles, the enabled sink's ring for
-    // this thread, the registry families.
+    // Construct everything up front: handles and the registry families.
     let mut profiler = ProfileRecorder::off();
-    let disabled_sink = TraceSink::disabled();
-    let enabled_sink = TraceSink::new();
-    enabled_sink.record(1, Stage::Received, 0); // register this thread's ring
     let registry = Registry::new();
     let counter = registry.counter("test_events_total", "events");
     let gauge = registry.gauge("test_depth", "depth");
@@ -79,21 +74,11 @@ fn disabled_recorders_and_hot_record_paths_do_not_allocate() {
     });
     assert_eq!(profiler_allocs, 0, "disabled ProfileRecorder allocated");
 
-    // A disabled trace sink must be pure branch.
-    let disabled_sink_allocs = allocations_during(|| {
-        for i in 0..10_000u64 {
-            disabled_sink.record(i, Stage::Epoch, i);
-        }
-    });
-    assert_eq!(disabled_sink_allocs, 0, "disabled TraceSink allocated");
-    assert!(disabled_sink.collect(3).is_empty());
-
     // The *enabled* steady-state record paths are allocation-free too:
-    // ring slots are preallocated, histogram buckets are a fixed array,
-    // counters and gauges are single atomics.
+    // histogram buckets are a fixed array, counters and gauges are single
+    // atomics.
     let enabled_allocs = allocations_during(|| {
         for i in 0..10_000u64 {
-            enabled_sink.record(1, Stage::Epoch, i);
             counter.inc();
             gauge.set(i);
             histogram.record(i * 37);

@@ -171,7 +171,8 @@ fn run(args: &[String]) -> Result<(), ExitCode> {
         }
         "status" => {
             let job = parse_job(rest.get(1)).map_err(usage_error)?;
-            let state = client.status(job).map_err(fail)?;
+            // A zero-budget watch answers with the current state at once.
+            let state = client.watch(job, Some(0)).map_err(fail)?;
             println!("job {job}: {state}");
             Ok(())
         }

@@ -344,24 +344,12 @@ impl Client {
         }
     }
 
-    /// Polls the state of a job.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection, protocol and server errors (unknown jobs are
-    /// server errors).
-    pub fn status(&mut self, job: u64) -> Result<JobState, ClientError> {
-        match self.roundtrip(RequestBody::Status { job })? {
-            ResponseBody::Status { state, .. } => Ok(state),
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
     /// Blocks until a job reaches a terminal state — or, with a budget,
     /// until `timeout_ms` elapses server-side, in which case the job's
-    /// *current* (possibly non-terminal) state is returned.  The server
-    /// defers the response and pushes it on completion, so this wait
-    /// costs no polling on either side of the wire.
+    /// *current* (possibly non-terminal) state is returned; a zero budget
+    /// polls.  The server defers the response and pushes it on
+    /// completion, so this wait costs no polling on either side of the
+    /// wire.
     ///
     /// # Errors
     ///

@@ -16,7 +16,7 @@
 //! | event loop | [`reactor`] | `poll(2)` readiness loop: one thread, every socket |
 //! | server | [`server`] | reactor + handler pool wiring, clean shutdown |
 //! | client | [`client`] | blocking session client (also behind `micrograd-cli`) |
-//! | observability | [`metrics`] | metrics registry (every layer's counters), latency histograms, job trace sink |
+//! | observability | [`metrics`] | metrics registry (every layer's counters) and latency histograms |
 //! | fault injection | [`fault`] | seeded, replayable chaos plans for the seams above |
 //!
 //! Job identity is

@@ -1,15 +1,12 @@
-//! The service's observability root: one [`Registry`] and one
-//! [`TraceSink`] shared by the scheduler, the reactor and the request
-//! handlers.
+//! The service's metrics root: one [`Registry`] shared by the scheduler,
+//! the reactor and the request handlers.
 //!
 //! The registry is the daemon's only counter surface.  Each layer writes
 //! its series where the value changes — the scheduler its job, queue and
 //! memo-cache series, the reactor its `micrograd_reactor_*` series — and
 //! the `metrics` request renders them.  On top of the counters sit the
 //! latency histograms (`request_duration_us`, `job_queue_wait_us`,
-//! `job_execution_us`, `job_total_us`) from which p50/p95/p99 are derived,
-//! and the trace sink that turns per-stage job events into the timelines
-//! served by the `trace` request.
+//! `job_execution_us`, `job_total_us`) from which p50/p95/p99 are derived.
 //!
 //! All record paths are atomics (no locks, no allocation): the scheduler
 //! bumps counters while holding its state lock, the reactor from its
@@ -17,13 +14,13 @@
 //! read at scrape time is the store's report count.
 
 use micrograd_core::CacheStats;
-use micrograd_obs::{Counter, Gauge, Histogram, Registry, Sample, TraceSink};
+use micrograd_obs::{Counter, Gauge, Histogram, Registry, Sample};
 use std::sync::Arc;
 
 /// The request-op labels [`ServiceMetrics::record_request`] accepts;
 /// unknown lines are recorded under `"invalid"`.
-pub const REQUEST_OPS: [&str; 9] = [
-    "submit", "status", "watch", "fetch", "list", "metrics", "trace", "shutdown", "invalid",
+pub const REQUEST_OPS: [&str; 8] = [
+    "submit", "watch", "fetch", "list", "metrics", "trace", "shutdown", "invalid",
 ];
 
 /// The shared metrics registry plus every handle the service records
@@ -31,7 +28,6 @@ pub const REQUEST_OPS: [&str; 9] = [
 #[derive(Debug, Clone)]
 pub struct ServiceMetrics {
     registry: Registry,
-    sink: TraceSink,
     /// Submit requests accepted (including deduplicated and store-answered
     /// ones).
     pub(crate) jobs_submitted: Counter,
@@ -250,21 +246,8 @@ impl ServiceMetrics {
             cache: [hits, misses, inserts, replacements],
             cache_entries,
             cache_capacity,
-            sink: TraceSink::new(),
             registry,
         }
-    }
-
-    /// The underlying registry (for exposition or table rendering).
-    #[must_use]
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The trace sink job-stage events are recorded into.
-    #[must_use]
-    pub fn sink(&self) -> &TraceSink {
-        &self.sink
     }
 
     /// Counts one handled request and records its service time.  Ops not

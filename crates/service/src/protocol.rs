@@ -9,7 +9,7 @@
 //! ```text
 //! → {"proto":1,"body":{"op":"submit","config":{...},"priority":0}}
 //! ← {"proto":1,"body":{"result":"submitted","job":1,"deduped":false,"cached":false}}
-//! → {"proto":1,"body":{"op":"status","job":1}}
+//! → {"proto":1,"body":{"op":"watch","job":1,"timeout_ms":0}}
 //! ← {"proto":1,"body":{"result":"status","job":1,"state":{"phase":"running"}}}
 //! ```
 //!
@@ -67,17 +67,14 @@ pub enum RequestBody {
         #[serde(default)]
         deadline_ms: Option<u64>,
     },
-    /// Poll the state of a job.
-    Status {
-        /// The job id returned by submit.
-        job: u64,
-    },
     /// Wait for a job to reach a terminal state *without polling*: the
     /// server defers the response until the job completes (or the watch
     /// times out), then pushes a `status` line.  This is the only request
-    /// whose response is not immediate — responses to requests pipelined
-    /// behind a pending watch are delivered after it resolves, preserving
-    /// the one-response-per-request, in-order invariant.
+    /// whose response may not be immediate — responses to requests
+    /// pipelined behind a pending watch are delivered after it resolves,
+    /// preserving the one-response-per-request, in-order invariant.  A
+    /// zero budget answers with the job's current state at once: the way
+    /// to poll a job.
     Watch {
         /// The job id returned by submit.
         job: u64,
@@ -390,6 +387,27 @@ pub fn encode_line<T: Serialize>(message: &T) -> Result<String, WireError> {
     Ok(line)
 }
 
+/// Encodes a response line for the wire.  A response that cannot be
+/// serialized is answered with an error response naming why, never a
+/// corrupt or empty line.
+#[must_use]
+pub(crate) fn encode_response(response: &Response) -> String {
+    encode_line(response).unwrap_or_else(|e| {
+        let fallback = Response::new(ResponseBody::Error {
+            message: e.to_string(),
+            retry_after_ms: None,
+        });
+        encode_line(&fallback).unwrap_or_else(|_| {
+            concat!(
+                r#"{"proto":1,"body":{"result":"error","#,
+                r#""message":"response serialization failed"}}"#,
+                "\n"
+            )
+            .to_owned()
+        })
+    })
+}
+
 /// Checks the envelope's `proto` field *before* decoding the payload, so a
 /// future-version message whose body does not parse under this build's
 /// schema is still reported as a version mismatch, not as malformed.
@@ -454,7 +472,6 @@ mod tests {
     fn requests_round_trip_as_single_lines() {
         let requests = vec![
             submit_request(),
-            Request::new(RequestBody::Status { job: 3 }),
             Request::new(RequestBody::Watch {
                 job: 3,
                 timeout_ms: Some(1_500),
@@ -575,7 +592,7 @@ mod tests {
     #[test]
     fn line_decoder_reassembles_one_byte_at_a_time() {
         let mut decoder = LineDecoder::new(1 << 20);
-        let line = r#"{"proto":1,"body":{"op":"status","job":9}}"#;
+        let line = r#"{"proto":1,"body":{"op":"watch","job":9,"timeout_ms":0}}"#;
         for byte in line.as_bytes() {
             assert!(decoder.push(std::slice::from_ref(byte)));
             assert!(decoder.next_line().is_none(), "no line before newline");
@@ -660,6 +677,11 @@ mod tests {
         ));
         assert!(matches!(
             decode_request(r#"{"proto":1,"body":{"op":"warp"}}"#),
+            Err(WireError::Malformed(_))
+        ));
+        // `status` is a zero-budget `watch` now, not an op of its own.
+        assert!(matches!(
+            decode_request(r#"{"proto":1,"body":{"op":"status","job":1}}"#),
             Err(WireError::Malformed(_))
         ));
         assert!(matches!(

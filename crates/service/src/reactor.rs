@@ -33,7 +33,7 @@
 
 use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::ReactorMetrics;
-use crate::protocol::{encode_line, JobState, LineDecoder, Response, ResponseBody};
+use crate::protocol::{encode_response, JobState, LineDecoder, Response, ResponseBody};
 use crate::scheduler::Scheduler;
 use crate::server::ShutdownSignal;
 use micrograd_obs::Gauge;
@@ -603,8 +603,10 @@ impl Connection {
                         // answer once (jumping any queued responses — a
                         // protocol-violating peer forfeits ordering)
                         // and close.
-                        let line =
-                            error_line(&format!("request line exceeds {MAX_LINE} bytes"), None);
+                        let line = encode_response(&Response::new(ResponseBody::Error {
+                            message: format!("request line exceeds {MAX_LINE} bytes"),
+                            retry_after_ms: None,
+                        }));
                         self.pending.clear();
                         self.watches.clear();
                         self.ready.clear();
@@ -696,34 +698,15 @@ impl Slab {
     }
 }
 
-fn encoded_or_fallback(response: &Response) -> String {
-    encode_line(response).unwrap_or_else(|e| {
-        let fallback = Response::new(ResponseBody::Error {
-            message: e.to_string(),
+/// A watch's answer: a `status` line with the job's state, or `unknown
+/// job` when the scheduler holds no record of it.
+fn watch_answer(job: u64, state: Option<JobState>) -> String {
+    encode_response(&Response::new(match state {
+        Some(state) => ResponseBody::Status { job, state },
+        None => ResponseBody::Error {
+            message: format!("unknown job {job}"),
             retry_after_ms: None,
-        });
-        encode_line(&fallback).unwrap_or_else(|_| {
-            concat!(
-                r#"{"proto":1,"body":{"result":"error","#,
-                r#""message":"response serialization failed"}}"#,
-                "\n"
-            )
-            .to_owned()
-        })
-    })
-}
-
-fn status_line(job: u64, state: &JobState) -> String {
-    encoded_or_fallback(&Response::new(ResponseBody::Status {
-        job,
-        state: state.clone(),
-    }))
-}
-
-fn error_line(message: &str, retry_after_ms: Option<u64>) -> String {
-    encoded_or_fallback(&Response::new(ResponseBody::Error {
-        message: message.to_owned(),
-        retry_after_ms,
+        },
     }))
 }
 
@@ -900,10 +883,7 @@ impl EventLoop<'_> {
         for (_, conn) in self.conns.iter_mut() {
             let watches = std::mem::take(&mut conn.watches);
             for watch in watches {
-                let line = match self.shared.scheduler.status(watch.job) {
-                    Some(state) => status_line(watch.job, &state),
-                    None => error_line(&format!("unknown job {}", watch.job), None),
-                };
+                let line = watch_answer(watch.job, self.shared.scheduler.status(watch.job));
                 conn.fill(watch.seq, line, &self.fault, &self.metrics.write_queue_hwm);
             }
         }
@@ -968,17 +948,11 @@ impl EventLoop<'_> {
                 // scheduler lock, so either this status observes the
                 // terminal state or the completion lands in the inbox
                 // after this point — never neither.
-                let line = match self.shared.scheduler.status(job) {
-                    None => Some(error_line(&format!("unknown job {job}"), None)),
-                    Some(state) if state.is_terminal() || draining => {
-                        Some(status_line(job, &state))
-                    }
-                    Some(_) => {
-                        conn.watches.push(WatchEntry { seq, job, deadline });
-                        None
-                    }
-                };
-                if let Some(line) = line {
+                let state = self.shared.scheduler.status(job);
+                if !draining && state.as_ref().is_some_and(|s| !s.is_terminal()) {
+                    conn.watches.push(WatchEntry { seq, job, deadline });
+                } else {
+                    let line = watch_answer(job, state);
                     conn.fill(seq, line, &self.fault, &self.metrics.write_queue_hwm);
                 }
             }
@@ -994,7 +968,7 @@ impl EventLoop<'_> {
                         let watch = conn.watches.swap_remove(i);
                         conn.fill(
                             watch.seq,
-                            status_line(job, &state),
+                            watch_answer(job, Some(state.clone())),
                             &self.fault,
                             &self.metrics.write_queue_hwm,
                         );
@@ -1015,10 +989,7 @@ impl EventLoop<'_> {
             while let Some(entry) = conn.watches.get(i) {
                 if entry.deadline.is_some_and(|d| d <= now) {
                     let watch = conn.watches.swap_remove(i);
-                    let line = match self.shared.scheduler.status(watch.job) {
-                        Some(state) => status_line(watch.job, &state),
-                        None => error_line(&format!("unknown job {}", watch.job), None),
-                    };
+                    let line = watch_answer(watch.job, self.shared.scheduler.status(watch.job));
                     conn.fill(watch.seq, line, &self.fault, &self.metrics.write_queue_hwm);
                 } else {
                     i += 1;

@@ -23,7 +23,7 @@ use crate::fault::FaultSite;
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{JobState, JobSummary};
 use crate::store::{job_identity, platform_key, ResultStore};
-use crate::sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
+use crate::sync::{lock_or_recover, wait_or_recover};
 use micrograd_codegen::GeneratorInput;
 use micrograd_core::memo::MemoTable;
 use micrograd_core::{
@@ -31,11 +31,11 @@ use micrograd_core::{
     ProgressObserver, SimPlatform,
 };
 use micrograd_obs::clock::now_ns;
-use micrograd_obs::{JobTimeline, Stage};
+use micrograd_obs::{JobTimeline, Stage, TraceEvent};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Scheduler sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,14 +124,34 @@ struct JobRecord {
     /// Carries the job's deadline (measured from admission) when the
     /// submission specified one; never fires otherwise.
     cancel: CancelToken,
-    /// Observability metadata only (latency histograms, timelines) —
-    /// never part of job identity, dedup or tuning results.
-    received_ns: u64,
-    /// When the job left the queue for a worker; `0` until dequeued.
-    dequeued_ns: u64,
+    /// The job's timeline marks, `received` first, in the order they
+    /// happened: each is pushed under the scheduler lock.  Observability
+    /// metadata only (latency histograms, timelines) — never part of job
+    /// identity, dedup or tuning results.
+    marks: Vec<TraceEvent>,
 }
 
 impl JobRecord {
+    fn mark(&mut self, stage: Stage, arg: u64) {
+        self.marks.push(TraceEvent {
+            stage,
+            arg,
+            at_ns: now_ns(),
+        });
+    }
+
+    /// When the job reached `stage` (0 if it has not).
+    fn at(&self, stage: Stage) -> u64 {
+        self.marks
+            .iter()
+            .find(|mark| mark.stage == stage)
+            .map_or(0, |mark| mark.at_ns)
+    }
+
+    fn timeline(&self) -> Option<JobTimeline> {
+        JobTimeline::from_events(self.id, &self.marks)
+    }
+
     fn summary(&self) -> JobSummary {
         JobSummary {
             job: self.id,
@@ -180,6 +200,8 @@ struct SchedState {
     /// first.  A table is *held* while a job evaluates on it; at most
     /// `max(workers, 1)` unheld ones stay (see [`SchedState::release_table`]).
     tables: Vec<(String, Arc<EvalCache>)>,
+    /// External terminal-state observer (the server's reactor wakeup).
+    hook: Option<TerminalHook>,
     shutdown: bool,
 }
 
@@ -198,33 +220,26 @@ struct SchedulerInner {
     state: Mutex<SchedState>,
     /// Signaled when work is enqueued or shutdown begins.
     work_ready: Condvar,
-    /// Signaled when any job reaches a terminal state.
-    job_done: Condvar,
-    /// External terminal-state observer (the server's reactor wakeup).
-    terminal_hook: Mutex<Option<TerminalHook>>,
     store: ResultStore,
     config: SchedulerConfig,
-    /// The registry, histograms and trace sink every counter bump and
-    /// stage event goes through.
-    metrics: Arc<ServiceMetrics>,
-    shutting_down: AtomicBool,
+    /// The registry and histograms every counter bump goes through.
+    metrics: ServiceMetrics,
 }
 
 impl SchedulerInner {
-    fn hook(&self) -> Option<TerminalHook> {
-        lock_or_recover(&self.terminal_hook).clone()
+    /// Adds a mark to a job's timeline, taking the scheduler lock.
+    fn mark(&self, job: u64, stage: Stage, arg: u64) {
+        lock_or_recover(&self.state).mark(job, stage, arg);
     }
 
-    /// Assembles a terminal job's timeline from its trace events and
-    /// persists it next to the report.  Called *after* the scheduler lock
-    /// is released — the write is disk I/O — and best-effort: a failed
-    /// write costs a `trace` answer, never the job's result.
-    fn persist_timeline(&self, job: u64) {
-        let events = self.metrics.sink().collect(job);
-        if let Some(timeline) = JobTimeline::from_events(job, &events) {
-            if let Err(e) = self.store.save_timeline(&timeline) {
-                eprintln!("microgradd: failed to persist timeline for job {job}: {e}");
-            }
+    /// Persists a terminal job's timeline next to its report.  Called
+    /// *after* the scheduler lock is released — the write is disk I/O —
+    /// and best-effort: a failed write costs a `trace` answer, never the
+    /// job's result.
+    fn persist_timeline(&self, timeline: &JobTimeline) {
+        if let Err(e) = self.store.save_timeline(timeline) {
+            let job = timeline.job;
+            eprintln!("microgradd: failed to persist timeline for job {job}: {e}");
         }
     }
 }
@@ -260,15 +275,13 @@ impl Scheduler {
                 terminal_order: VecDeque::new(),
                 running: 0,
                 tables: Vec::new(),
+                hook: None,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            job_done: Condvar::new(),
-            terminal_hook: Mutex::new(None),
             store,
             config,
-            metrics: Arc::new(metrics),
-            shutting_down: AtomicBool::new(false),
+            metrics,
         });
         let workers = (0..config.workers)
             .map(|_| {
@@ -363,30 +376,16 @@ impl Scheduler {
         // moot and the token is left inert.
         if let Some(output) = stored {
             let job = state.admit(config, fingerprint, priority, None);
-            if let Some(record) = state.jobs.get_mut(&job) {
-                record.state = JobState::Done;
-                record.output = Some(output);
-            }
             inner.metrics.jobs_submitted.inc();
             inner.metrics.store_hits.inc();
-            inner.metrics.jobs_completed.inc();
-            let sink = inner.metrics.sink();
-            sink.record(job, Stage::Received, 0);
             // `arg = 1` marks "already persisted": the report predates
             // this submission, nothing was written now.
-            sink.record(job, Stage::Persisted, 1);
-            sink.record(job, Stage::Completed, 0);
-            if let Some(received) = state.jobs.get(&job).map(|r| r.received_ns) {
-                inner
-                    .metrics
-                    .job_total_us
-                    .record(now_ns().saturating_sub(received) / 1_000);
-            }
-            let hook = inner.hook();
-            state.mark_terminal(job, inner.config.retained_jobs, hook.as_ref());
-            inner.job_done.notify_all();
+            state.mark(job, Stage::Persisted, 1);
+            let timeline = state.finish(inner, job, JobState::Done, Some(output));
             drop(state);
-            inner.persist_timeline(job);
+            if let Some(timeline) = timeline {
+                inner.persist_timeline(&timeline);
+            }
             return Ok(SubmitOutcome {
                 job,
                 deduped: false,
@@ -406,8 +405,8 @@ impl Scheduler {
         state.next_seq += 1;
         state.queue.push(QueuedEntry { priority, seq, job });
         inner.metrics.jobs_submitted.inc();
-        inner.metrics.sink().record(job, Stage::Received, 0);
-        inner.metrics.sink().record(job, Stage::Queued, 0);
+        state.mark(job, Stage::Queued, 0);
+        state.mark(job, Stage::Responded, 0);
         inner
             .metrics
             .sync_queue(state.queue.len() as u64, state.running);
@@ -448,8 +447,8 @@ impl Scheduler {
         jobs
     }
 
-    /// The metrics registry, histograms and trace sink this scheduler
-    /// records through.
+    /// The metrics registry and histograms this scheduler records
+    /// through.
     #[must_use]
     pub fn metrics(&self) -> &ServiceMetrics {
         &self.inner.metrics
@@ -466,39 +465,16 @@ impl Scheduler {
     }
 
     /// The per-stage timeline of a job: the persisted record for terminal
-    /// jobs (it survives daemon restarts alongside the report), or a
-    /// partial timeline assembled live from the trace rings for a job
-    /// still in flight.  `None` for unknown jobs and jobs whose events
-    /// have been overwritten in the bounded rings without ever reaching
-    /// a terminal state.
+    /// jobs (it survives daemon restarts alongside the report), or the
+    /// marks so far of a job still in flight, from its record.  `None` for
+    /// unknown jobs.
     #[must_use]
     pub fn timeline(&self, job: u64) -> Option<JobTimeline> {
         if let Some(timeline) = self.inner.store.load_timeline(job) {
             return Some(timeline);
         }
-        let events = self.inner.metrics.sink().collect(job);
-        JobTimeline::from_events(job, &events)
-    }
-
-    /// Blocks until the job reaches a terminal state or the timeout
-    /// elapses; returns the state last observed (`None` for an unknown
-    /// job).
-    #[must_use]
-    pub fn wait(&self, job: u64, timeout: Duration) -> Option<JobState> {
-        let deadline = Instant::now() + timeout;
-        let mut state = lock_or_recover(&self.inner.state);
-        loop {
-            let current = state.jobs.get(&job)?.state.clone();
-            if current.is_terminal() {
-                return Some(current);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(current);
-            }
-            let (next, _) = wait_timeout_or_recover(&self.inner.job_done, state, deadline - now);
-            state = next;
-        }
+        let state = lock_or_recover(&self.inner.state);
+        state.jobs.get(&job).and_then(JobRecord::timeline)
     }
 
     /// Pops and executes the highest-priority queued job on the calling
@@ -513,8 +489,8 @@ impl Scheduler {
             pop_job(&self.inner, &mut state, &mut expired)
         };
         // Timeline writes are disk I/O: only after the lock is released.
-        for job in expired {
-            self.inner.persist_timeline(job);
+        for timeline in &expired {
+            self.inner.persist_timeline(timeline);
         }
         match job {
             Some(job) => {
@@ -539,11 +515,8 @@ impl Scheduler {
 
     /// Stops accepting work, lets running jobs finish, and joins the
     /// workers.  Queued jobs remain queued (their state stays `Queued`).
-    /// Idempotent.
+    /// Idempotent: the first call takes the worker handles.
     pub fn shutdown(&self) {
-        if self.inner.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
         self.begin_shutdown();
         let workers = std::mem::take(&mut *lock_or_recover(&self.workers));
         for worker in workers {
@@ -562,9 +535,10 @@ impl Scheduler {
     /// instant store-hit completions and queued-deadline expiries — and is
     /// invoked with the scheduler lock held, so it must be quick and must
     /// not call back into the scheduler.  The server uses it to wake the
-    /// event loop and resolve pending `watch` requests without polling.
+    /// event loop and resolve pending `watch` requests without polling;
+    /// it is the one way in-process code waits for a job.
     pub fn set_terminal_hook(&self, hook: TerminalHook) {
-        *lock_or_recover(&self.inner.terminal_hook) = Some(hook);
+        lock_or_recover(&self.inner.state).hook = Some(hook);
     }
 }
 
@@ -582,7 +556,8 @@ impl SchedState {
     ///
     /// A matched terminal record moves to the back of the eviction order:
     /// the submitter is about to `watch` or `fetch` it, so the next
-    /// eviction must not take it first.
+    /// eviction must not take it first.  A matched live job's timeline
+    /// marks the response.
     fn dedup_match(&mut self, fingerprint: u64, config: &FrameworkConfig) -> Option<u64> {
         let job = self
             .by_fingerprint
@@ -597,25 +572,54 @@ impl SchedState {
         if let Some(pos) = self.terminal_order.iter().position(|&id| id == job) {
             self.terminal_order.remove(pos);
             self.terminal_order.push_back(job);
+        } else {
+            self.mark(job, Stage::Responded, 0);
         }
         Some(job)
     }
 
-    /// Records that a job reached a terminal state and evicts the terminal
-    /// records least recently handed out beyond `retain`, so resident
-    /// history stays bounded on a long-lived daemon.  Queued and running
-    /// jobs are never evicted.
+    fn mark(&mut self, job: u64, stage: Stage, arg: u64) {
+        if let Some(record) = self.jobs.get_mut(&job) {
+            record.mark(stage, arg);
+        }
+    }
+
+    /// Every job's one transition into a terminal state: counts it, marks
+    /// it on the job's timeline, records the job's total latency, sets the
+    /// state and report, tells the terminal hook, then evicts the terminal
+    /// records least recently handed out beyond `retained_jobs`, so
+    /// resident history stays bounded on a long-lived daemon.  Queued and
+    /// running jobs are never evicted.
     ///
-    /// The terminal hook (if installed) observes the transition here —
-    /// every path to a terminal state funnels through this method, so the
-    /// server's reactor hears about store-hit completions, queued-deadline
-    /// expiries and worker completions alike.
-    fn mark_terminal(&mut self, job: u64, retain: usize, hook: Option<&TerminalHook>) {
-        if let (Some(hook), Some(record)) = (hook, self.jobs.get(&job)) {
+    /// Returns the finished timeline, for the caller to persist once the
+    /// lock is released; `None` if the record is gone.
+    fn finish(
+        &mut self,
+        inner: &SchedulerInner,
+        job: u64,
+        terminal: JobState,
+        output: Option<FrameworkOutput>,
+    ) -> Option<JobTimeline> {
+        let record = self.jobs.get_mut(&job)?;
+        let (counter, stage) = match &terminal {
+            JobState::Done => (&inner.metrics.jobs_completed, Stage::Completed),
+            JobState::TimedOut => (&inner.metrics.jobs_timed_out, Stage::TimedOut),
+            _ => (&inner.metrics.jobs_failed, Stage::Failed),
+        };
+        counter.inc();
+        record.mark(stage, 0);
+        inner
+            .metrics
+            .job_total_us
+            .record(record.at(stage).saturating_sub(record.at(Stage::Received)) / 1_000);
+        record.state = terminal;
+        record.output = output;
+        let timeline = record.timeline();
+        if let Some(hook) = &self.hook {
             hook(job, &record.state);
         }
         self.terminal_order.push_back(job);
-        while self.terminal_order.len() > retain {
+        while self.terminal_order.len() > inner.config.retained_jobs {
             let Some(evicted) = self.terminal_order.pop_front() else {
                 break;
             };
@@ -628,10 +632,11 @@ impl SchedState {
                 }
             }
         }
+        timeline
     }
 
-    /// Creates a job record and indexes it by fingerprint.  The deadline
-    /// clock starts here, at admission.
+    /// Creates a job record, `received` its first mark, and indexes it by
+    /// fingerprint.  The deadline clock starts here, at admission.
     fn admit(
         &mut self,
         config: FrameworkConfig,
@@ -655,8 +660,11 @@ impl SchedState {
                 state: JobState::Queued,
                 output: None,
                 cancel,
-                received_ns: now_ns(),
-                dequeued_ns: 0,
+                marks: vec![TraceEvent {
+                    stage: Stage::Received,
+                    arg: 0,
+                    at_ns: now_ns(),
+                }],
             },
         );
         self.by_fingerprint.entry(fingerprint).or_default().push(id);
@@ -722,9 +730,13 @@ impl SchedState {
 ///
 /// A job whose deadline expired while it sat in the queue is retired to
 /// [`JobState::TimedOut`] here, without ever occupying a worker, and the
-/// next entry is considered instead; its id is appended to `expired` so
-/// the caller can persist its timeline once the lock is released.
-fn pop_job(inner: &SchedulerInner, state: &mut SchedState, expired: &mut Vec<u64>) -> Option<u64> {
+/// next entry is considered instead; its timeline is appended to
+/// `expired` so the caller can persist it once the lock is released.
+fn pop_job(
+    inner: &SchedulerInner,
+    state: &mut SchedState,
+    expired: &mut Vec<JobTimeline>,
+) -> Option<u64> {
     let popped = loop {
         let Some(entry) = state.queue.pop() else {
             break None;
@@ -736,29 +748,19 @@ fn pop_job(inner: &SchedulerInner, state: &mut SchedState, expired: &mut Vec<u64
             continue;
         };
         if record.cancel.is_cancelled() {
-            record.state = JobState::TimedOut;
-            inner.metrics.jobs_timed_out.inc();
-            inner.metrics.sink().record(entry.job, Stage::TimedOut, 0);
-            inner
-                .metrics
-                .job_total_us
-                .record(now_ns().saturating_sub(record.received_ns) / 1_000);
-            expired.push(entry.job);
-            let hook = inner.hook();
-            state.mark_terminal(entry.job, inner.config.retained_jobs, hook.as_ref());
-            inner.job_done.notify_all();
+            expired.extend(state.finish(inner, entry.job, JobState::TimedOut, None));
             continue;
         }
-        let dequeued = now_ns();
         record.state = JobState::Running;
-        inner
-            .metrics
-            .job_queue_wait_us
-            .record(dequeued.saturating_sub(record.received_ns) / 1_000);
-        record.dequeued_ns = dequeued;
+        record.mark(Stage::Dequeued, 0);
+        inner.metrics.job_queue_wait_us.record(
+            record
+                .at(Stage::Dequeued)
+                .saturating_sub(record.at(Stage::Received))
+                / 1_000,
+        );
         state.running += 1;
         inner.metrics.executions.inc();
-        inner.metrics.sink().record(entry.job, Stage::Dequeued, 0);
         break Some(entry.job);
     };
     inner
@@ -767,7 +769,7 @@ fn pop_job(inner: &SchedulerInner, state: &mut SchedState, expired: &mut Vec<u64
     popped
 }
 
-fn worker_loop(inner: &SchedulerInner) {
+fn worker_loop(inner: &Arc<SchedulerInner>) {
     enum Next {
         Job(u64),
         /// The pop expired queued jobs without finding runnable work:
@@ -791,8 +793,8 @@ fn worker_loop(inner: &SchedulerInner) {
             }
         };
         // Timeline writes are disk I/O: only after the lock is released.
-        for job in expired {
-            inner.persist_timeline(job);
+        for timeline in &expired {
+            inner.persist_timeline(timeline);
         }
         match next {
             Next::Job(job) => execute_job(inner, job),
@@ -810,23 +812,24 @@ fn worker_loop(inner: &SchedulerInner) {
 /// Execution runs under `catch_unwind`: a panic inside the framework marks
 /// the job `Failed` instead of killing the worker thread and leaving the
 /// job `Running` forever.
-fn execute_job(inner: &SchedulerInner, job: u64) {
-    let (config, cancel, key, resident) = {
+fn execute_job(inner: &Arc<SchedulerInner>, job: u64) {
+    let (config, cancel, key, resident, dequeued_ns) = {
         let mut state = lock_or_recover(&inner.state);
-        let Some(record) = state.jobs.get(&job) else {
+        let Some(record) = state.jobs.get_mut(&job) else {
             // The record vanished between pop and execute (running jobs are
             // never evicted, so this is unreachable today); give the worker
             // slot back and run nothing.
             state.running = state.running.saturating_sub(1);
             return;
         };
+        record.mark(Stage::Executing, 0);
         let (config, cancel) = (record.config.clone(), record.cancel.clone());
+        let dequeued_ns = record.at(Stage::Dequeued);
         let key = platform_key(&config);
         let resident = state.table(&key);
-        (config, cancel, key, resident)
+        (config, cancel, key, resident, dequeued_ns)
     };
 
-    inner.metrics.sink().record(job, Stage::Executing, 0);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if inner
             .store
@@ -844,11 +847,11 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
         // platform marks one epoch in the job's timeline (detail = epoch
         // ordinal), alongside a global epoch counter for throughput rates.
         let epoch = AtomicU64::new(0);
-        let metrics = Arc::clone(&inner.metrics);
+        let observer_inner = Arc::clone(inner);
         let observer = ProgressObserver::new(move |_evaluations: usize| {
             let n = epoch.fetch_add(1, Ordering::Relaxed) + 1;
-            metrics.epochs.inc();
-            metrics.sink().record(job, Stage::Epoch, n);
+            observer_inner.metrics.epochs.inc();
+            observer_inner.mark(job, Stage::Epoch, n);
         });
         // Seed the job's cancellation token into the platform: the tuner
         // checks it at epoch boundaries and the simulator every
@@ -898,19 +901,39 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
         }
         if let Ok(output) = &result {
             match inner.store.save_report(&config, output) {
-                Ok(()) => inner.metrics.sink().record(job, Stage::Persisted, 0),
+                Ok(()) => inner.mark(job, Stage::Persisted, 0),
                 Err(e) => {
                     eprintln!("microgradd: failed to persist report for job {job}: {e}");
                 }
             }
         }
-        (result, cache_stats)
+        inner.metrics.record_cache(&cache_stats);
+        result
     }));
+    let (terminal, output) = match outcome {
+        Ok(Ok(output)) => (JobState::Done, Some(output)),
+        // A cancellation raised by the job's own (deadline-armed) token is
+        // a timeout, not a failure: the deadline is the only thing that
+        // fires these per-job tokens.
+        Ok(Err(MicroGradError::Cancelled)) if cancel.is_cancelled() => (JobState::TimedOut, None),
+        Ok(Err(e)) => (
+            JobState::Failed {
+                error: e.to_string(),
+            },
+            None,
+        ),
+        Err(payload) => (
+            JobState::Failed {
+                error: format!("job execution panicked: {}", panic_message(&*payload)),
+            },
+            None,
+        ),
+    };
 
     // With the job's last table handle gone, its table counts as unheld;
     // tables the release evicts are freed after the lock.
     drop(resident);
-    let _evicted = {
+    let (_evicted, timeline) = {
         let mut state = lock_or_recover(&inner.state);
         state.running = state.running.saturating_sub(1);
         inner
@@ -924,64 +947,16 @@ fn execute_job(inner: &SchedulerInner, job: u64) {
                 .map(|(_, table)| table.len() as u64)
                 .sum(),
         );
-        let Some(record) = state.jobs.get_mut(&job) else {
-            // Evicted mid-run (unreachable today); still wake any waiters so
-            // a `wait` on the vanished id re-checks and returns `None`.
-            inner.job_done.notify_all();
-            return;
-        };
-        let (received_ns, dequeued_ns) = (record.received_ns, record.dequeued_ns);
-        match outcome {
-            Ok((result, cache_stats)) => {
-                match result {
-                    Ok(output) => {
-                        record.state = JobState::Done;
-                        record.output = Some(output);
-                        inner.metrics.jobs_completed.inc();
-                        inner.metrics.sink().record(job, Stage::Completed, 0);
-                    }
-                    // A cancellation raised by the job's own (deadline-armed)
-                    // token is a timeout, not a failure: the deadline is the
-                    // only thing that fires these per-job tokens.
-                    Err(MicroGradError::Cancelled) if cancel.is_cancelled() => {
-                        record.state = JobState::TimedOut;
-                        inner.metrics.jobs_timed_out.inc();
-                        inner.metrics.sink().record(job, Stage::TimedOut, 0);
-                    }
-                    Err(e) => {
-                        record.state = JobState::Failed {
-                            error: e.to_string(),
-                        };
-                        inner.metrics.jobs_failed.inc();
-                        inner.metrics.sink().record(job, Stage::Failed, 0);
-                    }
-                }
-                inner.metrics.record_cache(&cache_stats);
-            }
-            Err(payload) => {
-                record.state = JobState::Failed {
-                    error: format!("job execution panicked: {}", panic_message(&*payload)),
-                };
-                inner.metrics.jobs_failed.inc();
-                inner.metrics.sink().record(job, Stage::Failed, 0);
-            }
-        }
-        let now = now_ns();
         inner
             .metrics
             .job_execution_us
-            .record(now.saturating_sub(dequeued_ns) / 1_000);
-        inner
-            .metrics
-            .job_total_us
-            .record(now.saturating_sub(received_ns) / 1_000);
-        let hook = inner.hook();
-        state.mark_terminal(job, inner.config.retained_jobs, hook.as_ref());
-        inner.job_done.notify_all();
-        evicted
+            .record(now_ns().saturating_sub(dequeued_ns) / 1_000);
+        (evicted, state.finish(inner, job, terminal, output))
     };
     // The timeline is complete; persist it outside the state lock.
-    inner.persist_timeline(job);
+    if let Some(timeline) = timeline {
+        inner.persist_timeline(&timeline);
+    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1012,6 +987,52 @@ mod tests {
             reference_len: 3_000,
             seed,
             ..FrameworkConfig::default()
+        }
+    }
+
+    /// Every terminal transition the scheduler reports, remembered, so a
+    /// test can wait for jobs that finish in either order.
+    #[derive(Default)]
+    struct Terminals {
+        seen: Mutex<Vec<(u64, JobState)>>,
+        changed: Condvar,
+    }
+
+    impl Terminals {
+        /// Installs the scheduler's terminal hook, recording into a fresh
+        /// log.  Install it before submitting.
+        fn install(scheduler: &Scheduler) -> Arc<Terminals> {
+            let log = Arc::new(Terminals::default());
+            let hook_log = Arc::clone(&log);
+            scheduler.set_terminal_hook(Arc::new(move |job, state| {
+                lock_or_recover(&hook_log.seen).push((job, state.clone()));
+                hook_log.changed.notify_all();
+            }));
+            log
+        }
+
+        /// Blocks until `job` reaches a terminal state and returns it.
+        fn wait(&self, job: u64) -> JobState {
+            let mut seen = lock_or_recover(&self.seen);
+            loop {
+                if let Some((_, state)) = seen.iter().find(|(id, _)| *id == job) {
+                    return state.clone();
+                }
+                let (next, waited) = self
+                    .changed
+                    .wait_timeout(seen, Duration::from_secs(60))
+                    .expect("terminal log lock");
+                assert!(!waited.timed_out(), "job {job} never finished");
+                seen = next;
+            }
+        }
+
+        /// How many times the hook reported `job`.
+        fn count(&self, job: u64) -> usize {
+            lock_or_recover(&self.seen)
+                .iter()
+                .filter(|(id, _)| *id == job)
+                .count()
         }
     }
 
@@ -1139,21 +1160,130 @@ mod tests {
             },
             ResultStore::in_memory(),
         );
+        let terminals = Terminals::install(&scheduler);
         let a = scheduler.submit(tiny_config(1), 0).unwrap().job;
         let b = scheduler.submit(tiny_config(2), 0).unwrap().job;
-        assert_eq!(
-            scheduler.wait(a, Duration::from_secs(60)),
-            Some(JobState::Done)
-        );
-        assert_eq!(
-            scheduler.wait(b, Duration::from_secs(60)),
-            Some(JobState::Done)
-        );
+        assert_eq!(terminals.wait(a), JobState::Done);
+        assert_eq!(terminals.wait(b), JobState::Done);
         scheduler.shutdown();
         assert_eq!(
             scheduler.submit(tiny_config(3), 0),
             Err(SubmitError::ShuttingDown)
         );
+    }
+
+    #[test]
+    fn every_terminal_path_fires_the_hook_once_and_records_one_total() {
+        use crate::fault::{FaultPlan, FaultSite};
+        // One record retained: a finished job's report is then answered
+        // from the store once the next job finishes.
+        let scheduler = Scheduler::new(
+            SchedulerConfig {
+                workers: 0,
+                queue_capacity: 8,
+                retained_jobs: 1,
+            },
+            ResultStore::in_memory().with_fault_plan(FaultPlan::new(1).with_fault(
+                FaultSite::WorkerPanic,
+                1.0,
+                1,
+            )),
+        );
+        let terminals = Terminals::install(&scheduler);
+        let mut finished = 0;
+        let mut check = |job: u64, path: &str, expected: fn(&JobState) -> bool| {
+            finished += 1;
+            assert_eq!(terminals.count(job), 1, "{path}: one hook call");
+            let state = scheduler.status(job).expect("the newest record stays");
+            assert!(expected(&state), "{path}: ended {state:?}");
+            assert_eq!(
+                scheduler.metrics().value("micrograd_job_total_us"),
+                finished,
+                "{path}: one total-latency sample"
+            );
+        };
+
+        let panicked = scheduler.submit(tiny_config(1), 0).unwrap().job;
+        assert!(scheduler.step());
+        check(
+            panicked,
+            "worker panic",
+            |state| matches!(state, JobState::Failed { error } if error.contains("panicked")),
+        );
+
+        let done = scheduler.submit(tiny_config(2), 0).unwrap().job;
+        assert!(scheduler.step());
+        check(done, "done", |state| *state == JobState::Done);
+
+        let mut invalid = tiny_config(3);
+        invalid.max_epochs = 0;
+        let failed = scheduler.submit(invalid, 0).unwrap().job;
+        assert!(scheduler.step());
+        check(
+            failed,
+            "failed",
+            |state| matches!(state, JobState::Failed { error } if error.contains("max_epochs")),
+        );
+
+        let hit = scheduler.submit(tiny_config(2), 0).unwrap();
+        assert!(hit.cached, "the evicted job's report is in the store");
+        check(hit.job, "store hit", |state| *state == JobState::Done);
+
+        let expired = scheduler
+            .submit_with_deadline(tiny_config(4), 0, Some(0))
+            .unwrap()
+            .job;
+        assert!(!scheduler.step(), "nothing runnable was left");
+        check(expired, "queued-deadline expiry", |state| {
+            *state == JobState::TimedOut
+        });
+
+        let mut overlong = tiny_config(5);
+        overlong.max_epochs = 400;
+        overlong.dynamic_len = 60_000;
+        overlong.reference_len = 60_000;
+        let timed_out = scheduler
+            .submit_with_deadline(overlong, 0, Some(25))
+            .unwrap()
+            .job;
+        assert!(scheduler.step());
+        check(timed_out, "timed out while running", |state| {
+            *state == JobState::TimedOut
+        });
+
+        let metrics = scheduler.metrics();
+        assert_eq!(metrics.value("micrograd_jobs_completed_total"), 2);
+        assert_eq!(metrics.value("micrograd_jobs_failed_total"), 2);
+        assert_eq!(metrics.value("micrograd_jobs_timed_out_total"), 2);
+    }
+
+    #[test]
+    fn store_hits_never_overwrite_a_queued_jobs_marks() {
+        let scheduler = Scheduler::new(
+            SchedulerConfig {
+                workers: 0,
+                queue_capacity: 8,
+                retained_jobs: 1,
+            },
+            ResultStore::in_memory(),
+        );
+        for seed in [1, 2] {
+            scheduler.submit(tiny_config(seed), 0).unwrap();
+            assert!(scheduler.step());
+        }
+        let queued = scheduler.submit(tiny_config(3), 0).unwrap().job;
+        // With one record retained, each submission evicts the other
+        // configuration's record, so every one is a store hit.
+        for i in 0..400 {
+            let hit = scheduler.submit(tiny_config(1 + i % 2), 0).unwrap();
+            assert!(hit.cached, "submission {i} is answered from the store");
+        }
+        assert!(scheduler.step());
+        let timeline = scheduler.timeline(queued).expect("a persisted timeline");
+        let stages: Vec<&str> = timeline.marks.iter().map(|m| m.stage.as_str()).collect();
+        assert_eq!(stages.first(), Some(&"received"), "{stages:?}");
+        assert!(stages.contains(&"queued"), "{stages:?}");
+        assert_eq!(stages.last(), Some(&"completed"), "{stages:?}");
     }
 
     #[test]
@@ -1614,12 +1744,10 @@ mod tests {
             },
             ResultStore::in_memory(),
         );
+        let terminals = Terminals::install(&scheduler);
         for seed in 1..=3 {
             let job = scheduler.submit(tiny_config(seed), 0).unwrap().job;
-            assert_eq!(
-                scheduler.wait(job, Duration::from_secs(60)),
-                Some(JobState::Done)
-            );
+            assert_eq!(terminals.wait(job), JobState::Done);
             let state = lock_or_recover(&scheduler.inner.state);
             let keys: Vec<&str> = state.tables.iter().map(|(key, _)| key.as_str()).collect();
             assert_eq!(

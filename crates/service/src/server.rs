@@ -26,13 +26,12 @@
 //! [`Server::shutdown`] returns.
 
 use crate::protocol::{
-    decode_request, encode_line, RequestBody, Response, ResponseBody, WireError,
+    decode_request, encode_response, RequestBody, Response, ResponseBody, WireError,
 };
 use crate::reactor::{self, HandlerOutcome, Inbox, ReactorShared, WakePipe, WorkQueue};
 use crate::scheduler::{FetchResult, Scheduler, SchedulerConfig, SubmitError};
 use crate::store::ResultStore;
 use micrograd_obs::clock::now_ns;
-use micrograd_obs::Stage;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -317,11 +316,11 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
     let request = match decode_request(line) {
         Ok(request) => request,
         Err(e @ (WireError::Malformed(_) | WireError::Version { .. } | WireError::Encode(_))) => {
-            let outcome = encode_outcome(&Response::new(ResponseBody::Error {
+            let line = encode_response(&Response::new(ResponseBody::Error {
                 message: e.to_string(),
                 retry_after_ms: None,
             }));
-            return ("invalid", outcome);
+            return ("invalid", HandlerOutcome::Line(line));
         }
     };
     let scheduler = &ctx.scheduler;
@@ -333,17 +332,11 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
         } => (
             "submit",
             match scheduler.submit_with_deadline(config, priority, deadline_ms) {
-                Ok(outcome) => {
-                    scheduler
-                        .metrics()
-                        .sink()
-                        .record(outcome.job, Stage::Responded, 0);
-                    ResponseBody::Submitted {
-                        job: outcome.job,
-                        deduped: outcome.deduped,
-                        cached: outcome.cached,
-                    }
-                }
+                Ok(outcome) => ResponseBody::Submitted {
+                    job: outcome.job,
+                    deduped: outcome.deduped,
+                    cached: outcome.cached,
+                },
                 Err(e) => {
                     // Both rejections are transient, so both carry a
                     // machine-readable retry hint.
@@ -359,16 +352,6 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
                         retry_after_ms,
                     }
                 }
-            },
-        ),
-        RequestBody::Status { job } => (
-            "status",
-            match scheduler.status(job) {
-                Some(state) => ResponseBody::Status { job, state },
-                None => ResponseBody::Error {
-                    message: format!("unknown job {job}"),
-                    retry_after_ms: None,
-                },
             },
         ),
         RequestBody::Watch { job, timeout_ms } => {
@@ -430,25 +413,8 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
             ("shutdown", ResponseBody::ShuttingDown)
         }
     };
-    (op, encode_outcome(&Response::new(body)))
-}
-
-/// Encodes a response for the wire; a response that cannot be serialized
-/// is itself answered with an error response, never a corrupt line.
-fn encode_outcome(response: &Response) -> HandlerOutcome {
-    let line = encode_line(response).unwrap_or_else(|e| {
-        let fallback = Response::new(ResponseBody::Error {
-            message: e.to_string(),
-            retry_after_ms: None,
-        });
-        encode_line(&fallback).unwrap_or_else(|_| {
-            concat!(
-                r#"{"proto":1,"body":{"result":"error","#,
-                r#""message":"response serialization failed"}}"#,
-                "\n"
-            )
-            .to_owned()
-        })
-    });
-    HandlerOutcome::Line(line)
+    (
+        op,
+        HandlerOutcome::Line(encode_response(&Response::new(body))),
+    )
 }

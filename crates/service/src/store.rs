@@ -31,9 +31,8 @@
 //! parses as JSON, a torn last chunk included.  A file that fails either
 //! check is **quarantined** — moved into a `quarantine/` subdirectory,
 //! never deleted and never crashed on — and the lookup degrades to a miss,
-//! so the daemon simply recomputes and rewrites a valid file.
-//! Trailer-less files written by older builds are accepted as long as they
-//! parse; the open scan seals them, so chunks can be appended.
+//! so the daemon simply recomputes and rewrites a valid file.  A file
+//! without a trailer fails the check: every writer seals what it writes.
 //!
 //! Reports, timelines and compacted dumps are written atomically (temp
 //! file + rename); a chunk is appended with one write.  A crash mid-append
@@ -186,17 +185,17 @@ fn sealed<T: Serialize>(value: &T) -> io::Result<String> {
 
 /// Walks a file's chunks, verifying each trailer, and returns their
 /// payloads in file order.  Text after the last complete chunk (a torn
-/// append) is damage.  A file with no trailer at all, written by a build
-/// predating trailers, yields `None`: parsing it is then the only check.
-fn unseal(text: &str) -> Result<Option<Vec<&str>>, String> {
+/// append, or a file never sealed) and an empty file are damage.
+fn unseal(text: &str) -> Result<Vec<&str>, String> {
     let mut payloads = Vec::new();
     let mut rest = text;
     while !rest.is_empty() {
         let Some(at) = rest.find(TRAILER_MARK) else {
-            if payloads.is_empty() {
-                return Ok(None);
-            }
-            return Err(format!("{} bytes after the last sealed chunk", rest.len()));
+            let sealed = payloads.len();
+            return Err(format!(
+                "{} unsealed bytes after {sealed} sealed chunks",
+                rest.len()
+            ));
         };
         let (payload, trailer) = rest.split_at(at);
         let trailer = trailer.strip_prefix('\n').unwrap_or(trailer);
@@ -205,12 +204,10 @@ fn unseal(text: &str) -> Result<Option<Vec<&str>>, String> {
         payloads.push(payload);
         rest = next;
     }
-    Ok((!payloads.is_empty()).then_some(payloads))
-}
-
-/// A file's payloads: its verified chunks, or a legacy file whole.
-fn payloads(text: &str) -> Result<Vec<&str>, String> {
-    Ok(unseal(text)?.unwrap_or_else(|| vec![text]))
+    if payloads.is_empty() {
+        return Err("empty file".into());
+    }
+    Ok(payloads)
 }
 
 /// Checks one chunk's payload against its trailer line.
@@ -248,7 +245,7 @@ fn parse<T: Deserialize>(payload: &str) -> Result<T, String> {
 
 /// Verifies and parses a one-document file (a report or a timeline).
 fn parse_sealed<T: Deserialize>(text: &str) -> Result<T, String> {
-    match payloads(text)?.as_slice() {
+    match unseal(text)?.as_slice() {
         [payload] => parse(payload),
         chunks => Err(format!("expected one document, found {}", chunks.len())),
     }
@@ -312,7 +309,7 @@ where
 /// recorded under `key`.
 fn parse_cache(text: &str, key: &str) -> Result<Vec<(GeneratorInput, Metrics)>, String> {
     let mut entries = Vec::new();
-    for payload in payloads(text)? {
+    for payload in unseal(text)? {
         let chunk: StoredCache = parse(payload)?;
         if chunk.platform == key {
             entries.extend(chunk.entries);
@@ -325,8 +322,8 @@ impl ResultStore {
     /// Opens (creating if needed) a store directory and scans it for
     /// damage: files with a chunk whose trailer does not verify are moved
     /// into `quarantine/` and temp files left by a crashed writer are
-    /// removed.  The scan parses only trailer-less legacy files; a sealed
-    /// payload that does not parse is quarantined by its first load.
+    /// removed.  The scan parses nothing: a sealed payload that does not
+    /// parse is quarantined by its first load.
     ///
     /// # Errors
     ///
@@ -412,8 +409,8 @@ impl ResultStore {
     }
 
     /// Startup scan: verify every chunk's trailer of every `report-*`,
-    /// `cache-*` and `trace-*` file, quarantine what fails, seal legacy
-    /// files that parse, sweep stale temp files.
+    /// `cache-*` and `trace-*` file, quarantine what fails, sweep stale
+    /// temp files.
     fn recover(&self) -> io::Result<()> {
         let Some(dir) = &self.dir else { return Ok(()) };
         for entry in std::fs::read_dir(dir)? {
@@ -430,29 +427,15 @@ impl ResultStore {
                 let _ = std::fs::remove_file(&path);
                 continue;
             }
-            let legacy_check: fn(&str) -> Result<(), String> = if !name.ends_with(".json") {
+            let stored = ["report-", "cache-", "trace-"]
+                .iter()
+                .any(|prefix| name.starts_with(prefix));
+            if !stored || !name.ends_with(".json") {
                 continue;
-            } else if name.starts_with("report-") {
-                |text| parse::<StoredReport>(text).map(drop)
-            } else if name.starts_with("cache-") {
-                |text| parse::<StoredCache>(text).map(drop)
-            } else if name.starts_with("trace-") {
-                |text| parse::<StoredTimeline>(text).map(drop)
-            } else {
-                continue;
-            };
+            }
             let verdict = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
-                .and_then(|text| {
-                    if unseal(&text)?.is_some() {
-                        return Ok(());
-                    }
-                    legacy_check(&text)?;
-                    // Best effort: an unsealed file still loads, it just
-                    // cannot take appended chunks.
-                    let _ = self.write_atomically(&path, &seal(text));
-                    Ok(())
-                });
+                .and_then(|text| unseal(&text).map(drop));
             if let Err(reason) = verdict {
                 self.quarantine_file(&path, &reason);
             }
@@ -1131,25 +1114,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_trailerless_files_still_load() {
-        let scratch = ScratchDir::new("legacy");
-        let store = ResultStore::open(scratch.path()).unwrap();
+    fn a_whole_report_without_its_trailer_is_quarantined_at_open() {
+        let scratch = ScratchDir::new("unsealed");
         let (config, output) = run_tiny();
-        let stored = StoredReport {
-            proto: crate::PROTO_VERSION,
-            fingerprint: config.fingerprint(),
-            config: config.clone(),
-            output: output.clone(),
+        let path = {
+            let store = ResultStore::open(scratch.path()).unwrap();
+            store.save_report(&config, &output).unwrap();
+            store.report_path(config.fingerprint()).unwrap()
         };
-        // Write the pre-trailer format directly.
-        std::fs::write(
-            store.report_path(config.fingerprint()).unwrap(),
-            serde_json::to_string_pretty(&stored).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(store.load_report(&config), Some(output));
-        let reopened = ResultStore::open(scratch.path()).unwrap();
-        assert_eq!(reopened.quarantined_count(), 0);
+        // Strip the trailer: what is left is the whole, parseable report.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let payload = &text[..text.find(TRAILER_MARK).unwrap()];
+        assert!(parse::<StoredReport>(payload).is_ok());
+        std::fs::write(&path, payload).unwrap();
+
+        let store = ResultStore::open(scratch.path()).unwrap();
+        assert_eq!(store.quarantined_count(), 1);
+        assert!(!path.exists());
+        assert!(store.load_report(&config).is_none(), "degrades to a miss");
     }
 
     #[test]

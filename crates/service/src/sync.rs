@@ -13,8 +13,7 @@
 //! in single statements), so observing a post-panic state is safe — at
 //! worst a statistics counter is momentarily stale.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 pub(crate) fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -27,17 +26,6 @@ pub(crate) fn wait_or_recover<'a, T>(
     guard: MutexGuard<'a, T>,
 ) -> MutexGuard<'a, T> {
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `Condvar::wait_timeout`, recovering the reacquired guard on poison.
-pub(crate) fn wait_timeout_or_recover<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    condvar
-        .wait_timeout(guard, timeout)
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -53,9 +53,9 @@ fn one_byte_at_a_time_requests_reassemble_and_pipelines_stay_ordered() {
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
-    // Drip a status request one byte per write: the reactor sees up to
-    // one byte per readiness event and must reassemble the line.
-    let request = "{\"proto\":1,\"body\":{\"op\":\"status\",\"job\":424242}}\n";
+    // Drip a zero-budget watch one byte per write: the reactor sees up
+    // to one byte per readiness event and must reassemble the line.
+    let request = "{\"proto\":1,\"body\":{\"op\":\"watch\",\"job\":424242,\"timeout_ms\":0}}\n";
     for byte in request.as_bytes() {
         stream.write_all(std::slice::from_ref(byte)).expect("write");
         stream.flush().expect("flush");
@@ -121,6 +121,9 @@ fn watch_pushes_completions_and_honors_its_budget() {
         JobState::Queued,
         "a 60ms watch budget must expire live"
     );
+    // A zero budget answers with the current state at once: a poll.
+    let live = client.watch(queued.job, Some(0)).expect("watch answers");
+    assert_eq!(live, JobState::Queued, "a zero budget polls");
     idle.shutdown();
 
     // With a worker, an unbounded watch blocks until the push and returns
