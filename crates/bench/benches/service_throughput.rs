@@ -6,11 +6,12 @@
 //! measures encode/decode round-trips for the hot message shapes (a submit
 //! request and a full report response); the scheduler group measures
 //! jobs/sec through a workerless (inline-stepped) scheduler against a cold
-//! store — every job pays a real tuning run — and against a warm durable
-//! store, where every submission is answered from disk without executing.
-//! The store group measures the cache-dump codec a job's persistence and a
-//! warm start pay: one job-sized chunk of 1,000 memoized evaluations
-//! appended to a disk store, and loaded back.
+//! store — every job pays a real tuning run — and the two costs of a
+//! restarted daemon's warm durable store, apart: opening it, and answering
+//! submissions from it without executing.  The store group measures the
+//! cache-dump codec a job's persistence and a warm start pay: one
+//! job-sized chunk of 1,000 memoized evaluations appended to a disk store,
+//! and loaded back.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use micrograd_codegen::GeneratorInput;
@@ -137,19 +138,26 @@ fn scheduler_throughput(c: &mut Criterion) {
             run_batch(&scheduler, &jobs)
         });
     });
-    group.bench_function("jobs_warm_store", |b| {
+    // A restart's cost: the open scan of the pre-populated directory.
+    group.bench_function("store_open", |b| {
+        b.iter(|| ResultStore::open(&warm_dir).expect("scratch store opens"));
+    });
+    // An answer's cost, over a store opened once: with no terminal record
+    // retained, no submission dedups, so every one is a store hit.
+    let scheduler = Scheduler::new(
+        SchedulerConfig {
+            workers: 0,
+            queue_capacity: jobs.len(),
+            retained_jobs: 0,
+        },
+        ResultStore::open(&warm_dir).expect("scratch store opens"),
+    );
+    group.bench_function("store_hit", |b| {
         b.iter(|| {
-            // A fresh scheduler over the pre-populated directory: every
-            // job is answered from disk (the restarted-daemon fast path).
-            let scheduler = Scheduler::new(
-                SchedulerConfig {
-                    workers: 0,
-                    queue_capacity: jobs.len(),
-                    ..SchedulerConfig::default()
-                },
-                ResultStore::open(&warm_dir).expect("scratch store opens"),
-            );
-            run_batch(&scheduler, &jobs)
+            for config in &jobs {
+                let receipt = scheduler.submit(config.clone(), 0).expect("accepted");
+                assert!(receipt.cached, "every submission is a store hit");
+            }
         });
     });
     group.finish();

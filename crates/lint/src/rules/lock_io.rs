@@ -20,7 +20,7 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 /// Method names that perform file/socket I/O (or block the thread).
-const IO_METHODS: [&str; 21] = [
+const IO_METHODS: [&str; 18] = [
     "write_all",
     "write_fmt",
     "flush",
@@ -38,12 +38,8 @@ const IO_METHODS: [&str; 21] = [
     "load_cache",
     "save_cache",
     "append_cache",
-    "save_timeline",
-    "load_timeline",
     "report_count",
     "write_atomically",
-    // The scheduler's timeline write, a `save_timeline` behind one call.
-    "persist_timeline",
 ];
 
 /// Free functions / types whose mention means I/O is happening.

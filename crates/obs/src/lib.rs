@@ -9,7 +9,7 @@
 //! | [`registry`] | named counters, gauges and histograms with a Prometheus-text encoder |
 //! | [`histogram`] | log-linear (HDR-style) fixed-bucket histograms, allocation-free record path |
 //! | [`trace`] | job lifecycle stages and the timestamped marks a job's record keeps |
-//! | [`timeline`] | per-job timelines assembled from trace events, serialized with reports |
+//! | [`timeline`] | per-job timelines assembled from trace events, serialized for the wire |
 //! | [`profile`] | sampled simulator profiles (time-resolved IPC, hit rates, occupancy) |
 //! | [`clock`] | the one monotonic-clock read site the lint allows |
 //!

@@ -1,10 +1,10 @@
-//! Per-job timelines: the durable, human-readable view of a job's trace.
+//! Per-job timelines: the human-readable view of a job's trace.
 //!
 //! A [`JobTimeline`] is assembled from the [`TraceEvent`]s a job's record
 //! holds, normalised so the first event is offset zero.  Timelines
-//! serialize with serde and are persisted next to the job's report in the
-//! durable store, so `micrograd-cli trace <job-id>` can answer long after
-//! the job's record has been evicted.
+//! serialize with serde to cross the wire; they are built from the record
+//! on request and never persisted, so `micrograd-cli trace <job-id>`
+//! answers for as long as the daemon holds the job's record.
 //!
 //! Offsets are observability metadata only: two runs of the same job will
 //! produce different timelines and identical reports.

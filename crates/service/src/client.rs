@@ -411,12 +411,13 @@ impl Client {
     }
 
     /// Fetches a job's stage-by-stage timeline (received, queued,
-    /// dequeued, per-epoch execution marks, persisted).
+    /// dequeued, per-epoch execution marks, persisted), for as long as
+    /// the server holds the job's record.
     ///
     /// # Errors
     ///
-    /// Propagates connection, protocol and server errors (a job with no
-    /// recorded timeline is a server error).
+    /// Propagates connection, protocol and server errors (an unknown job,
+    /// evicted or from an earlier daemon lifetime, is a server error).
     pub fn trace(&mut self, job: u64) -> Result<JobTimeline, ClientError> {
         match self.roundtrip(RequestBody::Trace { job })? {
             ResponseBody::Timeline { timeline } => Ok(timeline),

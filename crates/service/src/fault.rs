@@ -199,12 +199,6 @@ impl FaultPlan {
         self.inner.seed
     }
 
-    /// Whether no site is armed (the seams then cost one array load).
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        self.inner.rules.iter().all(Option::is_none)
-    }
-
     /// Records one operation at `site` and decides whether to fault it.
     ///
     /// The decision depends only on (seed, site, per-site operation
@@ -271,12 +265,6 @@ impl FaultPlan {
             .map_or(0, |count| count.load(Ordering::Relaxed))
     }
 
-    /// Faults injected so far across all sites.
-    #[must_use]
-    pub fn total_injections(&self) -> u64 {
-        FaultSite::ALL.iter().map(|s| self.injections(*s)).sum()
-    }
-
     /// Operations observed so far at `site` (faulted or not).
     #[must_use]
     pub fn operations(&self, site: FaultSite) -> u64 {
@@ -309,12 +297,10 @@ mod tests {
     #[test]
     fn inert_plan_never_fires() {
         let plan = FaultPlan::none();
-        assert!(plan.is_noop());
         for site in FaultSite::ALL {
             assert!(!plan.should_inject(site));
             assert_eq!(plan.injections(site), 0);
         }
-        assert_eq!(plan.total_injections(), 0);
         assert!(plan.write_delay().is_none());
     }
 

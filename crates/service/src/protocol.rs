@@ -99,8 +99,9 @@ pub enum RequestBody {
     Metrics,
     /// The per-stage timeline of a job: when it was received, queued,
     /// dequeued, executed (with per-epoch marks), persisted and answered.
-    /// Available for terminal jobs; timelines persist alongside reports,
-    /// so a restarted daemon can still answer for jobs it ran earlier.
+    /// Served from the job's record, so for exactly as long as `watch`
+    /// and `fetch` know the job; timelines are not persisted, and job ids
+    /// restart with the daemon.
     Trace {
         /// The job id returned by submit.
         job: u64,

@@ -231,17 +231,6 @@ impl SchedulerInner {
     fn mark(&self, job: u64, stage: Stage, arg: u64) {
         lock_or_recover(&self.state).mark(job, stage, arg);
     }
-
-    /// Persists a terminal job's timeline next to its report.  Called
-    /// *after* the scheduler lock is released — the write is disk I/O —
-    /// and best-effort: a failed write costs a `trace` answer, never the
-    /// job's result.
-    fn persist_timeline(&self, timeline: &JobTimeline) {
-        if let Err(e) = self.store.save_timeline(timeline) {
-            let job = timeline.job;
-            eprintln!("microgradd: failed to persist timeline for job {job}: {e}");
-        }
-    }
 }
 
 /// A bounded-priority-queue scheduler executing framework jobs on a worker
@@ -381,11 +370,7 @@ impl Scheduler {
             // `arg = 1` marks "already persisted": the report predates
             // this submission, nothing was written now.
             state.mark(job, Stage::Persisted, 1);
-            let timeline = state.finish(inner, job, JobState::Done, Some(output));
-            drop(state);
-            if let Some(timeline) = timeline {
-                inner.persist_timeline(&timeline);
-            }
+            state.finish(inner, job, JobState::Done, Some(output));
             return Ok(SubmitOutcome {
                 job,
                 deduped: false,
@@ -464,15 +449,12 @@ impl Scheduler {
         self.inner.metrics.render_prometheus()
     }
 
-    /// The per-stage timeline of a job: the persisted record for terminal
-    /// jobs (it survives daemon restarts alongside the report), or the
-    /// marks so far of a job still in flight, from its record.  `None` for
-    /// unknown jobs.
+    /// The per-stage timeline of a job, read from its record: the marks so
+    /// far of a job in flight, the whole timeline of a terminal one.
+    /// `None` for jobs this scheduler does not hold (never submitted, or
+    /// evicted by the retention cap).
     #[must_use]
     pub fn timeline(&self, job: u64) -> Option<JobTimeline> {
-        if let Some(timeline) = self.inner.store.load_timeline(job) {
-            return Some(timeline);
-        }
         let state = lock_or_recover(&self.inner.state);
         state.jobs.get(&job).and_then(JobRecord::timeline)
     }
@@ -483,15 +465,9 @@ impl Scheduler {
     /// This is the `workers: 0` execution mode for tests and benches that
     /// want inline, deterministic scheduling.
     pub fn step(&self) -> bool {
-        let mut expired = Vec::new();
-        let job = {
-            let mut state = lock_or_recover(&self.inner.state);
-            pop_job(&self.inner, &mut state, &mut expired)
-        };
-        // Timeline writes are disk I/O: only after the lock is released.
-        for timeline in &expired {
-            self.inner.persist_timeline(timeline);
-        }
+        // The guard is a temporary of this statement: the lock is released
+        // before the job runs.
+        let job = pop_job(&self.inner, &mut lock_or_recover(&self.inner.state));
         match job {
             Some(job) => {
                 execute_job(&self.inner, job);
@@ -589,18 +565,18 @@ impl SchedState {
     /// state and report, tells the terminal hook, then evicts the terminal
     /// records least recently handed out beyond `retained_jobs`, so
     /// resident history stays bounded on a long-lived daemon.  Queued and
-    /// running jobs are never evicted.
-    ///
-    /// Returns the finished timeline, for the caller to persist once the
-    /// lock is released; `None` if the record is gone.
+    /// running jobs are never evicted.  A job whose record is gone is left
+    /// alone.
     fn finish(
         &mut self,
         inner: &SchedulerInner,
         job: u64,
         terminal: JobState,
         output: Option<FrameworkOutput>,
-    ) -> Option<JobTimeline> {
-        let record = self.jobs.get_mut(&job)?;
+    ) {
+        let Some(record) = self.jobs.get_mut(&job) else {
+            return;
+        };
         let (counter, stage) = match &terminal {
             JobState::Done => (&inner.metrics.jobs_completed, Stage::Completed),
             JobState::TimedOut => (&inner.metrics.jobs_timed_out, Stage::TimedOut),
@@ -614,7 +590,6 @@ impl SchedState {
             .record(record.at(stage).saturating_sub(record.at(Stage::Received)) / 1_000);
         record.state = terminal;
         record.output = output;
-        let timeline = record.timeline();
         if let Some(hook) = &self.hook {
             hook(job, &record.state);
         }
@@ -632,7 +607,6 @@ impl SchedState {
                 }
             }
         }
-        timeline
     }
 
     /// Creates a job record, `received` its first mark, and indexes it by
@@ -730,13 +704,8 @@ impl SchedState {
 ///
 /// A job whose deadline expired while it sat in the queue is retired to
 /// [`JobState::TimedOut`] here, without ever occupying a worker, and the
-/// next entry is considered instead; its timeline is appended to
-/// `expired` so the caller can persist it once the lock is released.
-fn pop_job(
-    inner: &SchedulerInner,
-    state: &mut SchedState,
-    expired: &mut Vec<JobTimeline>,
-) -> Option<u64> {
+/// next entry is considered instead.
+fn pop_job(inner: &SchedulerInner, state: &mut SchedState) -> Option<u64> {
     let popped = loop {
         let Some(entry) = state.queue.pop() else {
             break None;
@@ -748,7 +717,7 @@ fn pop_job(
             continue;
         };
         if record.cancel.is_cancelled() {
-            expired.extend(state.finish(inner, entry.job, JobState::TimedOut, None));
+            state.finish(inner, entry.job, JobState::TimedOut, None);
             continue;
         }
         record.state = JobState::Running;
@@ -770,37 +739,20 @@ fn pop_job(
 }
 
 fn worker_loop(inner: &Arc<SchedulerInner>) {
-    enum Next {
-        Job(u64),
-        /// The pop expired queued jobs without finding runnable work:
-        /// release the lock to persist their timelines, then come back.
-        Expired,
-        Stop,
-    }
     loop {
-        let mut expired = Vec::new();
-        let next = {
+        let job = {
             let mut state = lock_or_recover(&inner.state);
             loop {
                 if state.shutdown {
-                    break Next::Stop;
+                    return;
                 }
-                match pop_job(inner, &mut state, &mut expired) {
-                    Some(job) => break Next::Job(job),
-                    None if !expired.is_empty() => break Next::Expired,
+                match pop_job(inner, &mut state) {
+                    Some(job) => break job,
                     None => state = wait_or_recover(&inner.work_ready, state),
                 }
             }
         };
-        // Timeline writes are disk I/O: only after the lock is released.
-        for timeline in &expired {
-            inner.persist_timeline(timeline);
-        }
-        match next {
-            Next::Job(job) => execute_job(inner, job),
-            Next::Expired => {}
-            Next::Stop => return,
-        }
+        execute_job(inner, job);
     }
 }
 
@@ -933,7 +885,7 @@ fn execute_job(inner: &Arc<SchedulerInner>, job: u64) {
     // With the job's last table handle gone, its table counts as unheld;
     // tables the release evicts are freed after the lock.
     drop(resident);
-    let (_evicted, timeline) = {
+    let _evicted = {
         let mut state = lock_or_recover(&inner.state);
         state.running = state.running.saturating_sub(1);
         inner
@@ -951,12 +903,9 @@ fn execute_job(inner: &Arc<SchedulerInner>, job: u64) {
             .metrics
             .job_execution_us
             .record(now_ns().saturating_sub(dequeued_ns) / 1_000);
-        (evicted, state.finish(inner, job, terminal, output))
+        state.finish(inner, job, terminal, output);
+        evicted
     };
-    // The timeline is complete; persist it outside the state lock.
-    if let Some(timeline) = timeline {
-        inner.persist_timeline(&timeline);
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1279,11 +1228,31 @@ mod tests {
             assert!(hit.cached, "submission {i} is answered from the store");
         }
         assert!(scheduler.step());
-        let timeline = scheduler.timeline(queued).expect("a persisted timeline");
+        let timeline = scheduler.timeline(queued).expect("the record's timeline");
         let stages: Vec<&str> = timeline.marks.iter().map(|m| m.stage.as_str()).collect();
         assert_eq!(stages.first(), Some(&"received"), "{stages:?}");
         assert!(stages.contains(&"queued"), "{stages:?}");
         assert_eq!(stages.last(), Some(&"completed"), "{stages:?}");
+    }
+
+    #[test]
+    fn a_restarted_scheduler_traces_only_its_own_jobs() {
+        let scratch = ScratchDir::new("sched-restart-trace");
+        {
+            let scheduler = disk_scheduler(scratch.path());
+            let job = scheduler.submit(tiny_config(1), 0).unwrap().job;
+            assert!(scheduler.step());
+            assert!(scheduler.timeline(job).is_some());
+        }
+        // Job ids restart with the scheduler: the first lifetime's job 1
+        // is not this one's to answer for.
+        let scheduler = disk_scheduler(scratch.path());
+        assert!(scheduler.timeline(1).is_none(), "no record, no timeline");
+        let receipt = scheduler.submit(tiny_config(2), 0).unwrap();
+        assert_eq!((receipt.job, receipt.cached), (1, false));
+        let timeline = scheduler.timeline(1).expect("the queued job's record");
+        let stages: Vec<&str> = timeline.marks.iter().map(|m| m.stage.as_str()).collect();
+        assert_eq!(stages, ["received", "queued", "responded"]);
     }
 
     #[test]

@@ -396,7 +396,7 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
             match scheduler.timeline(job) {
                 Some(timeline) => ResponseBody::Timeline { timeline },
                 None => ResponseBody::Error {
-                    message: format!("no timeline recorded for job {job}"),
+                    message: format!("unknown job {job}"),
                     retry_after_ms: None,
                 },
             },

@@ -24,7 +24,7 @@
 //! # Integrity and recovery
 //!
 //! Every chunk ends in a one-line trailer recording the payload length and
-//! its FNV-1a 64 checksum; reports and timelines are one chunk each.
+//! its FNV-1a 64 checksum; a report is one chunk.
 //! [`ResultStore::open`] checks every chunk's trailer of every file (and
 //! sweeps temp files left by a crashed writer); loads parse.  So a
 //! truncated or bit-flipped file is detected even when the damage still
@@ -34,10 +34,10 @@
 //! so the daemon simply recomputes and rewrites a valid file.  A file
 //! without a trailer fails the check: every writer seals what it writes.
 //!
-//! Reports, timelines and compacted dumps are written atomically (temp
-//! file + rename); a chunk is appended with one write.  A crash mid-append
-//! leaves a torn last chunk, and the next open quarantines that dump: a
-//! cold cache, never a wrong result.  A store directory can be shared by
+//! Reports and compacted dumps are written atomically (temp file +
+//! rename); a chunk is appended with one write.  A crash mid-append leaves
+//! a torn last chunk, and the next open quarantines that dump: a cold
+//! cache, never a wrong result.  A store directory can be shared by
 //! consecutive daemon processes but not by concurrent ones.
 //! [`ResultStore::in_memory`] provides the same interface without touching
 //! disk, for tests and benches.  For chaos testing, a [`FaultPlan`] seeded
@@ -47,7 +47,6 @@
 use crate::fault::{FaultPlan, FaultSite};
 use micrograd_codegen::GeneratorInput;
 use micrograd_core::{FrameworkConfig, FrameworkOutput, Metrics};
-use micrograd_obs::JobTimeline;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -68,23 +67,6 @@ pub struct StoredReport {
     pub config: FrameworkConfig,
     /// The completed report.
     pub output: FrameworkOutput,
-}
-
-/// The on-disk shape of one persisted job timeline.
-///
-/// Timelines are observability metadata keyed by *job id*, not by
-/// configuration fingerprint: two runs of the same configuration have the
-/// same report but different timelines.  They are written best-effort when
-/// a job reaches a terminal state and never participate in deduplication
-/// or result identity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StoredTimeline {
-    /// Store format version (currently [`crate::PROTO_VERSION`]).
-    pub proto: u32,
-    /// The job the timeline belongs to (also in the file name).
-    pub job: u64,
-    /// The recorded stage marks.
-    pub timeline: JobTimeline,
 }
 
 /// The on-disk shape of one chunk of a memo-cache dump.
@@ -110,7 +92,6 @@ pub struct ResultStore {
     // resident (reports are read on demand) and only serializes writers.
     reports: Mutex<HashMap<u64, StoredReport>>,
     caches: Mutex<HashMap<String, Vec<(GeneratorInput, Metrics)>>>,
-    timelines: Mutex<HashMap<u64, StoredTimeline>>,
 }
 
 /// `config` as the service identifies a job and its stored report: with
@@ -243,7 +224,7 @@ fn parse<T: Deserialize>(payload: &str) -> Result<T, String> {
     serde_json::from_str(payload).map_err(|e| format!("invalid document: {e}"))
 }
 
-/// Verifies and parses a one-document file (a report or a timeline).
+/// Verifies and parses a one-document file (a report).
 fn parse_sealed<T: Deserialize>(text: &str) -> Result<T, String> {
     match unseal(text)?.as_slice() {
         [payload] => parse(payload),
@@ -338,7 +319,6 @@ impl ResultStore {
             quarantined: AtomicU64::new(0),
             reports: Mutex::new(HashMap::new()),
             caches: Mutex::new(HashMap::new()),
-            timelines: Mutex::new(HashMap::new()),
         };
         store.recover()?;
         Ok(store)
@@ -353,7 +333,6 @@ impl ResultStore {
             quarantined: AtomicU64::new(0),
             reports: Mutex::new(HashMap::new()),
             caches: Mutex::new(HashMap::new()),
-            timelines: Mutex::new(HashMap::new()),
         }
     }
 
@@ -369,12 +348,6 @@ impl ResultStore {
     #[must_use]
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fault
-    }
-
-    /// The backing directory, if this store is persistent.
-    #[must_use]
-    pub fn location(&self) -> Option<&Path> {
-        self.dir.as_deref()
     }
 
     /// The quarantine directory, if this store is persistent.
@@ -402,15 +375,10 @@ impl ResultStore {
             .map(|d| d.join(format!("cache-{:016x}.json", key_hash(key))))
     }
 
-    fn timeline_path(&self, job: u64) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("trace-{job:016x}.json")))
-    }
-
-    /// Startup scan: verify every chunk's trailer of every `report-*`,
-    /// `cache-*` and `trace-*` file, quarantine what fails, sweep stale
-    /// temp files.
+    /// Startup scan: verify every chunk's trailer of every `report-*` and
+    /// `cache-*` file, quarantine what fails, sweep stale temp files.
+    /// Other files (`trace-*.json` timelines of older builds among them)
+    /// are left alone.
     fn recover(&self) -> io::Result<()> {
         let Some(dir) = &self.dir else { return Ok(()) };
         for entry in std::fs::read_dir(dir)? {
@@ -427,7 +395,7 @@ impl ResultStore {
                 let _ = std::fs::remove_file(&path);
                 continue;
             }
-            let stored = ["report-", "cache-", "trace-"]
+            let stored = ["report-", "cache-"]
                 .iter()
                 .any(|prefix| name.starts_with(prefix));
             if !stored || !name.ends_with(".json") {
@@ -630,55 +598,6 @@ impl ResultStore {
         })
     }
 
-    /// Persists the timeline of a terminal job, keyed by job id.
-    ///
-    /// Timelines are observability metadata: the scheduler writes them
-    /// best-effort after a job's terminal transition, and a failed write
-    /// costs a `trace` answer, never a result.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the file cannot be written.  The in-memory
-    /// mode never fails.
-    pub fn save_timeline(&self, timeline: &JobTimeline) -> io::Result<()> {
-        let stored = StoredTimeline {
-            proto: crate::PROTO_VERSION,
-            job: timeline.job,
-            timeline: timeline.clone(),
-        };
-        match self.timeline_path(timeline.job) {
-            Some(path) => self.write_atomically(&path, &sealed(&stored)?),
-            None => {
-                self.timelines.lock().insert(timeline.job, stored);
-                Ok(())
-            }
-        }
-    }
-
-    /// Loads the timeline previously saved for a job.  Returns `None` when
-    /// nothing is stored or the file fails integrity verification (it is
-    /// then quarantined).
-    #[must_use]
-    pub fn load_timeline(&self, job: u64) -> Option<JobTimeline> {
-        let stored = match self.timeline_path(job) {
-            Some(path) => {
-                if self.fault.should_inject(FaultSite::StoreRead) {
-                    return None;
-                }
-                let text = std::fs::read_to_string(&path).ok()?;
-                match parse_sealed::<StoredTimeline>(&text) {
-                    Ok(stored) => stored,
-                    Err(reason) => {
-                        self.quarantine_file(&path, &reason);
-                        return None;
-                    }
-                }
-            }
-            None => self.timelines.lock().get(&job)?.clone(),
-        };
-        (stored.job == job).then_some(stored.timeline)
-    }
-
     /// The fault seams every write passes first: an injected delay, then
     /// an injected `StoreWrite` failure.
     fn inject_write_faults(&self) -> io::Result<()> {
@@ -780,7 +699,7 @@ mod tests {
     #[test]
     fn in_memory_store_behaves_like_disk_without_files() {
         let store = ResultStore::in_memory();
-        assert!(store.location().is_none());
+        assert!(store.quarantine_dir().is_none());
         let (config, output) = run_tiny();
         store.save_report(&config, &output).unwrap();
         assert_eq!(store.report_count(), 1);
@@ -991,51 +910,6 @@ mod tests {
         let mut reseeded = config;
         reseeded.seed = 9;
         assert_ne!(platform_key(&reseeded), key);
-    }
-
-    #[test]
-    fn timelines_round_trip_survive_reopen_and_quarantine_damage() {
-        use micrograd_obs::TimelineMark;
-        let scratch = ScratchDir::new("timeline");
-        let timeline = JobTimeline {
-            job: 7,
-            started_ns: 1_000,
-            marks: vec![
-                TimelineMark {
-                    stage: "received".into(),
-                    offset_ns: 0,
-                    detail: 0,
-                },
-                TimelineMark {
-                    stage: "completed".into(),
-                    offset_ns: 5_000,
-                    detail: 0,
-                },
-            ],
-        };
-        {
-            let store = ResultStore::open(scratch.path()).unwrap();
-            assert!(store.load_timeline(7).is_none());
-            store.save_timeline(&timeline).unwrap();
-            assert_eq!(store.load_timeline(7), Some(timeline.clone()));
-            assert!(store.load_timeline(8).is_none());
-        }
-        // Survives a daemon restart — the property `trace` relies on.
-        let store = ResultStore::open(scratch.path()).unwrap();
-        assert_eq!(store.quarantined_count(), 0);
-        assert_eq!(store.load_timeline(7), Some(timeline.clone()));
-
-        // Damage is quarantined like any other store file.
-        let path = store.timeline_path(7).unwrap();
-        std::fs::write(&path, "{ not json").unwrap();
-        assert!(store.load_timeline(7).is_none());
-        assert_eq!(store.quarantined_count(), 1);
-        assert!(!path.exists(), "damaged file was moved aside");
-
-        // In-memory mode offers the same interface.
-        let memory = ResultStore::in_memory();
-        memory.save_timeline(&timeline).unwrap();
-        assert_eq!(memory.load_timeline(7), Some(timeline));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use micrograd_core::{
     CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, Metrics, MicroGrad, StressGoal,
     TunerKind, UseCaseConfig,
 };
-use micrograd_service::{Client, JobState, Server, ServerConfig};
+use micrograd_service::{Client, ClientError, JobState, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -233,6 +233,22 @@ fn restarted_daemon_answers_repeat_jobs_from_the_durable_store() {
         (clone_bytes, stress_bytes)
     };
 
+    // A lifetime leaves results only: a report per job and the cache
+    // dumps, nothing keyed by a job id that the next lifetime reuses.
+    let names: Vec<String> = std::fs::read_dir(&store_dir)
+        .expect("store directory readable")
+        .map(|entry| entry.expect("store entry").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        names.iter().all(|name| {
+            (name.starts_with("report-") || name.starts_with("cache-")) && name.ends_with(".json")
+        }),
+        "store files: {names:?}"
+    );
+    let reports = names.iter().filter(|name| name.starts_with("report-"));
+    assert_eq!(reports.count(), 2, "store files: {names:?}");
+
     // Restarted daemon over the same store directory: identical
     // submissions are answered from disk without executing, and the
     // reports are bit-identical to the first lifetime's.
@@ -292,7 +308,7 @@ fn metrics_scrape_and_job_timelines_cover_the_whole_pipeline() {
     }
 
     // The job's timeline walks the full pipeline in order, with at least
-    // one per-epoch execution mark, and survives in the durable store.
+    // one per-epoch execution mark.
     let timeline = client.trace(job).expect("timeline recorded");
     assert_eq!(timeline.job, job);
     let stages: Vec<&str> = timeline.marks.iter().map(|m| m.stage.as_str()).collect();
@@ -318,8 +334,12 @@ fn metrics_scrape_and_job_timelines_cover_the_whole_pipeline() {
         .windows(2)
         .all(|w| w[0].offset_ns <= w[1].offset_ns));
 
-    // An unknown job is a server error, not a protocol failure.
-    assert!(client.trace(9_999).is_err());
+    // An unknown job is a server error, not a protocol failure, worded
+    // as `fetch` and `watch` word it.
+    match client.trace(9_999) {
+        Err(ClientError::Server(message)) => assert_eq!(message, "unknown job 9999"),
+        other => panic!("expected an unknown-job error, got {other:?}"),
+    }
     server.shutdown();
 }
 
