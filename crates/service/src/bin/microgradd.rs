@@ -114,6 +114,9 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     if config.workers == 0 {
         return Err("--workers must be at least 1 for a daemon".to_owned());
     }
+    if config.queue_capacity == 0 {
+        return Err("--queue-capacity must be at least 1".to_owned());
+    }
     Ok(config)
 }
 
@@ -222,6 +225,16 @@ mod tests {
     use micrograd_core::{TunerKind, UseCaseConfig};
     use micrograd_service::{FaultPlan, FaultSite, JobState};
     use std::time::{Duration, Instant};
+
+    #[test]
+    fn a_zero_queue_capacity_is_rejected() {
+        let parse = |capacity: &str| parse_args(&["--queue-capacity".to_owned(), capacity.into()]);
+        assert_eq!(
+            parse("0").expect_err("a queue that admits nothing"),
+            "--queue-capacity must be at least 1"
+        );
+        assert_eq!(parse("1").expect("accepted").queue_capacity, 1);
+    }
 
     #[test]
     fn the_exit_report_covers_a_job_the_drain_finished() {

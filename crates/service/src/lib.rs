@@ -14,7 +14,7 @@
 //! | scheduler | [`scheduler`] | bounded priority queue, worker pool, fingerprint dedup |
 //! | durable store | [`store`] | content-addressed reports + memo-cache dumps |
 //! | event loop | [`reactor`] | `poll(2)` readiness loop: one thread, every socket |
-//! | server | [`server`] | reactor + handler pool wiring, clean shutdown |
+//! | server | [`server`] | request dispatch on the reactor thread, clean shutdown |
 //! | client | [`client`] | blocking session client (also behind `micrograd-cli`) |
 //! | observability | [`metrics`] | metrics registry (every layer's counters) and latency histograms |
 //! | fault injection | [`fault`] | seeded, replayable chaos plans for the seams above |

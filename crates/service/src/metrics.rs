@@ -1,5 +1,5 @@
-//! The service's metrics root: one [`Registry`] shared by the scheduler,
-//! the reactor and the request handlers.
+//! The service's metrics root: one [`Registry`] shared by the scheduler
+//! and the reactor.
 //!
 //! The registry is the daemon's only counter surface.  Each layer writes
 //! its series where the value changes — the scheduler its job, queue and

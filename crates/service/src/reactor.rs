@@ -1,30 +1,31 @@
 //! The readiness-driven event loop behind the daemon's sockets.
 //!
-//! One reactor thread owns the listener and every client socket.  It
-//! blocks in `poll(2)` — a thin `extern "C"` shim, no crates — until a
-//! socket is readable/writable, a handler finished a request, a job a
-//! client is watching completed, or a shutdown was requested (the last
-//! three arrive through a self-pipe).  Idle connections therefore cost a
-//! slab entry and a pollfd, not a thread, and an idle daemon performs
+//! One reactor thread owns the listener and every client socket, and
+//! answers every request line itself.  It blocks in `poll(2)` — a thin
+//! `extern "C"` shim, no crates — until a socket is readable/writable, a
+//! job a client is watching completed, or a shutdown was requested (the
+//! last two arrive through a self-pipe).  Idle connections therefore cost
+//! a slab entry and a pollfd, not a thread, and an idle daemon performs
 //! *zero* timer-driven wakeups: the poll timeout is infinite unless a
 //! `watch` deadline or a shutdown drain is actually pending.
 //!
 //! Per connection the reactor keeps:
 //!
 //! * a [`LineDecoder`] accumulating partial request lines across reads,
-//! * an ordered queue of *response slots* — one per dispatched request —
-//!   so responses go out in request order even though handlers run on a
-//!   pool and `watch` responses resolve much later,
+//! * an ordered queue of *response slots* — one per answered request —
+//!   so responses go out in request order even though `watch` responses
+//!   resolve much later,
 //! * a bounded write queue with nonblocking drains: a slow reader
 //!   first stops being read from (soft cap) and is eventually closed
 //!   (hard cap), so it can never block the loop or other clients.
 //!
-//! Request execution stays *serial per connection* (one dispatched line
-//! at a time), preserving the threaded server's semantics for pipelined
-//! requests; different connections execute concurrently on the handler
-//! pool.  Handler results come back through the inbox tagged with a
-//! connection generation, so a result for a connection that died (and
-//! whose slab slot was reused) is discarded instead of misdelivered.
+//! Every request is a short scheduler call (the heavy lifting runs on
+//! the scheduler's workers), so the loop answers a connection's ready
+//! lines in order, in the iteration that read them, until none are left
+//! or its write queue reaches the soft cap; a connection held at the cap
+//! resumes once its queue drains below it.  No line is executed once a
+//! shutdown is requested, not even one pipelined behind the `shutdown`
+//! line itself.
 //!
 //! Fault injection ([`FaultSite::ConnectionDrop`]) is seated at the
 //! response-commit seam: the victim connection gets half its response
@@ -35,12 +36,12 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::metrics::ReactorMetrics;
 use crate::protocol::{encode_response, JobState, LineDecoder, Response, ResponseBody};
 use crate::scheduler::Scheduler;
-use crate::server::ShutdownSignal;
+use crate::server::{self, ShutdownSignal};
 use micrograd_obs::Gauge;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Longest accepted request line; a line still incomplete past this is
@@ -345,130 +346,48 @@ impl Drop for WakePipe {
     }
 }
 
-/// One complete request line, dispatched from the reactor to the
-/// handler pool.
-pub(crate) struct WorkItem {
-    pub token: usize,
-    pub gen: u64,
-    pub seq: u64,
-    pub line: String,
-}
-
-/// What a handler produced for one request line.
-pub(crate) enum HandlerOutcome {
+/// What answering one request line produced.
+pub(crate) enum Answer {
     /// An encoded response line, ready for the wire.
     Line(String),
     /// The request was a `watch`: the response is deferred until the
     /// job completes, the optional deadline passes, or the server
-    /// drains.  The reactor re-checks the job's state at registration,
-    /// so a completion racing the handler cannot be missed.
+    /// drains.
     Watch { job: u64, deadline: Option<Instant> },
 }
 
-struct WorkState {
-    queue: VecDeque<WorkItem>,
-    stopped: bool,
-}
-
-/// The reactor→handler dispatch queue.
-pub(crate) struct WorkQueue {
-    state: Mutex<WorkState>,
-    available: Condvar,
-}
-
-impl WorkQueue {
-    pub fn new() -> Self {
-        WorkQueue {
-            state: Mutex::new(WorkState {
-                queue: VecDeque::new(),
-                stopped: false,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    pub fn push(&self, item: WorkItem) {
-        let mut state = crate::sync::lock_or_recover(&self.state);
-        if state.stopped {
-            return;
-        }
-        state.queue.push_back(item);
-        self.available.notify_one();
-    }
-
-    /// Blocks for the next item; `None` once stopped *and* drained, so
-    /// every accepted request is still answered during a shutdown.
-    pub fn pop(&self) -> Option<WorkItem> {
-        let mut state = crate::sync::lock_or_recover(&self.state);
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                return Some(item);
-            }
-            if state.stopped {
-                return None;
-            }
-            state = crate::sync::wait_or_recover(&self.available, state);
-        }
-    }
-
-    pub fn stop(&self) {
-        let mut state = crate::sync::lock_or_recover(&self.state);
-        state.stopped = true;
-        drop(state);
-        self.available.notify_all();
-    }
-}
-
-#[derive(Default)]
-struct InboxQueues {
-    results: Vec<(usize, u64, u64, HandlerOutcome)>,
-    completions: Vec<(u64, JobState)>,
-}
-
-/// The handler→reactor (and scheduler→reactor) result mailbox.
+/// The scheduler→reactor completion mailbox.
 ///
 /// Lock discipline: the scheduler's terminal hook pushes completions
 /// while *holding the scheduler lock*, so the reactor must never call
 /// into the scheduler while holding this lock — [`Inbox::take`] moves
-/// the queues out and releases before any processing.
+/// the queue out and releases before any processing.
 #[derive(Default)]
 pub(crate) struct Inbox {
-    queues: Mutex<InboxQueues>,
+    completions: Mutex<Vec<(u64, JobState)>>,
 }
 
 impl Inbox {
-    pub fn push_result(&self, token: usize, gen: u64, seq: u64, outcome: HandlerOutcome) {
-        let mut queues = crate::sync::lock_or_recover(&self.queues);
-        queues.results.push((token, gen, seq, outcome));
-    }
-
     pub fn push_completion(&self, job: u64, state: JobState) {
-        let mut queues = crate::sync::lock_or_recover(&self.queues);
-        queues.completions.push((job, state));
+        crate::sync::lock_or_recover(&self.completions).push((job, state));
     }
 
-    #[allow(clippy::type_complexity)]
-    pub fn take(&self) -> (Vec<(usize, u64, u64, HandlerOutcome)>, Vec<(u64, JobState)>) {
-        let mut queues = crate::sync::lock_or_recover(&self.queues);
-        (
-            std::mem::take(&mut queues.results),
-            std::mem::take(&mut queues.completions),
-        )
+    pub fn take(&self) -> Vec<(u64, JobState)> {
+        std::mem::take(&mut *crate::sync::lock_or_recover(&self.completions))
     }
 }
 
-/// Everything the reactor thread shares with the handler pool, the
-/// scheduler's terminal hook and the [`Server`](crate::Server) handle.
+/// Everything the reactor thread shares with the scheduler's terminal
+/// hook and the [`Server`](crate::Server) handle.
 pub(crate) struct ReactorShared {
-    pub scheduler: Arc<Scheduler>,
-    pub signal: Arc<ShutdownSignal>,
-    pub work: Arc<WorkQueue>,
+    pub scheduler: Scheduler,
+    pub signal: ShutdownSignal,
     pub inbox: Arc<Inbox>,
     pub wake: Arc<WakePipe>,
 }
 
 /// One ordered response slot: created when its request line is
-/// dispatched, filled when the response line is known.  Only a filled
+/// executed, filled when the response line is known.  Only a filled
 /// *prefix* of the slot queue ever reaches the write queue, so
 /// responses leave in request order no matter when they resolve.
 struct Slot {
@@ -484,7 +403,6 @@ struct WatchEntry {
 
 struct Connection {
     stream: TcpStream,
-    gen: u64,
     decoder: LineDecoder,
     /// Encoded response bytes awaiting a nonblocking write.
     out: Vec<u8>,
@@ -492,10 +410,7 @@ struct Connection {
     out_pos: usize,
     pending: VecDeque<Slot>,
     next_seq: u64,
-    /// Whether a dispatched request is awaiting its handler result;
-    /// requests execute serially per connection.
-    inflight: bool,
-    /// Complete lines parsed but not yet dispatched.
+    /// Complete lines parsed but not yet answered.
     ready: VecDeque<String>,
     watches: Vec<WatchEntry>,
     read_closed: bool,
@@ -503,16 +418,14 @@ struct Connection {
 }
 
 impl Connection {
-    fn new(stream: TcpStream, gen: u64) -> Self {
+    fn new(stream: TcpStream) -> Self {
         Connection {
             stream,
-            gen,
             decoder: LineDecoder::new(MAX_LINE),
             out: Vec::new(),
             out_pos: 0,
             pending: VecDeque::new(),
             next_seq: 0,
-            inflight: false,
             ready: VecDeque::new(),
             watches: Vec::new(),
             read_closed: false,
@@ -522,6 +435,12 @@ impl Connection {
 
     fn out_bytes(&self) -> usize {
         self.out.len() - self.out_pos
+    }
+
+    /// Whether a ready line waits and the write queue is below the soft
+    /// cap.
+    fn may_answer(&self) -> bool {
+        !self.ready.is_empty() && self.out_bytes() < SOFT_WRITE_CAP
     }
 
     /// Fills the response slot `seq` and commits the filled prefix to
@@ -610,7 +529,6 @@ impl Connection {
                         self.pending.clear();
                         self.watches.clear();
                         self.ready.clear();
-                        self.inflight = false;
                         self.out.extend_from_slice(line.as_bytes());
                         self.read_closed = true;
                         self.close_after_flush = true;
@@ -631,21 +549,17 @@ impl Connection {
     }
 }
 
-/// Index-stable connection storage with generation counters: a token
-/// observed by a handler stays valid (or is detected stale) across slot
-/// reuse.
+/// Index-stable connection storage: a connection keeps its token until
+/// it closes, and a freed slot is reused by the next accept.
 #[derive(Default)]
 struct Slab {
     slots: Vec<Option<Connection>>,
     free: Vec<usize>,
-    next_gen: u64,
 }
 
 impl Slab {
     fn insert(&mut self, stream: TcpStream) -> usize {
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let conn = Connection::new(stream, gen);
+        let conn = Connection::new(stream);
         if let Some(token) = self.free.pop() {
             // A free-list token always names an existing vacant slot; if
             // the list is ever corrupt, fall through and append instead.
@@ -829,14 +743,11 @@ impl EventLoop<'_> {
                 }
             }
 
-            // Take the inbox *before* touching the scheduler: the
-            // terminal hook pushes under the scheduler lock, so holding
-            // the inbox lock across a scheduler call would invert the
-            // order and deadlock.
-            let (results, completions) = self.shared.inbox.take();
-            for (token, gen, seq, outcome) in results {
-                self.apply_result(token, gen, seq, outcome);
-            }
+            // Answer before taking the inbox, so a watch registered on a
+            // live job here finds its completion in this take or a later
+            // one.
+            self.answer_lines();
+            let completions = self.shared.inbox.take();
             self.resolve_completions(completions);
             self.expire_watches(Instant::now());
             self.sweep();
@@ -849,12 +760,19 @@ impl EventLoop<'_> {
         }
     }
 
-    /// `poll` timeout in milliseconds: the nearest watch deadline or
-    /// the drain deadline, else infinite.  An idle daemon therefore
-    /// performs zero timer wakeups.
+    /// `poll` timeout in milliseconds: zero while a connection has a line
+    /// it may answer, else the nearest watch deadline or the drain
+    /// deadline, else infinite.  An idle daemon therefore performs zero
+    /// timer wakeups.
     fn poll_timeout(&self) -> i32 {
+        let answering = !self.shared.signal.is_triggered();
         let mut deadline = self.drain_deadline;
         for (_, conn) in self.conns.iter() {
+            // Left at the soft cap, a line has nothing else to wake it
+            // once the write queue drains.
+            if answering && conn.may_answer() {
+                return 0;
+            }
             for watch in &conn.watches {
                 if let Some(d) = watch.deadline {
                     deadline = Some(deadline.map_or(d, |current| current.min(d)));
@@ -925,36 +843,35 @@ impl EventLoop<'_> {
         }
     }
 
-    fn apply_result(&mut self, token: usize, gen: u64, seq: u64, outcome: HandlerOutcome) {
-        let draining = self.draining;
-        let Some(conn) = self.conns.get_mut(token) else {
-            return;
-        };
-        if conn.gen != gen {
-            // The connection this result belongs to died and its slot
-            // was reused; the occupant must not receive it.
-            return;
-        }
-        conn.inflight = false;
-        match outcome {
-            HandlerOutcome::Line(line) => {
+    /// Answers each connection's ready lines in request order until none
+    /// are left or its write queue reaches the soft cap, and executes no
+    /// line once a shutdown is requested.
+    fn answer_lines(&mut self) {
+        let shared = self.shared;
+        for (_, conn) in self.conns.iter_mut() {
+            while !shared.signal.is_triggered() && conn.may_answer() {
+                let Some(line) = conn.ready.pop_front() else {
+                    break;
+                };
+                let seq = conn.next_seq;
+                conn.next_seq += 1;
+                conn.pending.push_back(Slot { seq, line: None });
+                let line = match server::handle_line(&line, shared) {
+                    Answer::Line(line) => line,
+                    Answer::Watch { job, deadline } => {
+                        // The terminal hook fires under the scheduler
+                        // lock, so either this status observes the
+                        // terminal state or the completion lands in the
+                        // inbox after this point — never neither.
+                        let state = shared.scheduler.status(job);
+                        if state.as_ref().is_some_and(|s| !s.is_terminal()) {
+                            conn.watches.push(WatchEntry { seq, job, deadline });
+                            continue;
+                        }
+                        watch_answer(job, state)
+                    }
+                };
                 conn.fill(seq, line, &self.fault, &self.metrics.write_queue_hwm);
-            }
-            HandlerOutcome::Watch { job, deadline } => {
-                // Re-check at registration: the job may have reached a
-                // terminal state between the handler's decision and
-                // now, and that completion push may already be
-                // consumed.  The terminal hook fires under the
-                // scheduler lock, so either this status observes the
-                // terminal state or the completion lands in the inbox
-                // after this point — never neither.
-                let state = self.shared.scheduler.status(job);
-                if !draining && state.as_ref().is_some_and(|s| !s.is_terminal()) {
-                    conn.watches.push(WatchEntry { seq, job, deadline });
-                } else {
-                    let line = watch_answer(job, state);
-                    conn.fill(seq, line, &self.fault, &self.metrics.write_queue_hwm);
-                }
             }
         }
     }
@@ -998,34 +915,18 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Per-iteration housekeeping: dispatch the next ready line of each
-    /// idle connection, flush write queues, close what is finished.
+    /// Per-iteration housekeeping: flush write queues, close what is
+    /// finished.
     fn sweep(&mut self) {
         for token in self.conns.tokens() {
             let mut dead = false;
             if let Some(conn) = self.conns.get_mut(token) {
-                if !self.draining && !conn.inflight {
-                    if let Some(line) = conn.ready.pop_front() {
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        conn.pending.push_back(Slot { seq, line: None });
-                        conn.inflight = true;
-                        self.shared.work.push(WorkItem {
-                            token,
-                            gen: conn.gen,
-                            seq,
-                            line,
-                        });
-                    }
-                }
                 if !conn.try_flush() {
                     dead = true;
                 }
                 let drained = conn.out_bytes() == 0;
-                let quiescent = !conn.inflight
-                    && conn.pending.is_empty()
-                    && conn.watches.is_empty()
-                    && conn.ready.is_empty();
+                let quiescent =
+                    conn.pending.is_empty() && conn.watches.is_empty() && conn.ready.is_empty();
                 if conn.out_bytes() > HARD_WRITE_CAP {
                     // The peer stopped reading altogether.
                     dead = true;
@@ -1036,7 +937,7 @@ impl EventLoop<'_> {
                 if drained && conn.read_closed && quiescent {
                     dead = true;
                 }
-                if self.draining && drained && !conn.inflight && conn.pending.is_empty() {
+                if self.draining && drained && conn.pending.is_empty() {
                     // Nothing left to deliver: a draining server closes
                     // the session.
                     dead = true;
@@ -1078,44 +979,17 @@ mod tests {
     }
 
     #[test]
-    fn work_queue_drains_after_stop() {
-        let queue = WorkQueue::new();
-        queue.push(WorkItem {
-            token: 1,
-            gen: 0,
-            seq: 0,
-            line: "a".into(),
-        });
-        queue.stop();
-        // Items enqueued before the stop still come out…
-        assert_eq!(queue.pop().map(|item| item.token), Some(1));
-        // …then the queue reports exhaustion instead of blocking.
-        assert!(queue.pop().is_none());
-        // Pushes after the stop are refused.
-        queue.push(WorkItem {
-            token: 2,
-            gen: 0,
-            seq: 0,
-            line: "b".into(),
-        });
-        assert!(queue.pop().is_none());
-    }
-
-    #[test]
-    fn slab_reuses_slots_with_fresh_generations() {
+    fn slab_reuses_freed_slots() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let mut slab = Slab::default();
         let s1 = TcpStream::connect(addr).expect("connect");
         let s2 = TcpStream::connect(addr).expect("connect");
         let t1 = slab.insert(s1);
-        let gen1 = slab.get_mut(t1).expect("live").gen;
         assert!(slab.remove(t1).is_some());
         assert!(slab.get_mut(t1).is_none(), "removed slot reads empty");
         let t2 = slab.insert(s2);
         assert_eq!(t1, t2, "freed slot is reused");
-        let gen2 = slab.get_mut(t2).expect("live").gen;
-        assert_ne!(gen1, gen2, "reuse bumps the generation");
         assert!(!slab.is_empty());
     }
 
@@ -1124,7 +998,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let stream = TcpStream::connect(addr).expect("connect");
-        let mut conn = Connection::new(stream, 0);
+        let mut conn = Connection::new(stream);
         let fault = FaultPlan::none();
         let metrics = crate::ServiceMetrics::new();
         let hwm = &metrics.reactor.write_queue_hwm;

@@ -1,13 +1,14 @@
-//! The TCP server: a readiness event loop feeding a small handler pool.
+//! The TCP server: request dispatch on the event-loop thread.
 //!
 //! One reactor thread (see [`crate::reactor`]) owns the listener and
-//! every client socket behind nonblocking I/O and `poll(2)`; a fixed
-//! handler pool executes decoded requests against the scheduler.  The
-//! thread count is `1 + HANDLER_THREADS + workers` regardless of how
-//! many connections are open — a thousand idle clients cost slab
-//! entries, not threads, and wake nothing.  While a job's evaluation
-//! batch runs, it adds scoped helpers borrowed from the process's spare
-//! cores: at most `cores - 1` across all jobs, joined when the batch ends.
+//! every client socket behind nonblocking I/O and `poll(2)`, and answers
+//! each request line itself: every request is a short scheduler call,
+//! and the heavy lifting happens on the scheduler's own workers.  The
+//! thread count is `1 + workers` regardless of how many connections are
+//! open — a thousand idle clients cost slab entries, not threads, and
+//! wake nothing.  While a job's evaluation batch runs, it adds scoped
+//! helpers borrowed from the process's spare cores: at most `cores - 1`
+//! across all jobs, joined when the batch ends.
 //!
 //! Each connection is one long-lived JSON-lines session (see
 //! [`crate::protocol`]); every request line is answered with exactly one
@@ -20,15 +21,16 @@
 //! socket instead of polling.
 //!
 //! Shutdown is cooperative and clean: a `shutdown` request (or
-//! [`Server::shutdown`]) stops the accept loop, the reactor resolves
-//! pending watches and flushes every write queue, the scheduler finishes
-//! in-flight jobs, and every thread is joined before
+//! [`Server::shutdown`]) closes the scheduler's intake and stops the
+//! accept loop, no further request line is executed, the reactor
+//! resolves pending watches and flushes every write queue, the scheduler
+//! finishes in-flight jobs, and every thread is joined before
 //! [`Server::shutdown`] returns.
 
 use crate::protocol::{
     decode_request, encode_response, RequestBody, Response, ResponseBody, WireError,
 };
-use crate::reactor::{self, HandlerOutcome, Inbox, ReactorShared, WakePipe, WorkQueue};
+use crate::reactor::{self, Answer, Inbox, ReactorShared, WakePipe};
 use crate::scheduler::{FetchResult, Scheduler, SchedulerConfig, SubmitError};
 use crate::store::ResultStore;
 use micrograd_obs::clock::now_ns;
@@ -37,12 +39,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Request-handler threads: they only run short scheduler calls (the
-/// heavy lifting happens on the scheduler's own workers), so a small
-/// fixed pool keeps the reactor responsive without scaling threads with
-/// load.
-const HANDLER_THREADS: usize = 2;
 
 /// Retry hint attached to a queue-full rejection: the queue drains at job
 /// granularity, so a short pause is usually enough.
@@ -114,16 +110,11 @@ impl ShutdownSignal {
     }
 }
 
-/// A running `microgradd` instance: reactor thread, handler pool and
-/// scheduler.
+/// A running `microgradd` instance: reactor thread and scheduler.
 pub struct Server {
     addr: SocketAddr,
-    scheduler: Arc<Scheduler>,
-    signal: Arc<ShutdownSignal>,
-    wake: Arc<WakePipe>,
-    work: Arc<WorkQueue>,
+    shared: Arc<ReactorShared>,
     reactor_thread: Option<std::thread::JoinHandle<()>>,
-    handler_threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -134,16 +125,8 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Everything a handler thread needs to answer one request line.
-struct HandlerCtx {
-    scheduler: Arc<Scheduler>,
-    signal: Arc<ShutdownSignal>,
-    wake: Arc<WakePipe>,
-}
-
 impl Server {
-    /// Binds the listener, starts the scheduler, the reactor and the
-    /// handler pool.
+    /// Binds the listener, starts the scheduler and the reactor.
     ///
     /// # Errors
     ///
@@ -157,19 +140,17 @@ impl Server {
             None => ResultStore::in_memory(),
         }
         .with_fault_plan(config.fault.clone());
-        let scheduler = Arc::new(Scheduler::new(
+        let scheduler = Scheduler::new(
             SchedulerConfig {
                 workers: config.workers,
                 queue_capacity: config.queue_capacity,
                 ..SchedulerConfig::default()
             },
             store,
-        ));
+        );
         let wake = Arc::new(WakePipe::new()?);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let signal = Arc::new(ShutdownSignal::new());
-        let work = Arc::new(WorkQueue::new());
         let inbox = Arc::new(Inbox::default());
 
         // Job completions reach waiting clients with no polling anywhere:
@@ -185,44 +166,21 @@ impl Server {
             }));
         }
 
+        let shared = Arc::new(ReactorShared {
+            scheduler,
+            signal: ShutdownSignal::new(),
+            inbox,
+            wake,
+        });
         let reactor_thread = {
-            let shared = ReactorShared {
-                scheduler: Arc::clone(&scheduler),
-                signal: Arc::clone(&signal),
-                work: Arc::clone(&work),
-                inbox: Arc::clone(&inbox),
-                wake: Arc::clone(&wake),
-            };
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || reactor::run(listener, &shared))
         };
 
-        let handler_threads = (0..HANDLER_THREADS)
-            .map(|_| {
-                let ctx = HandlerCtx {
-                    scheduler: Arc::clone(&scheduler),
-                    signal: Arc::clone(&signal),
-                    wake: Arc::clone(&wake),
-                };
-                let work = Arc::clone(&work);
-                let inbox = Arc::clone(&inbox);
-                std::thread::spawn(move || {
-                    while let Some(item) = work.pop() {
-                        let outcome = handle_line(&item.line, &ctx);
-                        inbox.push_result(item.token, item.gen, item.seq, outcome);
-                        ctx.wake.notify();
-                    }
-                })
-            })
-            .collect();
-
         Ok(Server {
             addr,
-            scheduler,
-            signal,
-            wake,
-            work,
+            shared,
             reactor_thread: Some(reactor_thread),
-            handler_threads,
         })
     }
 
@@ -236,18 +194,18 @@ impl Server {
     /// report).
     #[must_use]
     pub fn scheduler(&self) -> &Scheduler {
-        &self.scheduler
+        &self.shared.scheduler
     }
 
     /// Whether a shutdown has been requested (by a client or locally).
     #[must_use]
     pub fn shutdown_requested(&self) -> bool {
-        self.signal.is_triggered()
+        self.shared.signal.is_triggered()
     }
 
     /// Blocks until a shutdown is requested.
     pub fn wait_for_shutdown(&self) {
-        self.signal.wait();
+        self.shared.signal.wait();
     }
 
     /// Requests a graceful shutdown from inside the process — the same
@@ -257,9 +215,7 @@ impl Server {
     /// Ctrl-C) handling routes through here so a killed daemon drains
     /// instead of dying mid-job.
     pub fn request_shutdown(&self) {
-        self.scheduler.begin_shutdown();
-        self.signal.trigger();
-        self.wake.notify();
+        begin_shutdown(&self.shared);
     }
 
     /// Stops accepting, drains write queues, finishes in-flight jobs and
@@ -270,23 +226,13 @@ impl Server {
     }
 
     fn shutdown_in_place(&mut self) {
-        self.signal.trigger();
-        // Close the scheduler's intake before draining connections, so a
-        // submission racing a locally-initiated shutdown is refused rather
-        // than acknowledged and then dropped.
-        self.scheduler.begin_shutdown();
-        // Wake the reactor; it stops accepting, resolves watches, flushes
-        // response queues and exits.
-        self.wake.notify();
+        begin_shutdown(&self.shared);
+        // The reactor stops accepting, resolves watches, flushes response
+        // queues and exits.
         if let Some(thread) = self.reactor_thread.take() {
             let _ = thread.join();
         }
-        // Handlers drain whatever the reactor dispatched, then stop.
-        self.work.stop();
-        for thread in self.handler_threads.drain(..) {
-            let _ = thread.join();
-        }
-        self.scheduler.shutdown();
+        self.shared.scheduler.shutdown();
     }
 }
 
@@ -296,23 +242,35 @@ impl Drop for Server {
     }
 }
 
+/// The one shutdown sequence, for a client's `shutdown` request and for
+/// [`Server::request_shutdown`] and [`Server::shutdown`] alike.  The
+/// scheduler's intake closes first, so a submission racing the shutdown
+/// is refused rather than acknowledged and then dropped; then the signal
+/// is raised and the reactor woken into its drain.
+fn begin_shutdown(shared: &ReactorShared) {
+    shared.scheduler.begin_shutdown();
+    shared.signal.trigger();
+    shared.wake.notify();
+}
+
 /// Executes one request line, timing it into the metrics registry: every
 /// line becomes exactly one `micrograd_requests_total{op=...}` count and
 /// one `micrograd_request_duration_us` histogram sample (undecodable
 /// lines under `op="invalid"`).
-fn handle_line(line: &str, ctx: &HandlerCtx) -> HandlerOutcome {
+pub(crate) fn handle_line(line: &str, shared: &ReactorShared) -> Answer {
     let started_ns = now_ns();
-    let (op, outcome) = dispatch_line(line, ctx);
-    ctx.scheduler
+    let (op, answer) = dispatch_line(line, shared);
+    shared
+        .scheduler
         .metrics()
         .record_request(op, now_ns().saturating_sub(started_ns) / 1_000);
-    outcome
+    answer
 }
 
-/// Decodes and dispatches one request line.  Runs on a handler thread;
-/// returns the op label (for metrics) and either an encoded response line
-/// or a deferred-watch registration for the reactor.
-fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome) {
+/// Decodes and dispatches one request line.  Runs on the reactor thread;
+/// returns the op label (for metrics) and either an encoded response
+/// line or a deferred watch for the reactor to register.
+fn dispatch_line(line: &str, shared: &ReactorShared) -> (&'static str, Answer) {
     let request = match decode_request(line) {
         Ok(request) => request,
         Err(e @ (WireError::Malformed(_) | WireError::Version { .. } | WireError::Encode(_))) => {
@@ -320,10 +278,10 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
                 message: e.to_string(),
                 retry_after_ms: None,
             }));
-            return ("invalid", HandlerOutcome::Line(line));
+            return ("invalid", Answer::Line(line));
         }
     };
-    let scheduler = &ctx.scheduler;
+    let scheduler = &shared.scheduler;
     let (op, body) = match request.body {
         RequestBody::Submit {
             config,
@@ -355,11 +313,10 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
             },
         ),
         RequestBody::Watch { job, timeout_ms } => {
-            // The reactor owns watch resolution; the deadline is fixed
-            // here so queueing delays count against the client's budget.
+            // The reactor owns watch resolution.
             return (
                 "watch",
-                HandlerOutcome::Watch {
+                Answer::Watch {
                     job,
                     deadline: timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
                 },
@@ -402,19 +359,11 @@ fn dispatch_line(line: &str, ctx: &HandlerCtx) -> (&'static str, HandlerOutcome)
             },
         ),
         RequestBody::Shutdown => {
-            // Close the scheduler's intake first: submissions racing the
-            // shutdown get a `ShuttingDown` error instead of a success
-            // receipt for work that would be lost on exit.  The wake
-            // poke sends the reactor into its drain, which still flushes
-            // this acknowledgement.
-            scheduler.begin_shutdown();
-            ctx.signal.trigger();
-            ctx.wake.notify();
+            // The reactor executes no line after this one; its drain
+            // still flushes this acknowledgement.
+            begin_shutdown(shared);
             ("shutdown", ResponseBody::ShuttingDown)
         }
     };
-    (
-        op,
-        HandlerOutcome::Line(encode_response(&Response::new(body))),
-    )
+    (op, Answer::Line(encode_response(&Response::new(body))))
 }

@@ -1,5 +1,6 @@
 //! Connection-count scaling: one daemon, 1000+ idle clients, a thread
-//! count that does not move, and zero timer-driven wakeups while idle.
+//! count that is `1 + workers` and does not move, and zero timer-driven
+//! wakeups while idle.
 //!
 //! This is the only test in its binary on purpose: the assertions count
 //! the *process's* threads via `/proc/self/task`, which sibling tests
@@ -41,13 +42,31 @@ fn reactor_series(server: &Server, name: &str) -> u64 {
 }
 
 #[cfg(target_os = "linux")]
-fn thread_count() -> usize {
+fn task_count() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
 }
 
 #[cfg(not(target_os = "linux"))]
+fn task_count() -> usize {
+    0 // No cheap portable thread census; the assertions are skipped.
+}
+
+/// The process's thread count once it holds still: a thread that was
+/// just joined (a job's batch helpers) can stay listed for a moment, so
+/// the census waits for three equal reads 10 ms apart, for at most 2 s.
 fn thread_count() -> usize {
-    0 // No cheap portable thread census; the assertion is skipped.
+    let mut count = task_count();
+    let mut equal_reads = 1;
+    for _ in 0..200 {
+        if equal_reads == 3 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        let now = task_count();
+        equal_reads = if now == count { equal_reads + 1 } else { 1 };
+        count = now;
+    }
+    count
 }
 
 /// Loopback connects can transiently trip over the accept backlog while
@@ -64,20 +83,29 @@ fn connect_idle(addr: SocketAddr) -> TcpStream {
 
 #[test]
 fn a_thousand_idle_connections_cost_no_threads_and_no_wakeups() {
-    let server = Server::start(ServerConfig {
+    let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         ..ServerConfig::default()
-    })
-    .expect("server starts");
+    };
+    let workers = config.workers;
+    let before_start = thread_count();
+    let server = Server::start(config).expect("server starts");
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
 
-    // Warm every lazily-spawned pool (reactor, handlers, workers) before
-    // taking the thread baseline.
+    // Run one job first, so its batch helpers have come and gone before
+    // the thread baseline is taken.
     client
         .submit_and_wait(&stress_config(81), 0, JOB_TIMEOUT)
         .expect("first job completes");
     let baseline = thread_count();
+    if before_start > 0 {
+        assert_eq!(
+            baseline.saturating_sub(before_start),
+            1 + workers,
+            "an idle daemon runs its reactor and its workers, nothing else"
+        );
+    }
 
     // 512 idle connections…
     let mut idle: Vec<TcpStream> = (0..512).map(|_| connect_idle(addr)).collect();

@@ -1,6 +1,7 @@
 //! Integration tests of the readiness event loop: incremental request
 //! decoding under pathological fragmentation, push-based `watch`
-//! resolution, and graceful drain with idle sessions attached.
+//! resolution, in-order answers to pipelined requests, and graceful
+//! drain with idle sessions attached.
 //!
 //! (Connection-count scaling lives in `conn_scaling.rs`, alone in its
 //! binary so thread-count assertions are not polluted by sibling tests.)
@@ -12,7 +13,8 @@ use micrograd_core::{
     CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, StressGoal, TunerKind, UseCaseConfig,
 };
 use micrograd_service::{
-    decode_response, Client, ClientError, JobState, ResponseBody, Server, ServerConfig,
+    decode_response, encode_line, Client, ClientError, JobState, Request, RequestBody,
+    ResponseBody, Server, ServerConfig,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -203,4 +205,105 @@ fn idle_server_parked_in_poll_shuts_down_without_waiting_out_the_drain() {
         );
         drop(idle);
     }
+}
+
+/// One write carrying every request of `bodies`, pipelined.
+fn pipeline(stream: &mut TcpStream, bodies: Vec<RequestBody>) {
+    let lines: String = bodies
+        .into_iter()
+        .map(|body| encode_line(&Request::new(body)).expect("encodes"))
+        .collect();
+    stream.write_all(lines.as_bytes()).expect("pipeline");
+    stream.flush().expect("flush");
+}
+
+fn next_response(reader: &mut BufReader<TcpStream>) -> ResponseBody {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("response");
+    decode_response(&line).expect("decodes").body
+}
+
+#[test]
+fn pipelined_requests_answer_in_order_and_none_runs_after_shutdown() {
+    // No workers: the submitted job stays queued, so the watch runs out
+    // its budget.
+    let server = start_server(0);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // Answers leave in request order: the `list` behind a live watch
+    // waits until the watch's budget has run out.
+    let budget_ms = 300;
+    let sent = Instant::now();
+    pipeline(
+        &mut stream,
+        vec![
+            RequestBody::Submit {
+                config: stress_config(73),
+                priority: 0,
+                deadline_ms: None,
+            },
+            RequestBody::Watch {
+                job: 1,
+                timeout_ms: Some(budget_ms),
+            },
+            RequestBody::List,
+            RequestBody::Watch {
+                job: 424242,
+                timeout_ms: Some(0),
+            },
+        ],
+    );
+    match next_response(&mut reader) {
+        ResponseBody::Submitted { job, .. } => assert_eq!(job, 1),
+        other => panic!("expected the submit receipt, got {other:?}"),
+    }
+    match next_response(&mut reader) {
+        ResponseBody::Status { job, state } => assert_eq!((job, state), (1, JobState::Queued)),
+        other => panic!("expected the watch's status, got {other:?}"),
+    }
+    match next_response(&mut reader) {
+        ResponseBody::Jobs { jobs } => {
+            assert_eq!(jobs.iter().map(|s| s.job).collect::<Vec<_>>(), [1]);
+        }
+        other => panic!("expected the job list, got {other:?}"),
+    }
+    let waited = sent.elapsed();
+    assert!(
+        waited >= Duration::from_millis(budget_ms),
+        "the list answer overtook the watch: {waited:?}"
+    );
+    match next_response(&mut reader) {
+        ResponseBody::Error { message, .. } => {
+            assert!(message.contains("unknown job 424242"), "got: {message}")
+        }
+        other => panic!("expected the unknown-job error, got {other:?}"),
+    }
+
+    // A line pipelined behind `shutdown` is never executed: the client
+    // reads the acknowledgement, then EOF.
+    pipeline(
+        &mut stream,
+        vec![
+            RequestBody::Shutdown,
+            RequestBody::Submit {
+                config: stress_config(74),
+                priority: 0,
+                deadline_ms: None,
+            },
+        ],
+    );
+    assert!(matches!(
+        next_response(&mut reader),
+        ResponseBody::ShuttingDown
+    ));
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("EOF"), 0, "got: {rest}");
+    let text = server.scheduler().metrics().render_prometheus();
+    assert_eq!(series(&text, "micrograd_jobs_submitted_total"), 1);
+    assert_eq!(series(&text, "micrograd_requests_total{op=\"submit\"}"), 1);
+    server.shutdown();
 }

@@ -7,17 +7,8 @@ use micrograd::core::{
 
 #[test]
 fn a_json_configuration_drives_a_full_stress_run() {
-    let json = r#"{
-        "core": "small",
-        "tuner": "gradient-descent",
-        "knob_space": "instruction-fractions",
-        "use_case": { "kind": "stress", "metric": "Ipc", "goal": "Minimize" },
-        "max_epochs": 3,
-        "dynamic_len": 5000,
-        "reference_len": 5000,
-        "seed": 3
-    }"#;
-    let config = FrameworkConfig::from_json(json).expect("valid config");
+    // The repository's sample job, the one the README submits.
+    let config = FrameworkConfig::from_json(include_str!("../job.json")).expect("valid config");
     assert_eq!(config.core, CoreKind::Small);
     assert_eq!(config.tuner, TunerKind::GradientDescent);
     assert_eq!(config.knob_space, KnobSpaceKind::InstructionFractions);
