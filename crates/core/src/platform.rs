@@ -396,13 +396,6 @@ impl SimPlatform {
         self
     }
 
-    /// The platform's cancellation token (a never-cancelled token unless
-    /// one was seeded via [`with_cancel_token`](Self::with_cancel_token)).
-    #[must_use]
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Registers a [`ProgressObserver`] notified at every batch boundary
     /// (which, for tuning runs, is every epoch boundary — see the observer
     /// docs).  The service layer uses this for per-epoch job-timeline
@@ -974,7 +967,6 @@ mod tests {
     fn default_token_never_cancels() {
         let p = platform();
         assert!(p.check_cancelled().is_ok());
-        assert!(!p.cancel_token().is_cancelled());
     }
 
     #[test]

@@ -126,12 +126,6 @@ impl ProfileRecorder {
         }
     }
 
-    /// Whether this recorder samples at all.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.interval != 0
-    }
-
     /// Whether a sample is due at `retired` instructions.
     #[inline]
     #[must_use]
@@ -204,7 +198,6 @@ mod tests {
     #[test]
     fn off_recorder_is_never_due_and_yields_nothing() {
         let mut rec = ProfileRecorder::off();
-        assert!(!rec.is_enabled());
         assert!(!rec.due(u64::MAX));
         rec.push(sample(1000));
         assert_eq!(rec.finish(), None);

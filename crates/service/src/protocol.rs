@@ -70,11 +70,12 @@ pub enum RequestBody {
     /// Wait for a job to reach a terminal state *without polling*: the
     /// server defers the response until the job completes (or the watch
     /// times out), then pushes a `status` line.  This is the only request
-    /// whose response may not be immediate — responses to requests
-    /// pipelined behind a pending watch are delivered after it resolves,
-    /// preserving the one-response-per-request, in-order invariant.  A
-    /// zero budget answers with the job's current state at once: the way
-    /// to poll a job.
+    /// whose response may not be immediate.  Lines pipelined behind a
+    /// pending watch are read and executed only once it is answered,
+    /// preserving the one-response-per-request, in-order invariant; so a
+    /// later watch's budget, and a later submit's admission, start at that
+    /// point.  A zero budget answers with the job's current state at once:
+    /// the way to poll a job.
     Watch {
         /// The job id returned by submit.
         job: u64,
@@ -329,18 +330,6 @@ impl LineDecoder {
                 None
             }
         }
-    }
-
-    /// Whether a line overflowed the decoder's bound.
-    #[must_use]
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    /// Bytes buffered for the (incomplete) current line.
-    #[must_use]
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
     }
 }
 
@@ -601,7 +590,7 @@ mod tests {
         assert!(decoder.push(b"\n"));
         assert_eq!(decoder.next_line().as_deref(), Some(line));
         assert!(decoder.next_line().is_none());
-        assert_eq!(decoder.pending_bytes(), 0);
+        assert!(decoder.buf.is_empty());
         // The reassembled line decodes like any other.
         assert!(decode_request(line).is_ok());
     }
@@ -627,14 +616,12 @@ mod tests {
     fn line_decoder_bounds_runaway_lines() {
         let mut decoder = LineDecoder::new(16);
         assert!(decoder.push(b"0123456789"));
-        assert!(!decoder.overflowed());
         // Crossing the bound without a newline trips the overflow latch…
         assert!(!decoder.push(b"0123456789"));
-        assert!(decoder.overflowed());
         // …and further input is refused, not buffered.
-        let buffered = decoder.pending_bytes();
+        let buffered = decoder.buf.len();
         assert!(!decoder.push(b"more"));
-        assert_eq!(decoder.pending_bytes(), buffered);
+        assert_eq!(decoder.buf.len(), buffered);
         // A complete line longer than the bound in a single push is still
         // delivered: memory was already spent, framing stays intact.
         let mut decoder = LineDecoder::new(4);

@@ -5,25 +5,28 @@
 //! `extern "C"` shim, no crates — until a socket is readable/writable, a
 //! job a client is watching completed, or a shutdown was requested (the
 //! last two arrive through a self-pipe).  Idle connections therefore cost
-//! a slab entry and a pollfd, not a thread, and an idle daemon performs
+//! a `Vec` entry and a pollfd, not a thread, and an idle daemon performs
 //! *zero* timer-driven wakeups: the poll timeout is infinite unless a
 //! `watch` deadline or a shutdown drain is actually pending.
 //!
 //! Per connection the reactor keeps:
 //!
 //! * a [`LineDecoder`] accumulating partial request lines across reads,
-//! * an ordered queue of *response slots* — one per answered request —
-//!   so responses go out in request order even though `watch` responses
-//!   resolve much later,
-//! * a bounded write queue with nonblocking drains: a slow reader
-//!   first stops being read from (soft cap) and is eventually closed
-//!   (hard cap), so it can never block the loop or other clients.
+//!   and the complete lines not yet executed,
+//! * at most one pending `watch`, which holds the lines behind it —
+//!   unread or unexecuted — until it is answered,
+//! * a bounded write queue with nonblocking drains: a slow reader stops
+//!   being answered and read at the soft cap, and an answer that takes
+//!   the queue past the hard cap closes the connection, so no client can
+//!   block the loop or other clients.
 //!
-//! Every request is a short scheduler call (the heavy lifting runs on
-//! the scheduler's workers), so the loop answers a connection's ready
-//! lines in order, in the iteration that read them, until none are left
-//! or its write queue reaches the soft cap; a connection held at the cap
-//! resumes once its queue drains below it.  No line is executed once a
+//! Answers go out in the order lines are executed, straight into the
+//! write queue.  A connection is read only when nothing it sent is still
+//! waiting, so a client's backlog waits in its socket, not in the daemon.
+//! Every request is a short scheduler call (the heavy lifting runs on the
+//! scheduler's workers), so the loop answers a connection's ready lines
+//! in order until none are left, a watch on a live job holds the rest, or
+//! its write queue reaches the soft cap.  No line is executed once a
 //! shutdown is requested, not even one pipelined behind the `shutdown`
 //! line itself.
 //!
@@ -49,13 +52,13 @@ use std::time::{Duration, Instant};
 /// runaway-payload bound).
 const MAX_LINE: usize = 4 * 1024 * 1024;
 
-/// Write-queue depth at which the reactor stops *reading* a connection:
-/// a client that pipelines faster than it drains responses gets
-/// backpressure instead of unbounded buffering.
+/// Write-queue depth at which the reactor stops answering and reading a
+/// connection: a client that pipelines faster than it drains responses
+/// gets backpressure instead of unbounded buffering.
 const SOFT_WRITE_CAP: usize = 256 * 1024;
 
-/// Write-queue depth at which the connection is forcibly closed — the
-/// peer stopped reading entirely.
+/// Write-queue depth at which the connection is forcibly closed: the
+/// soft cap stops new answers, so only one oversized answer gets here.
 const HARD_WRITE_CAP: usize = 8 * 1024 * 1024;
 
 /// Drained-prefix size that triggers compaction of the write queue.
@@ -321,11 +324,7 @@ impl WakePipe {
     /// main poll set instead.
     pub fn wait(&self) {
         loop {
-            let mut fds = [sys::PollFd {
-                fd: self.read_fd,
-                events: sys::POLLIN,
-                revents: 0,
-            }];
+            let mut fds = [poll_fd(self.read_fd, sys::POLLIN)];
             match sys::poll(&mut fds, -1) {
                 Ok(0) => {}
                 Ok(_) => {
@@ -386,17 +385,8 @@ pub(crate) struct ReactorShared {
     pub wake: Arc<WakePipe>,
 }
 
-/// One ordered response slot: created when its request line is
-/// executed, filled when the response line is known.  Only a filled
-/// *prefix* of the slot queue ever reaches the write queue, so
-/// responses leave in request order no matter when they resolve.
-struct Slot {
-    seq: u64,
-    line: Option<String>,
-}
-
-struct WatchEntry {
-    seq: u64,
+/// A `watch` on a live job, waiting for its answer.
+struct Watch {
     job: u64,
     deadline: Option<Instant>,
 }
@@ -408,13 +398,15 @@ struct Connection {
     out: Vec<u8>,
     /// Already-written prefix of `out`.
     out_pos: usize,
-    pending: VecDeque<Slot>,
-    next_seq: u64,
-    /// Complete lines parsed but not yet answered.
+    /// Complete lines read but not yet executed.
     ready: VecDeque<String>,
-    watches: Vec<WatchEntry>,
+    /// The pending watch: the lines behind it wait, unexecuted, until it
+    /// is answered.
+    watch: Option<Watch>,
     read_closed: bool,
     close_after_flush: bool,
+    /// Finished: the next [`EventLoop::sweep`] removes it.
+    dead: bool,
 }
 
 impl Connection {
@@ -424,12 +416,11 @@ impl Connection {
             decoder: LineDecoder::new(MAX_LINE),
             out: Vec::new(),
             out_pos: 0,
-            pending: VecDeque::new(),
-            next_seq: 0,
             ready: VecDeque::new(),
-            watches: Vec::new(),
+            watch: None,
             read_closed: false,
             close_after_flush: false,
+            dead: false,
         }
     }
 
@@ -437,46 +428,55 @@ impl Connection {
         self.out.len() - self.out_pos
     }
 
-    /// Whether a ready line waits and the write queue is below the soft
-    /// cap.
+    /// Whether a ready line may be executed now: no watch holds it and
+    /// the write queue is below the soft cap.
     fn may_answer(&self) -> bool {
-        !self.ready.is_empty() && self.out_bytes() < SOFT_WRITE_CAP
+        !self.dead
+            && self.watch.is_none()
+            && !self.ready.is_empty()
+            && self.out_bytes() < SOFT_WRITE_CAP
     }
 
-    /// Fills the response slot `seq` and commits the filled prefix to
-    /// the write queue (where the connection-drop fault is seated).
-    fn fill(&mut self, seq: u64, line: String, fault: &FaultPlan, hwm: &Gauge) {
-        if let Some(slot) = self.pending.iter_mut().find(|slot| slot.seq == seq) {
-            slot.line = Some(line);
-        }
-        self.promote(fault, hwm);
+    /// Whether to read the socket: only when nothing the peer sent is
+    /// still waiting — no ready line, no pending watch, and a write queue
+    /// below the soft cap.  A backlog therefore waits in the peer's
+    /// socket, not in the daemon.
+    fn wants_read(&self) -> bool {
+        !self.read_closed
+            && self.ready.is_empty()
+            && self.watch.is_none()
+            && self.out_bytes() < SOFT_WRITE_CAP
     }
 
-    fn promote(&mut self, fault: &FaultPlan, hwm: &Gauge) {
-        while self.pending.front().is_some_and(|slot| slot.line.is_some()) {
-            let line = self
-                .pending
-                .pop_front()
-                .and_then(|slot| slot.line)
-                .unwrap_or_default();
-            if fault.should_inject(FaultSite::ConnectionDrop) {
-                // Sever the connection mid-line: commit half the
-                // response with no newline, then hang up once it
-                // flushes.  The client sees a dropped connection and
-                // must reconnect and resubmit (idempotent via dedup).
-                let cut = line.len() / 2;
-                self.out
-                    .extend_from_slice(line.as_bytes().get(..cut).unwrap_or_default());
-                self.read_closed = true;
-                self.close_after_flush = true;
-                self.pending.clear();
-                self.watches.clear();
-                self.ready.clear();
-                break;
-            }
+    /// Appends one response line to the write queue, where the
+    /// connection-drop fault is seated.
+    fn commit(&mut self, line: &str, fault: &FaultPlan, hwm: &Gauge) {
+        if fault.should_inject(FaultSite::ConnectionDrop) {
+            // Sever the connection mid-line: commit half the response
+            // with no newline, then hang up once it flushes.  The client
+            // sees a dropped connection and must reconnect and resubmit
+            // (idempotent via dedup).
+            let cut = line.len() / 2;
+            self.out
+                .extend_from_slice(line.as_bytes().get(..cut).unwrap_or_default());
+            self.read_closed = true;
+            self.close_after_flush = true;
+            self.watch = None;
+            self.ready.clear();
+        } else {
             self.out.extend_from_slice(line.as_bytes());
         }
         hwm.set_max(u64::try_from(self.out_bytes()).unwrap_or(u64::MAX));
+    }
+
+    /// Handles one readiness report: `events` is what the poll set asked
+    /// for, `revents` what `poll` returned.
+    fn on_ready(&mut self, events: i16, revents: i16) {
+        let failed = revents & (sys::POLLERR | sys::POLLNVAL) != 0;
+        let readable = revents & (sys::POLLIN | sys::POLLHUP) != 0 && events & sys::POLLIN != 0;
+        if failed || (readable && !self.read_ready()) {
+            self.dead = true;
+        }
     }
 
     /// Nonblocking drain of the write queue; `false` means the
@@ -504,13 +504,13 @@ impl Connection {
         true
     }
 
-    /// Reads everything the socket has; `false` means the connection is
-    /// dead.  Complete lines land in `ready`; EOF latches `read_closed`
-    /// (the connection stays open until its queued responses and
-    /// watches resolve).
+    /// Reads until the socket would block or a complete line is ready;
+    /// `false` means the connection is dead.  EOF latches `read_closed`
+    /// (the connection stays open until its ready lines, its watch and
+    /// its queued responses resolve).
     fn read_ready(&mut self) -> bool {
         let mut buf = [0u8; 8192];
-        loop {
+        while self.ready.is_empty() {
             match self.stream.read(&mut buf) {
                 Ok(0) => {
                     self.read_closed = true;
@@ -519,16 +519,12 @@ impl Connection {
                 Ok(n) => {
                     if !self.decoder.push(buf.get(..n).unwrap_or_default()) {
                         // A line that can never complete within budget:
-                        // answer once (jumping any queued responses — a
-                        // protocol-violating peer forfeits ordering)
-                        // and close.
+                        // answer once and close.  Every earlier line is
+                        // already answered, since nothing was waiting.
                         let line = encode_response(&Response::new(ResponseBody::Error {
                             message: format!("request line exceeds {MAX_LINE} bytes"),
                             retry_after_ms: None,
                         }));
-                        self.pending.clear();
-                        self.watches.clear();
-                        self.ready.clear();
                         self.out.extend_from_slice(line.as_bytes());
                         self.read_closed = true;
                         self.close_after_flush = true;
@@ -549,69 +545,6 @@ impl Connection {
     }
 }
 
-/// Index-stable connection storage: a connection keeps its token until
-/// it closes, and a freed slot is reused by the next accept.
-#[derive(Default)]
-struct Slab {
-    slots: Vec<Option<Connection>>,
-    free: Vec<usize>,
-}
-
-impl Slab {
-    fn insert(&mut self, stream: TcpStream) -> usize {
-        let conn = Connection::new(stream);
-        if let Some(token) = self.free.pop() {
-            // A free-list token always names an existing vacant slot; if
-            // the list is ever corrupt, fall through and append instead.
-            if let Some(slot) = self.slots.get_mut(token) {
-                *slot = Some(conn);
-                return token;
-            }
-        }
-        self.slots.push(Some(conn));
-        self.slots.len() - 1
-    }
-
-    fn get_mut(&mut self, token: usize) -> Option<&mut Connection> {
-        self.slots.get_mut(token).and_then(Option::as_mut)
-    }
-
-    fn remove(&mut self, token: usize) -> Option<Connection> {
-        let conn = self.slots.get_mut(token).and_then(Option::take);
-        if conn.is_some() {
-            self.free.push(token);
-        }
-        conn
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (usize, &Connection)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(token, slot)| slot.as_ref().map(|conn| (token, conn)))
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut Connection)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(token, slot)| slot.as_mut().map(|conn| (token, conn)))
-    }
-
-    fn tokens(&self) -> Vec<usize> {
-        self.iter().map(|(token, _)| token).collect()
-    }
-
-    /// Live connections: every slot not on the free list.
-    fn len(&self) -> u64 {
-        self.slots.len().saturating_sub(self.free.len()) as u64
-    }
-
-    fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
-    }
-}
-
 /// A watch's answer: a `status` line with the job's state, or `unknown
 /// job` when the scheduler holds no record of it.
 fn watch_answer(job: u64, state: Option<JobState>) -> String {
@@ -624,17 +557,21 @@ fn watch_answer(job: u64, state: Option<JobState>) -> String {
     }))
 }
 
-enum Target {
-    Wake,
-    Listener,
-    Conn(usize),
+fn poll_fd(fd: i32, events: i16) -> sys::PollFd {
+    sys::PollFd {
+        fd,
+        events,
+        revents: 0,
+    }
 }
 
 struct EventLoop<'a> {
     shared: &'a ReactorShared,
     metrics: ReactorMetrics,
     fault: FaultPlan,
-    conns: Slab,
+    /// Open connections, in poll-set order; only [`EventLoop::sweep`]
+    /// removes one.
+    conns: Vec<Connection>,
     listener: Option<TcpListener>,
     draining: bool,
     drain_deadline: Option<Instant>,
@@ -652,7 +589,7 @@ pub(crate) fn run(listener: TcpListener, shared: &ReactorShared) {
         shared,
         metrics: shared.scheduler.metrics().reactor.clone(),
         fault,
-        conns: Slab::default(),
+        conns: Vec::new(),
         listener: Some(listener),
         draining: false,
         drain_deadline: None,
@@ -668,7 +605,6 @@ impl EventLoop<'_> {
             listener.set_nonblocking(true)?;
         }
         let mut fds: Vec<sys::PollFd> = Vec::new();
-        let mut targets: Vec<Target> = Vec::new();
         loop {
             if !self.draining && self.shared.signal.is_triggered() {
                 self.enter_drain();
@@ -684,45 +620,31 @@ impl EventLoop<'_> {
                     .drain_deadline
                     .is_some_and(|deadline| Instant::now() >= deadline);
                 if self.conns.is_empty() || expired {
-                    for token in self.conns.tokens() {
-                        self.close(token);
+                    for conn in &mut self.conns {
+                        conn.dead = true;
                     }
+                    self.sweep();
                     return Ok(());
                 }
             }
 
+            // The poll set: the wake pipe, the listener while accepting,
+            // then the connections in `conns` order.
             fds.clear();
-            targets.clear();
-            fds.push(sys::PollFd {
-                fd: self.shared.wake.read_end(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
-            targets.push(Target::Wake);
+            fds.push(poll_fd(self.shared.wake.read_end(), sys::POLLIN));
             if let Some(listener) = &self.listener {
-                fds.push(sys::PollFd {
-                    fd: raw_fd(listener),
-                    events: sys::POLLIN,
-                    revents: 0,
-                });
-                targets.push(Target::Listener);
+                fds.push(poll_fd(raw_fd(listener), sys::POLLIN));
             }
-            for (token, conn) in self.conns.iter() {
+            let first_conn = fds.len();
+            for conn in &self.conns {
                 let mut events = 0i16;
-                // Backpressure: past the soft cap the peer stops being
-                // read until its responses drain.
-                if !self.draining && !conn.read_closed && conn.out_bytes() < SOFT_WRITE_CAP {
+                if !self.draining && conn.wants_read() {
                     events |= sys::POLLIN;
                 }
                 if conn.out_bytes() > 0 {
                     events |= sys::POLLOUT;
                 }
-                fds.push(sys::PollFd {
-                    fd: raw_fd(&conn.stream),
-                    events,
-                    revents: 0,
-                });
-                targets.push(Target::Conn(token));
+                fds.push(poll_fd(raw_fd(&conn.stream), events));
             }
 
             match sys::poll(&mut fds, self.poll_timeout()) {
@@ -732,14 +654,17 @@ impl EventLoop<'_> {
             }
             self.metrics.loop_wakeups.inc();
 
-            for (fd, target) in fds.iter().zip(&targets) {
-                if fd.revents == 0 {
-                    continue;
-                }
-                match target {
-                    Target::Wake => self.shared.wake.drain(),
-                    Target::Listener => self.accept_ready(),
-                    Target::Conn(token) => self.conn_event(*token, fd.revents),
+            // Accepting only appends, so the polled connections keep their
+            // positions.
+            for (i, fd) in fds.iter().enumerate().filter(|(_, fd)| fd.revents != 0) {
+                match i.checked_sub(first_conn) {
+                    Some(c) => {
+                        if let Some(conn) = self.conns.get_mut(c) {
+                            conn.on_ready(fd.events, fd.revents);
+                        }
+                    }
+                    None if i == 0 => self.shared.wake.drain(),
+                    None => self.accept_ready(),
                 }
             }
 
@@ -749,14 +674,11 @@ impl EventLoop<'_> {
             self.answer_lines();
             let completions = self.shared.inbox.take();
             self.resolve_completions(completions);
-            self.expire_watches(Instant::now());
+            let now = Instant::now();
+            self.answer_watches(|watch| watch.deadline.is_some_and(|d| d <= now));
             self.sweep();
-            // Recompute rather than track: watches are removed on many
-            // paths (resolution, expiry, drain, faults, close), and a
-            // missed decrement would drift forever.  The loop owns every
-            // connection, so summing here is exact at publication time.
-            let watches: u64 = self.conns.iter().map(|(_, c)| c.watches.len() as u64).sum();
-            self.metrics.watches_active.set(watches);
+            let watches = self.conns.iter().filter(|c| c.watch.is_some()).count();
+            self.metrics.watches_active.set(watches as u64);
         }
     }
 
@@ -765,20 +687,17 @@ impl EventLoop<'_> {
     /// deadline, else infinite.  An idle daemon therefore performs zero
     /// timer wakeups.
     fn poll_timeout(&self) -> i32 {
-        let answering = !self.shared.signal.is_triggered();
-        let mut deadline = self.drain_deadline;
-        for (_, conn) in self.conns.iter() {
-            // Left at the soft cap, a line has nothing else to wake it
-            // once the write queue drains.
-            if answering && conn.may_answer() {
-                return 0;
-            }
-            for watch in &conn.watches {
-                if let Some(d) = watch.deadline {
-                    deadline = Some(deadline.map_or(d, |current| current.min(d)));
-                }
-            }
+        // A line left at the soft cap or behind a just-answered watch has
+        // nothing else to wake it.
+        if !self.shared.signal.is_triggered() && self.conns.iter().any(Connection::may_answer) {
+            return 0;
         }
+        let deadline = self
+            .conns
+            .iter()
+            .filter_map(|conn| conn.watch.as_ref()?.deadline)
+            .chain(self.drain_deadline)
+            .min();
         match deadline {
             None => -1,
             Some(d) => {
@@ -797,14 +716,8 @@ impl EventLoop<'_> {
         self.listener = None;
         // Watches cannot resolve once the loop exits; answer each with
         // the job's current state so no client hangs on a draining
-        // server.
-        for (_, conn) in self.conns.iter_mut() {
-            let watches = std::mem::take(&mut conn.watches);
-            for watch in watches {
-                let line = watch_answer(watch.job, self.shared.scheduler.status(watch.job));
-                conn.fill(watch.seq, line, &self.fault, &self.metrics.write_queue_hwm);
-            }
-        }
+        // server.  The lines behind a watch are never executed.
+        self.answer_watches(|_| true);
     }
 
     fn accept_ready(&mut self) {
@@ -818,9 +731,9 @@ impl EventLoop<'_> {
                         continue;
                     }
                     stream.set_nodelay(true).ok();
-                    self.conns.insert(stream);
+                    self.conns.push(Connection::new(stream));
                     self.metrics.connections_accepted.inc();
-                    self.metrics.connections_open.set(self.conns.len());
+                    self.metrics.connections_open.set(self.conns.len() as u64);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -829,33 +742,17 @@ impl EventLoop<'_> {
         }
     }
 
-    fn conn_event(&mut self, token: usize, revents: i16) {
-        let mut dead = false;
-        if let Some(conn) = self.conns.get_mut(token) {
-            if revents & (sys::POLLERR | sys::POLLNVAL) != 0 {
-                dead = true;
-            } else if revents & (sys::POLLIN | sys::POLLHUP) != 0 && !conn.read_closed {
-                dead = !conn.read_ready();
-            }
-        }
-        if dead {
-            self.close(token);
-        }
-    }
-
-    /// Answers each connection's ready lines in request order until none
-    /// are left or its write queue reaches the soft cap, and executes no
-    /// line once a shutdown is requested.
+    /// Answers each connection's ready lines in order until none are
+    /// left, a watch on a live job holds the rest, or its write queue
+    /// reaches the soft cap; executes no line once a shutdown is
+    /// requested.
     fn answer_lines(&mut self) {
         let shared = self.shared;
-        for (_, conn) in self.conns.iter_mut() {
+        for conn in &mut self.conns {
             while !shared.signal.is_triggered() && conn.may_answer() {
                 let Some(line) = conn.ready.pop_front() else {
                     break;
                 };
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                conn.pending.push_back(Slot { seq, line: None });
                 let line = match server::handle_line(&line, shared) {
                     Answer::Line(line) => line,
                     Answer::Watch { job, deadline } => {
@@ -865,95 +762,62 @@ impl EventLoop<'_> {
                         // inbox after this point — never neither.
                         let state = shared.scheduler.status(job);
                         if state.as_ref().is_some_and(|s| !s.is_terminal()) {
-                            conn.watches.push(WatchEntry { seq, job, deadline });
-                            continue;
+                            conn.watch = Some(Watch { job, deadline });
+                            break;
                         }
                         watch_answer(job, state)
                     }
                 };
-                conn.fill(seq, line, &self.fault, &self.metrics.write_queue_hwm);
+                conn.commit(&line, &self.fault, &self.metrics.write_queue_hwm);
             }
         }
     }
 
     fn resolve_completions(&mut self, completions: Vec<(u64, JobState)>) {
         for (job, state) in completions {
-            for (_, conn) in self.conns.iter_mut() {
-                let mut i = 0;
-                while let Some(entry) = conn.watches.get(i) {
-                    if entry.job == job {
-                        let watch = conn.watches.swap_remove(i);
-                        conn.fill(
-                            watch.seq,
-                            watch_answer(job, Some(state.clone())),
-                            &self.fault,
-                            &self.metrics.write_queue_hwm,
-                        );
-                        self.metrics.notifications_pushed.inc();
-                    } else {
-                        i += 1;
-                    }
+            for conn in &mut self.conns {
+                if conn.watch.take_if(|watch| watch.job == job).is_some() {
+                    let line = watch_answer(job, Some(state.clone()));
+                    conn.commit(&line, &self.fault, &self.metrics.write_queue_hwm);
+                    self.metrics.notifications_pushed.inc();
                 }
             }
         }
     }
 
-    /// Answers watches whose budget expired with the job's *current*
-    /// (typically non-terminal) state, per the protocol contract.
-    fn expire_watches(&mut self, now: Instant) {
-        for (_, conn) in self.conns.iter_mut() {
-            let mut i = 0;
-            while let Some(entry) = conn.watches.get(i) {
-                if entry.deadline.is_some_and(|d| d <= now) {
-                    let watch = conn.watches.swap_remove(i);
-                    let line = watch_answer(watch.job, self.shared.scheduler.status(watch.job));
-                    conn.fill(watch.seq, line, &self.fault, &self.metrics.write_queue_hwm);
-                } else {
-                    i += 1;
-                }
+    /// Answers the watches `due` selects (an expired budget, or a drain)
+    /// with the job's *current*, typically non-terminal, state, per the
+    /// protocol contract.
+    fn answer_watches(&mut self, due: impl Fn(&Watch) -> bool) {
+        for conn in &mut self.conns {
+            if let Some(watch) = conn.watch.take_if(|watch| due(watch)) {
+                let line = watch_answer(watch.job, self.shared.scheduler.status(watch.job));
+                conn.commit(&line, &self.fault, &self.metrics.write_queue_hwm);
             }
         }
     }
 
-    /// Per-iteration housekeeping: flush write queues, close what is
-    /// finished.
+    /// Per-iteration housekeeping: flush write queues, then remove every
+    /// finished connection.
     fn sweep(&mut self) {
-        for token in self.conns.tokens() {
-            let mut dead = false;
-            if let Some(conn) = self.conns.get_mut(token) {
-                if !conn.try_flush() {
-                    dead = true;
-                }
-                let drained = conn.out_bytes() == 0;
-                let quiescent =
-                    conn.pending.is_empty() && conn.watches.is_empty() && conn.ready.is_empty();
-                if conn.out_bytes() > HARD_WRITE_CAP {
-                    // The peer stopped reading altogether.
-                    dead = true;
-                }
-                if drained && conn.close_after_flush {
-                    dead = true;
-                }
-                if drained && conn.read_closed && quiescent {
-                    dead = true;
-                }
-                if self.draining && drained && conn.pending.is_empty() {
-                    // Nothing left to deliver: a draining server closes
-                    // the session.
-                    dead = true;
-                }
+        for conn in &mut self.conns {
+            // A failed write, or an answer past the hard cap.
+            if !conn.try_flush() || conn.out_bytes() > HARD_WRITE_CAP {
+                conn.dead = true;
             }
-            if dead {
-                self.close(token);
+            // Drained, and nothing left to deliver: a draining server
+            // closes every such session.
+            let quiescent = conn.read_closed && conn.ready.is_empty() && conn.watch.is_none();
+            if conn.out_bytes() == 0 && (conn.close_after_flush || quiescent || self.draining) {
+                conn.dead = true;
             }
         }
-    }
-
-    fn close(&mut self, token: usize) {
-        if self.conns.remove(token).is_some() {
-            self.metrics.connections_open.set(self.conns.len());
-            self.metrics.connections_closed.inc();
-        }
+        let open = self.conns.len();
+        self.conns.retain(|conn| !conn.dead);
+        self.metrics
+            .connections_closed
+            .add((open - self.conns.len()) as u64);
+        self.metrics.connections_open.set(self.conns.len() as u64);
     }
 }
 
@@ -976,41 +840,5 @@ mod tests {
         ));
         // notify_raw on a negative fd is a no-op, not a crash.
         WakePipe::notify_raw(-1);
-    }
-
-    #[test]
-    fn slab_reuses_freed_slots() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let mut slab = Slab::default();
-        let s1 = TcpStream::connect(addr).expect("connect");
-        let s2 = TcpStream::connect(addr).expect("connect");
-        let t1 = slab.insert(s1);
-        assert!(slab.remove(t1).is_some());
-        assert!(slab.get_mut(t1).is_none(), "removed slot reads empty");
-        let t2 = slab.insert(s2);
-        assert_eq!(t1, t2, "freed slot is reused");
-        assert!(!slab.is_empty());
-    }
-
-    #[test]
-    fn response_slots_promote_in_request_order() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut conn = Connection::new(stream);
-        let fault = FaultPlan::none();
-        let metrics = crate::ServiceMetrics::new();
-        let hwm = &metrics.reactor.write_queue_hwm;
-        conn.pending.push_back(Slot { seq: 0, line: None });
-        conn.pending.push_back(Slot { seq: 1, line: None });
-        // Filling the *second* slot first must not emit anything…
-        conn.fill(1, "second\n".into(), &fault, hwm);
-        assert_eq!(conn.out_bytes(), 0, "out-of-order slot is held back");
-        // …until the first resolves, then both flush in request order.
-        conn.fill(0, "first\n".into(), &fault, hwm);
-        assert_eq!(&conn.out, b"first\nsecond\n");
-        assert!(conn.pending.is_empty());
-        assert!(metrics.value("micrograd_reactor_write_queue_hwm") >= 13);
     }
 }

@@ -5,10 +5,11 @@
 //! each request line itself: every request is a short scheduler call,
 //! and the heavy lifting happens on the scheduler's own workers.  The
 //! thread count is `1 + workers` regardless of how many connections are
-//! open — a thousand idle clients cost slab entries, not threads, and
-//! wake nothing.  While a job's evaluation batch runs, it adds scoped
-//! helpers borrowed from the process's spare cores: at most `cores - 1`
-//! across all jobs, joined when the batch ends.
+//! open — a thousand idle clients cost entries in the reactor's
+//! connection list, not threads, and wake nothing.  While a job's
+//! evaluation batch runs, it adds scoped helpers borrowed from the
+//! process's spare cores: at most `cores - 1` across all jobs, joined
+//! when the batch ends.
 //!
 //! Each connection is one long-lived JSON-lines session (see
 //! [`crate::protocol`]); every request line is answered with exactly one

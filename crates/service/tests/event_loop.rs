@@ -1,7 +1,8 @@
 //! Integration tests of the readiness event loop: incremental request
 //! decoding under pathological fragmentation, push-based `watch`
-//! resolution, in-order answers to pipelined requests, and graceful
-//! drain with idle sessions attached.
+//! resolution, in-order answers to pipelined requests, a backlog held
+//! behind a pending watch, and graceful drain with idle sessions
+//! attached.
 //!
 //! (Connection-count scaling lives in `conn_scaling.rs`, alone in its
 //! binary so thread-count assertions are not polluted by sibling tests.)
@@ -305,5 +306,72 @@ fn pipelined_requests_answer_in_order_and_none_runs_after_shutdown() {
     let text = server.scheduler().metrics().render_prometheus();
     assert_eq!(series(&text, "micrograd_jobs_submitted_total"), 1);
     assert_eq!(series(&text, "micrograd_requests_total{op=\"submit\"}"), 1);
+    server.shutdown();
+}
+
+#[test]
+fn a_pending_watch_holds_the_lines_behind_it_in_the_socket() {
+    // No workers: the submitted job stays queued, so the watch runs out
+    // its budget.
+    let server = start_server(0);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let budget_ms = 500;
+    let sent = Instant::now();
+    pipeline(
+        &mut stream,
+        vec![
+            RequestBody::Submit {
+                config: stress_config(75),
+                priority: 0,
+                deadline_ms: None,
+            },
+            RequestBody::Watch {
+                job: 1,
+                timeout_ms: Some(budget_ms),
+            },
+        ],
+    );
+    let lines = 2_000;
+    let writer =
+        std::thread::spawn(move || pipeline(&mut stream, vec![RequestBody::Metrics; lines]));
+
+    // Halfway through the budget, no line behind the watch has run.
+    std::thread::sleep(Duration::from_millis(budget_ms / 2).saturating_sub(sent.elapsed()));
+    let scrape = || server.scheduler().metrics().render_prometheus();
+    assert_eq!(
+        series(&scrape(), "micrograd_requests_total{op=\"metrics\"}"),
+        0
+    );
+
+    match next_response(&mut reader) {
+        ResponseBody::Submitted { job, .. } => assert_eq!(job, 1),
+        other => panic!("expected the submit receipt, got {other:?}"),
+    }
+    match next_response(&mut reader) {
+        ResponseBody::Status { job, state } => assert_eq!((job, state), (1, JobState::Queued)),
+        other => panic!("expected the watch's status, got {other:?}"),
+    }
+    assert!(sent.elapsed() >= Duration::from_millis(budget_ms));
+    // Every answer arrives whole and in order: the i-th scrape counts
+    // the i metrics requests answered before it.
+    for i in 0..lines {
+        match next_response(&mut reader) {
+            ResponseBody::Metrics { text } => {
+                assert_eq!(
+                    series(&text, "micrograd_requests_total{op=\"metrics\"}"),
+                    i as u64
+                );
+            }
+            other => panic!("expected scrape {i}, got {other:?}"),
+        }
+    }
+    writer.join().expect("writer");
+    // The write queue never held more than the soft cap plus one answer.
+    let hwm = series(&scrape(), "micrograd_reactor_write_queue_hwm");
+    assert!(hwm < 1 << 20, "write queue reached {hwm} bytes");
     server.shutdown();
 }

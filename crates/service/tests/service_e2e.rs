@@ -378,6 +378,27 @@ fn malformed_and_mismatched_lines_get_error_responses_not_disconnects() {
     assert!(line.contains("\"error\""), "got: {line}");
     assert!(line.contains("malformed"), "got: {line}");
 
+    // Nesting deep enough to overflow a recursive parser's stack: an
+    // error, and the daemon lives on.
+    line.clear();
+    writer
+        .write_all(format!("{}\n", "[".repeat(10_000)).as_bytes())
+        .unwrap();
+    writer.flush().unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("malformed"), "got: {line}");
+
+    // A large value of the wrong shape: the error names its kind rather
+    // than echoing it.
+    line.clear();
+    writer
+        .write_all(format!("[{}1]\n", "1,".repeat(199_999)).as_bytes())
+        .unwrap();
+    writer.flush().unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("malformed"), "got: {line:.200}");
+    assert!(line.len() < 1024, "a {}-byte error line", line.len());
+
     // The same connection still serves well-formed requests afterwards.
     line.clear();
     writer
