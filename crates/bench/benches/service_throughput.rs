@@ -16,8 +16,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use micrograd_codegen::GeneratorInput;
 use micrograd_core::{
-    CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, Metrics, MicroGrad, StressGoal,
-    TunerKind, UseCaseConfig,
+    CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, Metrics, MicroGrad, PackedInput,
+    StressGoal, TunerKind, UseCaseConfig,
 };
 use micrograd_service::{
     decode_request, decode_response, encode_line, Request, RequestBody, Response, ResponseBody,
@@ -190,7 +190,10 @@ fn evaluations(n: usize) -> Vec<(GeneratorInput, Metrics)> {
 }
 
 fn store_codec(c: &mut Criterion) {
-    let entries = evaluations(1_000);
+    let entries: Vec<_> = evaluations(1_000)
+        .iter()
+        .map(|(input, metrics)| (PackedInput::new(input), metrics.clone()))
+        .collect();
     let pairs = || entries.iter().map(|(input, metrics)| (input, metrics));
     let dir = std::env::temp_dir().join(format!("micrograd-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

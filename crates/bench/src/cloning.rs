@@ -3,7 +3,7 @@
 use crate::ExperimentSizes;
 use micrograd_core::tuner::{GaParams, GdParams, GeneticTuner, GradientDescentTuner, Tuner};
 use micrograd_core::usecase::CloningTask;
-use micrograd_core::{ExecutionPlatform, KnobSpace, MetricKind, SimPlatform, TunerKind};
+use micrograd_core::{ExecutionPlatform, KnobSpace, MetricKind, Metrics, SimPlatform, TunerKind};
 use micrograd_sim::CoreConfig;
 use micrograd_workloads::{ApplicationTraceGenerator, Benchmark};
 use std::collections::BTreeMap;
@@ -52,15 +52,23 @@ pub fn run_cloning_experiment(
         ..CloningTask::default()
     };
 
-    let mut rows = Vec::new();
-    for benchmark in Benchmark::ALL {
-        // Streamed, not materialized: the reference trace is never held
-        // through the tuning run.
-        let target = platform.measure_source(
-            &mut ApplicationTraceGenerator::new(sizes.reference_len, sizes.seed)
-                .stream(&benchmark.profile()),
-        );
+    // Every target is characterized before the first tuning run: a
+    // reference stream's working set is then never alive beside a memo
+    // table, which the platform allocates on its first evaluation and
+    // fills through the runs.  Streamed, not materialized: no reference
+    // trace is ever held whole.
+    let targets: Vec<Metrics> = Benchmark::ALL
+        .iter()
+        .map(|benchmark| {
+            platform.measure_source(
+                &mut ApplicationTraceGenerator::new(sizes.reference_len, sizes.seed)
+                    .stream(&benchmark.profile()),
+            )
+        })
+        .collect();
 
+    let mut rows = Vec::new();
+    for (benchmark, target) in Benchmark::ALL.into_iter().zip(targets) {
         let mut tuner: Box<dyn Tuner> = match tuner_kind {
             TunerKind::Genetic => Box::new(GeneticTuner::new(GaParams {
                 seed: sizes.seed,

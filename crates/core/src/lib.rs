@@ -69,7 +69,7 @@ pub use framework::{
 pub use knob::{KnobConfig, KnobSpace, KnobSpec, KnobTarget};
 pub use loss::{CloneLogLoss, LossFunction, StressGoal, StressLoss};
 pub use metrics::{MetricKind, Metrics};
-pub use platform::{CacheStats, ExecutionPlatform, ProgressObserver, SimPlatform};
+pub use platform::{CacheStats, ExecutionPlatform, PackedInput, ProgressObserver, SimPlatform};
 
 /// Cooperative-cancellation handle, re-exported from `micrograd-sim` so
 /// service-layer callers can seed deadlines into [`SimPlatform`] (see

@@ -25,7 +25,9 @@
 //!   (recompute).
 //! * **Verify-on-hit**: [`get`](MemoTable::get) compares the *full key*,
 //!   not just the fingerprint, so a 64-bit collision degrades to a miss
-//!   (recomputation) instead of wrong data.
+//!   (recomputation) instead of wrong data.  The probe need not be a `K`:
+//!   any `Q` the key compares with (`K: PartialEq<Q>`) will do, so a table
+//!   can store a compact form of the key and be probed with the full one.
 //! * **Reclamation**: displaced entries are pushed onto a retirement list
 //!   and freed only by [`reclaim`](MemoTable::reclaim) or when the table is
 //!   dropped.  Readers can therefore hold `&V` borrows of entries without
@@ -56,7 +58,7 @@ struct Entry<K, V> {
 
 /// A lock-free fingerprint-indexed memo table with verify-on-hit.
 ///
-/// `K` is the full key stored for hit verification; `V` the memoized value.
+/// `K` is the key stored for hit verification; `V` the memoized value.
 /// All operations but [`reclaim`](Self::reclaim) take `&self` and are safe
 /// to call from any number of threads concurrently.
 pub struct MemoTable<K, V> {
@@ -82,7 +84,7 @@ unsafe impl<K: Send + Sync, V: Send + Sync> Send for MemoTable<K, V> {}
 // and atomics, so concurrent shared access needs nothing beyond the bounds.
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for MemoTable<K, V> {}
 
-impl<K: PartialEq, V> MemoTable<K, V> {
+impl<K, V> MemoTable<K, V> {
     /// Creates a table with at least `capacity` slots (rounded up to a
     /// power of two, minimum 1).
     #[must_use]
@@ -153,7 +155,10 @@ impl<K: PartialEq, V> MemoTable<K, V> {
     /// Returns a borrow of the memoized value.  A fingerprint match whose
     /// key differs (a 64-bit collision) is reported as a miss.
     #[must_use]
-    pub fn get(&self, fingerprint: u64, key: &K) -> Option<&V> {
+    pub fn get<Q: ?Sized>(&self, fingerprint: u64, key: &Q) -> Option<&V>
+    where
+        K: PartialEq<Q>,
+    {
         for probe in 0..self.window() {
             let ptr = self.buckets[self.slot(fingerprint, probe)].load(Ordering::Acquire);
             if ptr.is_null() {
@@ -267,19 +272,6 @@ impl<K: PartialEq, V> MemoTable<K, V> {
         false
     }
 
-    /// Snapshots every live entry as `(fingerprint, key, value)` clones, in
-    /// bucket order.
-    #[must_use]
-    pub fn export(&self) -> Vec<(u64, K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        self.iter_since(0)
-            .map(|(fingerprint, key, value)| (fingerprint, key.clone(), value.clone()))
-            .collect()
-    }
-
     /// Borrows the live entries inserted at or after `mark` (see
     /// [`mark`](Self::mark)), imports included, as `(fingerprint, key,
     /// value)` in bucket order.  Entries other threads insert meanwhile may
@@ -299,9 +291,7 @@ impl<K: PartialEq, V> MemoTable<K, V> {
     fn retire(&self, ptr: *mut Entry<K, V>) {
         self.retired.lock().push(ptr);
     }
-}
 
-impl<K, V> MemoTable<K, V> {
     /// Frees every entry displaced so far.  Resident entries stay.
     pub fn reclaim(&mut self) {
         for ptr in self.retired.get_mut().drain(..) {
@@ -414,17 +404,6 @@ mod tests {
         );
         assert_eq!(t.get(5, &5), Some(&50));
         assert_eq!(t.replacements(), 0);
-    }
-
-    #[test]
-    fn export_snapshots_all_live_entries() {
-        let t: MemoTable<u64, u64> = MemoTable::new(64);
-        for fp in [3u64, 9, 27] {
-            t.insert(fp, fp, fp * 2);
-        }
-        let mut dump = t.export();
-        dump.sort_by_key(|(fp, _, _)| *fp);
-        assert_eq!(dump, vec![(3, 3, 6), (9, 9, 18), (27, 27, 54)]);
     }
 
     #[test]

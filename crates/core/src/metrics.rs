@@ -4,7 +4,7 @@
 use micrograd_isa::InstrClass;
 use micrograd_power::PowerReport;
 use micrograd_sim::SimStats;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -96,9 +96,16 @@ impl fmt::Display for MetricKind {
 }
 
 /// A measured metric vector.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The values sit inline, one slot per [`MetricKind`] in declaration
+/// order, with a mask of the kinds present; an absent kind's slot holds
+/// 0.0, so the derived equality compares exactly the present values.  It
+/// serializes as a map of the present kinds in that order:
+/// `{"values":{"Ipc":1.5}}`.
+#[derive(Clone, Default, PartialEq)]
 pub struct Metrics {
-    values: BTreeMap<MetricKind, f64>,
+    values: [f64; MetricKind::ALL.len()],
+    present: u16,
 }
 
 impl Metrics {
@@ -149,7 +156,8 @@ impl Metrics {
 
     /// Sets a metric value.
     pub fn set(&mut self, kind: MetricKind, value: f64) {
-        self.values.insert(kind, value);
+        self.values[kind as usize] = value;
+        self.present |= bit(kind);
     }
 
     /// Builder-style variant of [`set`](Self::set).
@@ -162,7 +170,7 @@ impl Metrics {
     /// The value of `kind`, if present.
     #[must_use]
     pub fn get(&self, kind: MetricKind) -> Option<f64> {
-        self.values.get(&kind).copied()
+        (self.present & bit(kind) != 0).then_some(self.values[kind as usize])
     }
 
     /// The value of `kind`, or 0.0 if absent.
@@ -171,21 +179,23 @@ impl Metrics {
         self.get(kind).unwrap_or(0.0)
     }
 
-    /// Iterates over `(kind, value)` pairs.
+    /// Iterates over `(kind, value)` pairs, in [`MetricKind::ALL`] order.
     pub fn iter(&self) -> impl Iterator<Item = (MetricKind, f64)> + '_ {
-        self.values.iter().map(|(k, v)| (*k, *v))
+        MetricKind::ALL
+            .into_iter()
+            .filter_map(|kind| self.get(kind).map(|value| (kind, value)))
     }
 
     /// Number of metrics present.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.present.count_ones() as usize
     }
 
     /// Returns `true` if no metric is present.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.present == 0
     }
 
     /// The ratio `self / target` for `kind`, the quantity plotted on the
@@ -229,6 +239,44 @@ impl Metrics {
             .map(|k| self.accuracy_to(target, *k))
             .sum::<f64>()
             / kinds.len() as f64
+    }
+}
+
+impl fmt::Debug for Metrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// `kind`'s bit in [`Metrics`]' presence mask.
+fn bit(kind: MetricKind) -> u16 {
+    1 << kind as u16
+}
+
+impl Serialize for Metrics {
+    fn serialize_value(&self) -> Value {
+        // A kind's `Debug` is its variant name, which is what its derived
+        // serialization writes.
+        let values = self
+            .iter()
+            .map(|(kind, value)| (format!("{kind:?}"), value.serialize_value()))
+            .collect();
+        Value::Map(vec![("values".to_owned(), Value::Map(values))])
+    }
+}
+
+impl Deserialize for Metrics {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let entries = v
+            .as_map()
+            .ok_or_else(|| DeError::unexpected("object for Metrics", v))?;
+        let values = match serde::map_get(entries, "values") {
+            Some(values) => BTreeMap::<MetricKind, f64>::deserialize_value(values)
+                .map_err(|e| e.context("Metrics.values"))?,
+            None => BTreeMap::deserialize_value(&Value::Null)
+                .map_err(|e| e.context("Metrics.values (missing)"))?,
+        };
+        Ok(values.into_iter().collect())
     }
 }
 
@@ -311,6 +359,62 @@ mod tests {
         assert_eq!(MetricKind::L1dHitRate.to_string(), "DC Hit Rate");
         assert_eq!(MetricKind::CLONING.len(), 9);
         assert_eq!(MetricKind::ALL.len(), 11);
+    }
+
+    #[test]
+    fn serializes_as_the_map_of_present_kinds() {
+        let m = metrics(&[
+            (MetricKind::DynamicPower, 2.0),
+            (MetricKind::IntegerFraction, 0.25),
+            (MetricKind::Ipc, 1.5),
+        ]);
+        let json = r#"{"values":{"IntegerFraction":0.25,"Ipc":1.5,"DynamicPower":2.0}}"#;
+        assert_eq!(serde_json::to_string(&m).unwrap(), json);
+        assert_eq!(serde_json::from_str::<Metrics>(json).unwrap(), m);
+        assert_eq!(
+            serde_json::to_string(&Metrics::new()).unwrap(),
+            r#"{"values":{}}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&Metrics::new().with(MetricKind::L2HitRate, 0.5)).unwrap(),
+            "{\n  \"values\": {\n    \"L2HitRate\": 0.5\n  }\n}"
+        );
+        // Slots follow `MetricKind::ALL`, which is sorted, so every kind
+        // serializes in the order a map keyed by kind keeps.
+        assert!(MetricKind::ALL.windows(2).all(|w| w[0] < w[1]));
+        assert!(MetricKind::ALL
+            .iter()
+            .enumerate()
+            .all(|(slot, &kind)| kind as usize == slot));
+        // A later value of a kind wins, as a map insert did.
+        let twice = r#"{"values":{"Ipc":1.0,"Ipc":3.0}}"#;
+        assert_eq!(
+            serde_json::from_str::<Metrics>(twice).unwrap(),
+            Metrics::new().with(MetricKind::Ipc, 3.0)
+        );
+        let err = serde_json::from_str::<Metrics>(r#"{"values":{"Watts":1.0}}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "Metrics.values: cannot interpret map key `Watts`"
+        );
+        let err = serde_json::from_str::<Metrics>("{}").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "Metrics.values (missing): expected map, got null"
+        );
+    }
+
+    #[test]
+    fn absent_kinds_are_neither_read_nor_compared() {
+        let mut m = Metrics::new();
+        assert_eq!(m.get(MetricKind::Ipc), None);
+        m.set(MetricKind::Ipc, 0.0);
+        assert_eq!(m.get(MetricKind::Ipc), Some(0.0));
+        assert_ne!(m, Metrics::new(), "a present 0.0 is not an absent kind");
+        m.set(MetricKind::Ipc, 2.0);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(MetricKind::Ipc, 2.0)]);
+        assert_eq!(format!("{m:?}"), "{Ipc: 2.0}");
     }
 
     #[test]

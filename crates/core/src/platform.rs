@@ -5,6 +5,7 @@ use crate::{Metrics, MicroGradError};
 use micrograd_codegen::{
     Generator, GeneratorInput, Keystream, StreamingExpander, TestCase, Trace, TraceSource,
 };
+use micrograd_isa::Opcode;
 use micrograd_power::{PowerConfig, PowerModel};
 use micrograd_sim::{CancelToken, CoreConfig, SimStats, Simulator};
 use parking_lot::Mutex;
@@ -211,6 +212,198 @@ pub(crate) fn input_fingerprint(input: &GeneratorInput) -> u64 {
     h.finish()
 }
 
+/// A generator input packed into the bytes a memo entry keys on.
+///
+/// A memo table holds every evaluation of its platform, so its entries are
+/// what a long-lived platform's heap grows with.  The packed form holds a
+/// resolved full-space input in about 58 bytes of one allocation, where
+/// the input itself takes its 120-byte body, a weight-map node and its
+/// name.  The encoding is canonical and prefix-free, field by field in
+/// declaration order:
+///
+/// * integers as unsigned LEB128 (`init_reg_value` by its two's-complement
+///   bits);
+/// * a float as one byte when it is an integer 0..=127 whose bits equal
+///   the float's, otherwise the byte `0x80` and its `to_bits` (8 bytes,
+///   little-endian), so `-0.0`, NaN payloads and infinities round-trip;
+/// * the weights as their count, then each opcode's index in
+///   [`Opcode::ALL`] and its weight, in map order;
+/// * the name as its length and UTF-8 bytes.
+///
+/// Two inputs therefore pack to the same bytes exactly when every field is
+/// bit-identical.  A hit compares the stored bytes with the probed input
+/// as it packs, without building them ([`PartialEq<GeneratorInput>`]); an
+/// entry is unpacked only when the cache is exported or persisted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedInput(Box<[u8]>);
+
+/// The marker of a float stored by its bits.
+const FLOAT_BITS: u8 = 0x80;
+
+impl PackedInput {
+    /// Packs `input`.
+    #[must_use]
+    pub fn new(input: &GeneratorInput) -> Self {
+        // Measured first, so the key is one allocation of exactly its bytes.
+        let mut len = 0;
+        pack(input, &mut |bytes| len += bytes.len());
+        let mut packed = Vec::with_capacity(len);
+        pack(input, &mut |bytes| packed.extend_from_slice(bytes));
+        PackedInput(packed.into_boxed_slice())
+    }
+
+    /// The packed bytes.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Unpacks the input, bit for bit the one that was packed.
+    #[must_use]
+    pub fn unpack(&self) -> GeneratorInput {
+        // Each integer was packed from the type it is cast back to.
+        let mut bytes = Unpack(&self.0);
+        let input = GeneratorInput {
+            loop_size: bytes.uint() as usize,
+            instr_weights: (0..bytes.uint())
+                .map(|_| (Opcode::ALL[usize::from(bytes.byte())], bytes.float()))
+                .collect(),
+            reg_dependency_distance: bytes.uint() as u32,
+            mem_footprint_kb: bytes.uint(),
+            mem_stride: bytes.uint(),
+            mem_temporal_window: bytes.uint(),
+            mem_temporal_period: bytes.uint(),
+            branch_randomness: bytes.float(),
+            init_reg_value: bytes.uint() as i64,
+            seed: bytes.uint(),
+            name: {
+                let len = bytes.uint() as usize;
+                String::from_utf8(bytes.take(len).to_vec()).expect("a packed name is UTF-8")
+            },
+        };
+        debug_assert!(bytes.0.is_empty(), "every packed byte is read");
+        input
+    }
+}
+
+impl PartialEq<GeneratorInput> for PackedInput {
+    /// Whether `input` packs to these bytes, compared as it packs.
+    fn eq(&self, input: &GeneratorInput) -> bool {
+        let mut rest: &[u8] = &self.0;
+        let mut equal = true;
+        pack(input, &mut |bytes| match rest.strip_prefix(bytes) {
+            Some(tail) => rest = tail,
+            None => {
+                equal = false;
+                rest = &[];
+            }
+        });
+        equal && rest.is_empty()
+    }
+}
+
+/// Hands `input`'s packed encoding (see [`PackedInput`]) to `put`, a few
+/// bytes at a time.
+fn pack(input: &GeneratorInput, put: &mut impl FnMut(&[u8])) {
+    // Exhaustive destructuring, as in `input_fingerprint`: a new field must
+    // be packed, or two inputs that differ in it would share an entry.
+    let GeneratorInput {
+        loop_size,
+        instr_weights,
+        reg_dependency_distance,
+        mem_footprint_kb,
+        mem_stride,
+        mem_temporal_window,
+        mem_temporal_period,
+        branch_randomness,
+        init_reg_value,
+        seed,
+        name,
+    } = input;
+    put_uint(put, *loop_size as u64);
+    put_uint(put, instr_weights.len() as u64);
+    for (op, weight) in instr_weights {
+        put(&[*op as u8]);
+        put_float(put, *weight);
+    }
+    put_uint(put, u64::from(*reg_dependency_distance));
+    for n in [
+        mem_footprint_kb,
+        mem_stride,
+        mem_temporal_window,
+        mem_temporal_period,
+    ] {
+        put_uint(put, *n);
+    }
+    put_float(put, *branch_randomness);
+    put_uint(put, *init_reg_value as u64);
+    put_uint(put, *seed);
+    put_uint(put, name.len() as u64);
+    put(name.as_bytes());
+}
+
+/// Unsigned LEB128: seven bits a byte, low first, the high bit set on all
+/// but the last.
+fn put_uint(put: &mut impl FnMut(&[u8]), mut n: u64) {
+    let mut buf = [0u8; 10];
+    let mut len = 0;
+    while n >= 0x80 {
+        buf[len] = n as u8 | 0x80;
+        n >>= 7;
+        len += 1;
+    }
+    buf[len] = n as u8;
+    put(&buf[..=len]);
+}
+
+fn put_float(put: &mut impl FnMut(&[u8]), x: f64) {
+    let small = x as u8;
+    if small < FLOAT_BITS && f64::from(small).to_bits() == x.to_bits() {
+        put(&[small]);
+    } else {
+        put(&[FLOAT_BITS]);
+        put(&x.to_bits().to_le_bytes());
+    }
+}
+
+/// A cursor over packed bytes.  The bytes were written by [`pack`], so
+/// every read finds what it expects.
+struct Unpack<'a>(&'a [u8]);
+
+impl Unpack<'_> {
+    fn take(&mut self, n: usize) -> &[u8] {
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        head
+    }
+
+    fn byte(&mut self) -> u8 {
+        self.take(1)[0]
+    }
+
+    fn uint(&mut self) -> u64 {
+        let mut n = 0;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte();
+            n |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                break;
+            }
+        }
+        n
+    }
+
+    fn float(&mut self) -> f64 {
+        match self.byte() {
+            FLOAT_BITS => {
+                let bits = self.take(8).try_into().expect("eight bytes");
+                f64::from_bits(u64::from_le_bytes(bits))
+            }
+            small => f64::from(small),
+        }
+    }
+}
+
 /// The bundled evaluation platform: Microprobe-like code generation, the
 /// cycle-approximate simulator and the activity-based power model.
 ///
@@ -220,8 +413,11 @@ pub(crate) fn input_fingerprint(input: &GeneratorInput) -> u64 {
 /// probing table ([`crate::memo::MemoTable`]): lookups are a handful of
 /// atomic loads, inserts never rehash, and colliding inserts replace the
 /// resident entry (a replaced evaluation is simply recomputed on its next
-/// use).  Hits verify the full stored input, so a 64-bit fingerprint
-/// collision can never return wrong metrics.  A hit builds no simulator.
+/// use).  An entry keeps its input as a [`PackedInput`] and its metrics
+/// inline, about 186 bytes in two allocations for a full-space input.
+/// Hits verify the full stored input, so a 64-bit fingerprint collision
+/// can never return wrong metrics.  A hit builds no simulator and
+/// allocates nothing.
 ///
 /// Each platform owns a table by default, allocated on its first use.
 /// [`with_cache`](Self::with_cache) shares one `Arc`-held table among
@@ -273,7 +469,7 @@ pub struct SimPlatform {
     cancel: CancelToken,
     progress: Option<ProgressObserver>,
     /// The memo table; a platform's own is allocated on first use.
-    cache: OnceLock<Arc<MemoTable<GeneratorInput, Metrics>>>,
+    cache: OnceLock<Arc<MemoTable<PackedInput, Metrics>>>,
     /// Slot capacity of the platform's own table.
     cache_capacity: usize,
     /// The expansion words of `seed`, built on the first miss.
@@ -345,7 +541,7 @@ impl SimPlatform {
     /// `dynamic_len` and seed (see the type docs); the platform's counters
     /// stay its own.
     #[must_use]
-    pub fn with_cache(mut self, cache: Arc<MemoTable<GeneratorInput, Metrics>>) -> Self {
+    pub fn with_cache(mut self, cache: Arc<MemoTable<PackedInput, Metrics>>) -> Self {
         self.cache = OnceLock::from(cache);
         self
     }
@@ -495,7 +691,7 @@ impl SimPlatform {
     /// fingerprint.
     #[must_use]
     pub fn export_cache(&self) -> Vec<(GeneratorInput, Metrics)> {
-        let mut entries = self.table().export();
+        let mut entries: Vec<_> = self.table().iter_since(0).collect();
         entries.sort_by_key(|(fp, _, _)| *fp);
         // Racing same-fingerprint inserts can momentarily leave duplicate
         // entries in distinct probe slots; they memoize the same evaluation,
@@ -503,7 +699,7 @@ impl SimPlatform {
         entries.dedup_by_key(|(fp, _, _)| *fp);
         entries
             .into_iter()
-            .map(|(_, input, metrics)| (input, metrics))
+            .map(|(_, input, metrics)| (input.unpack(), metrics.clone()))
             .collect()
     }
 
@@ -527,7 +723,10 @@ impl SimPlatform {
         let mut admitted = 0;
         for (input, metrics) in entries {
             let fingerprint = input_fingerprint(&input);
-            if self.table().insert_if_absent(fingerprint, input, metrics) {
+            if self
+                .table()
+                .insert_if_absent(fingerprint, PackedInput::new(&input), metrics)
+            {
                 admitted += 1;
             }
         }
@@ -537,7 +736,7 @@ impl SimPlatform {
     }
 
     /// The memo table, allocating the platform's own on first use.
-    fn table(&self) -> &MemoTable<GeneratorInput, Metrics> {
+    fn table(&self) -> &MemoTable<PackedInput, Metrics> {
         self.cache
             .get_or_init(|| Arc::new(MemoTable::new(self.cache_capacity)))
     }
@@ -576,8 +775,9 @@ impl SimPlatform {
         // cache must not keep a cancelled job running through thousands of
         // free lookups.
         self.check_cancelled()?;
-        // `MemoTable::get` verifies the stored input, so a 64-bit hash
-        // collision degrades to a recomputation instead of wrong metrics.
+        // `MemoTable::get` verifies the stored input bytewise, so a 64-bit
+        // hash collision degrades to a recomputation instead of wrong
+        // metrics.
         if let Some(hit) = self.table().get(fingerprint, input) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
@@ -587,7 +787,7 @@ impl SimPlatform {
         let (metrics, _) = self.evaluate_detailed_with(sim, input)?;
         if self
             .table()
-            .insert(fingerprint, input.clone(), metrics.clone())
+            .insert(fingerprint, PackedInput::new(input), metrics.clone())
         {
             self.cache_replacements.fetch_add(1, Ordering::Relaxed);
         }

@@ -133,8 +133,14 @@ impl Response {
 }
 
 /// The results a server can answer with.
+///
+/// A `Report` is several times the size of the other variants (its
+/// report's metric vectors are inline).  It stays unboxed: every client
+/// and the benchmark harness build and take apart `Report`s by value, and
+/// a response is encoded once and dropped, so its size costs one move.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "result", rename_all = "kebab-case")]
+#[allow(clippy::large_enum_variant)]
 pub enum ResponseBody {
     /// A job was accepted (or recognized as a duplicate).
     Submitted {
@@ -676,6 +682,38 @@ mod tests {
             decode_response("[]"),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_huge_unknown_op_or_a_raw_control_byte_is_a_short_malformed_error() {
+        // The unknown name is quoted in part; the raw control bytes stop
+        // the parser at the first of them.
+        for op in ["a".repeat(3_000_000), "\u{1}".repeat(3_000_000)] {
+            let line = format!(r#"{{"proto":1,"body":{{"op":"{op}"}}}}"#);
+            match decode_request(&line) {
+                Err(WireError::Malformed(reason)) => {
+                    assert!(reason.len() < 1024, "a {}-byte reason", reason.len());
+                }
+                other => panic!("expected a malformed request, got {other:?}"),
+            }
+        }
+        let err = decode_request(&format!(
+            r#"{{"proto":1,"body":{{"op":"{}"}}}}"#,
+            "é".repeat(100)
+        ))
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains(&format!("`{}`... (200 bytes in all)", "é".repeat(64))),
+            "{err}"
+        );
+        assert_eq!(
+            decode_request("{\"proto\":1,\"body\":{\"op\":\"li\u{1}st\"}}"),
+            Err(WireError::Malformed(
+                "unescaped control character in string at byte 28".into()
+            ))
+        );
+        assert!(decode_request("{\"proto\":1,\"body\":{\"op\":\"list\"}}").is_ok());
     }
 
     #[test]

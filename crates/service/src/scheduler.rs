@@ -24,10 +24,9 @@ use crate::metrics::ServiceMetrics;
 use crate::protocol::{JobState, JobSummary};
 use crate::store::{job_identity, platform_key, ResultStore};
 use crate::sync::{lock_or_recover, wait_or_recover};
-use micrograd_codegen::GeneratorInput;
 use micrograd_core::memo::MemoTable;
 use micrograd_core::{
-    CancelToken, FrameworkConfig, FrameworkOutput, Metrics, MicroGrad, MicroGradError,
+    CancelToken, FrameworkConfig, FrameworkOutput, Metrics, MicroGrad, MicroGradError, PackedInput,
     ProgressObserver, SimPlatform,
 };
 use micrograd_obs::clock::now_ns;
@@ -109,8 +108,9 @@ pub enum FetchResult {
     NotFound,
     /// The job exists but has not completed; its current state is included.
     NotReady(JobState),
-    /// The completed report.
-    Ready(FrameworkOutput),
+    /// The completed report, boxed: a report is several times the size of
+    /// the other variants.
+    Ready(Box<FrameworkOutput>),
 }
 
 struct JobRecord {
@@ -206,7 +206,7 @@ struct SchedState {
 }
 
 /// The memo table the jobs of one platform key share.
-type EvalCache = MemoTable<GeneratorInput, Metrics>;
+type EvalCache = MemoTable<PackedInput, Metrics>;
 
 /// Callback invoked whenever a job reaches a terminal state.
 ///
@@ -417,7 +417,7 @@ impl Scheduler {
         match state.jobs.get(&job) {
             None => FetchResult::NotFound,
             Some(record) => match &record.output {
-                Some(output) => FetchResult::Ready(output.clone()),
+                Some(output) => FetchResult::Ready(Box::new(output.clone())),
                 None => FetchResult::NotReady(record.state.clone()),
             },
         }
@@ -842,8 +842,8 @@ fn execute_job(inner: &Arc<SchedulerInner>, job: u64) {
         let cache_stats = platform.cache_stats();
         drop(platform);
 
-        // The job's additions, borrowed from the table: the store renders
-        // the chunk from them one entry at a time.
+        // The job's additions, borrowed from the table: the store unpacks
+        // and renders them into the chunk one entry at a time.
         let added: Vec<_> = table
             .iter_since(mark)
             .map(|(_, input, metrics)| (input, metrics))
@@ -1339,7 +1339,7 @@ mod tests {
             assert!(scheduler.step());
             assert!(!scheduler.step(), "one execution for both");
             match scheduler.fetch(first.job) {
-                FetchResult::Ready(output) => output,
+                FetchResult::Ready(output) => *output,
                 other => panic!("expected report, got {other:?}"),
             }
         };
@@ -1355,7 +1355,10 @@ mod tests {
         );
         let third = scheduler.submit(with(Some(0)), 0).unwrap();
         assert!(third.cached, "answered from the durable store");
-        assert_eq!(scheduler.fetch(third.job), FetchResult::Ready(first));
+        assert_eq!(
+            scheduler.fetch(third.job),
+            FetchResult::Ready(Box::new(first))
+        );
         assert_eq!(scheduler.metrics().value("micrograd_executions_total"), 0);
     }
 

@@ -326,7 +326,10 @@ fn dispatch_line(line: &str, shared: &ReactorShared) -> (&'static str, Answer) {
         RequestBody::Fetch { job } => (
             "fetch",
             match scheduler.fetch(job) {
-                FetchResult::Ready(output) => ResponseBody::Report { job, output },
+                FetchResult::Ready(output) => ResponseBody::Report {
+                    job,
+                    output: *output,
+                },
                 FetchResult::NotReady(state) => ResponseBody::Error {
                     message: format!("job {job} is not finished (state: {state})"),
                     retry_after_ms: None,

@@ -19,7 +19,9 @@
 //! the evaluations that job added, and [`ResultStore::save_cache`] rewrites
 //! the file as a single chunk (compaction).  A load reads every chunk.
 //! Both writers render a chunk from borrowed entries, one entry's value
-//! tree at a time, into one buffer sized for the whole chunk.
+//! tree at a time, into one buffer sized for the whole chunk; an append
+//! takes the entries in their packed memo-table form and unpacks each just
+//! before rendering it, so one unpacked input is alive at a time.
 //!
 //! # Integrity and recovery
 //!
@@ -46,9 +48,10 @@
 
 use crate::fault::{FaultPlan, FaultSite};
 use micrograd_codegen::GeneratorInput;
-use micrograd_core::{FrameworkConfig, FrameworkOutput, Metrics};
+use micrograd_core::{FrameworkConfig, FrameworkOutput, Metrics, PackedInput};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -248,9 +251,10 @@ fn cache_chunk(key: &str, entries: Vec<(GeneratorInput, Metrics)>) -> StoredCach
 /// sized for the whole chunk, trailer included, at the first entry's size
 /// plus a sixteenth; should later entries run longer, it is resized for
 /// the rest at the mean so far.
-fn cache_chunk_text<'a, I>(key: &str, entries: I) -> io::Result<String>
+fn cache_chunk_text<'a, I, G>(key: &str, entries: I) -> io::Result<String>
 where
-    I: ExactSizeIterator<Item = (&'a GeneratorInput, &'a Metrics)>,
+    I: ExactSizeIterator<Item = (G, &'a Metrics)>,
+    G: Borrow<GeneratorInput>,
 {
     const CLOSE: &str = "\n  ]\n}";
     const TAIL: usize = CLOSE.len() + TRAILER_MAX;
@@ -263,10 +267,11 @@ where
     // brackets.
     let head = envelope.strip_suffix("]\n}").ok_or_else(malformed)?;
     let (total, mut text) = (entries.len(), head.to_owned());
-    for (done, entry) in entries.enumerate() {
+    for (done, (input, metrics)) in entries.enumerate() {
         // `[[entry]]` renders the entry at the depth the chunk's `entries`
         // array holds it; between the outer `[\n  [` and `\n  ]\n]` is a
         // line break, that depth's indent and the entry, as the chunk has it.
+        let entry = (input.borrow(), metrics);
         let nested = pretty(&std::slice::from_ref(&std::slice::from_ref(&entry)))?;
         let item = nested
             .strip_prefix("[\n  [")
@@ -535,9 +540,10 @@ impl ResultStore {
 
     /// Appends memoized evaluations to a platform key's dump as one more
     /// chunk, with a single write on an append handle; no entries append
-    /// nothing.  The entries are borrowed — the scheduler passes them
-    /// straight from the key's resident memo table — and only the
-    /// in-memory mode copies them.
+    /// nothing.  The entries are borrowed in their packed form — the
+    /// scheduler passes them straight from the key's resident memo table —
+    /// and each is unpacked only while it is rendered (or, in the in-memory
+    /// mode, stored).
     ///
     /// Entries already in the dump may be appended again (two jobs of one
     /// key overlap): loads keep them, imports skip them, and compaction
@@ -550,19 +556,20 @@ impl ResultStore {
     /// mid-append.
     pub fn append_cache<'a, I>(&self, key: &str, entries: I) -> io::Result<()>
     where
-        I: IntoIterator<Item = (&'a GeneratorInput, &'a Metrics)>,
+        I: IntoIterator<Item = (&'a PackedInput, &'a Metrics)>,
         I::IntoIter: ExactSizeIterator,
     {
         let entries = entries.into_iter();
         if entries.len() == 0 {
             return Ok(());
         }
+        let entries = entries.map(|(input, metrics)| (input.unpack(), metrics));
         let Some(path) = self.cache_path(key) else {
             self.caches
                 .lock()
                 .entry(key.to_owned())
                 .or_default()
-                .extend(entries.map(|(input, metrics)| (input.clone(), metrics.clone())));
+                .extend(entries.map(|(input, metrics)| (input, metrics.clone())));
             return Ok(());
         };
         let chunk = cache_chunk_text(key, entries)?;
@@ -742,10 +749,16 @@ mod tests {
     }
 
     /// `entries` as the borrowed pairs the chunk writers take.
-    fn refs(
-        entries: &[(GeneratorInput, Metrics)],
-    ) -> impl ExactSizeIterator<Item = (&GeneratorInput, &Metrics)> {
+    fn refs<K>(entries: &[(K, Metrics)]) -> impl ExactSizeIterator<Item = (&K, &Metrics)> {
         entries.iter().map(|(input, metrics)| (input, metrics))
+    }
+
+    /// `entries` with their inputs packed, as a memo table holds them.
+    fn packed(entries: &[(GeneratorInput, Metrics)]) -> Vec<(PackedInput, Metrics)> {
+        entries
+            .iter()
+            .map(|(input, metrics)| (PackedInput::new(input), metrics.clone()))
+            .collect()
     }
 
     #[test]
@@ -769,6 +782,9 @@ mod tests {
                 let streamed = cache_chunk_text(key, refs(entries)).unwrap();
                 let whole = sealed(&cache_chunk(key, entries.to_vec())).unwrap();
                 assert_eq!(streamed, whole, "{n} entries under {key:?}");
+                let packed = packed(entries);
+                let unpacked = packed.iter().map(|(input, m)| (input.unpack(), m));
+                assert_eq!(cache_chunk_text(key, unpacked).unwrap(), whole);
                 assert_eq!(parse_cache(&streamed, key).unwrap(), entries);
             }
         }
@@ -781,9 +797,9 @@ mod tests {
         let (first, second) = (cache_entries(0, 3), cache_entries(3, 2));
         {
             let store = ResultStore::open(scratch.path()).unwrap();
-            store.append_cache(key, refs(&first)).unwrap();
-            store.append_cache(key, refs(&[])).unwrap();
-            store.append_cache(key, refs(&second)).unwrap();
+            store.append_cache(key, refs(&packed(&first))).unwrap();
+            store.append_cache(key, refs(&packed(&[]))).unwrap();
+            store.append_cache(key, refs(&packed(&second))).unwrap();
             let text = std::fs::read_to_string(store.cache_path(key).unwrap()).unwrap();
             assert_eq!(
                 text.matches(TRAILER_MARK).count(),
@@ -805,7 +821,9 @@ mod tests {
         store.save_cache(key, all.clone()).unwrap();
         let text = std::fs::read_to_string(store.cache_path(key).unwrap()).unwrap();
         assert_eq!(text.matches(TRAILER_MARK).count(), 1);
-        store.append_cache(key, refs(&cache_entries(5, 1))).unwrap();
+        store
+            .append_cache(key, refs(&packed(&cache_entries(5, 1))))
+            .unwrap();
         assert_eq!(store.load_cache(key), cache_entries(0, 6));
     }
 
@@ -818,13 +836,13 @@ mod tests {
             let scratch = ScratchDir::new(name);
             ResultStore::open(scratch.path())
                 .unwrap()
-                .append_cache(key, refs(&cache_entries(0, 3)))
+                .append_cache(key, refs(&packed(&cache_entries(0, 3))))
                 .unwrap();
             let store = ResultStore::open(scratch.path())
                 .unwrap()
                 .with_fault_plan(FaultPlan::new(3).with_fault(FaultSite::StoreTruncate, 1.0, 1));
             let err = store
-                .append_cache(key, refs(&cache_entries(3, 3)))
+                .append_cache(key, refs(&packed(&cache_entries(3, 3))))
                 .unwrap_err();
             assert!(err.to_string().contains("store-truncate"));
             let path = store.cache_path(key).unwrap();
@@ -854,8 +872,12 @@ mod tests {
         let scratch = ScratchDir::new("chunk-flip");
         let store = ResultStore::open(scratch.path()).unwrap();
         let key = "small:4000:1";
-        store.append_cache(key, refs(&cache_entries(0, 2))).unwrap();
-        store.append_cache(key, refs(&cache_entries(2, 2))).unwrap();
+        store
+            .append_cache(key, refs(&packed(&cache_entries(0, 2))))
+            .unwrap();
+        store
+            .append_cache(key, refs(&packed(&cache_entries(2, 2))))
+            .unwrap();
         let path = store.cache_path(key).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes
@@ -890,8 +912,12 @@ mod tests {
     fn in_memory_store_appends_cache_chunks() {
         let store = ResultStore::in_memory();
         let key = "small:4000:1";
-        store.append_cache(key, refs(&cache_entries(0, 2))).unwrap();
-        store.append_cache(key, refs(&cache_entries(2, 1))).unwrap();
+        store
+            .append_cache(key, refs(&packed(&cache_entries(0, 2))))
+            .unwrap();
+        store
+            .append_cache(key, refs(&packed(&cache_entries(2, 1))))
+            .unwrap();
         assert_eq!(store.load_cache(key), cache_entries(0, 3));
         store.save_cache(key, cache_entries(0, 1)).unwrap();
         assert_eq!(store.load_cache(key), cache_entries(0, 1));

@@ -399,6 +399,21 @@ fn malformed_and_mismatched_lines_get_error_responses_not_disconnects() {
     assert!(line.contains("malformed"), "got: {line:.200}");
     assert!(line.len() < 1024, "a {}-byte error line", line.len());
 
+    // A 3,000,000-byte unknown op: the error quotes a prefix of it, and
+    // one of raw control bytes stops the parser at the first.
+    for op in ["a", "\u{1}"] {
+        line.clear();
+        let request = format!(
+            "{{\"proto\":1,\"body\":{{\"op\":\"{}\"}}}}\n",
+            op.repeat(3_000_000)
+        );
+        writer.write_all(request.as_bytes()).unwrap();
+        writer.flush().unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("malformed"), "got: {line:.200}");
+        assert!(line.len() < 1024, "a {}-byte error line", line.len());
+    }
+
     // The same connection still serves well-formed requests afterwards.
     line.clear();
     writer

@@ -10,7 +10,7 @@
 //! test can pollute the counters.
 
 use micrograd_codegen::GeneratorInput;
-use micrograd_core::{MetricKind, Metrics};
+use micrograd_core::{MetricKind, Metrics, PackedInput};
 use micrograd_service::ResultStore;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -103,7 +103,11 @@ fn appending_a_chunk_holds_at_most_twice_its_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = ResultStore::open(&dir).expect("store opens");
     let entries = evaluations(1_000);
-    let pairs: Vec<(&GeneratorInput, &Metrics)> = entries.iter().map(|(i, m)| (i, m)).collect();
+    let packed: Vec<(PackedInput, Metrics)> = entries
+        .iter()
+        .map(|(i, m)| (PackedInput::new(i), m.clone()))
+        .collect();
+    let pairs: Vec<(&PackedInput, &Metrics)> = packed.iter().map(|(i, m)| (i, m)).collect();
 
     let live = LIVE.load(Ordering::Relaxed);
     PEAK.store(live, Ordering::Relaxed);
