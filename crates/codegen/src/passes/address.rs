@@ -62,10 +62,9 @@ impl Pass for UpdateInstructionAddressesPass {
         if let Some(last) = test_case.block_mut().instructions_mut().last_mut() {
             if last.opcode().is_conditional_branch() {
                 let prob = last.branch_taken_prob();
-                let srcs = last.sources().to_vec();
-                let op = last.opcode();
+                let srcs = last.sources();
                 let mut patched = micrograd_isa::Instruction::branch(
-                    op,
+                    last.opcode(),
                     srcs.first().copied().unwrap_or(micrograd_isa::Reg::ZERO),
                     srcs.get(1).copied().unwrap_or(micrograd_isa::Reg::ZERO),
                     back_offset,

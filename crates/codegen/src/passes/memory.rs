@@ -153,11 +153,11 @@ impl Pass for GenericMemoryStreamsPass {
             let base_reg = Self::stream_base_reg(stream.id);
             match class {
                 InstrClass::Load => {
-                    instr.set_sources(vec![base_reg]);
+                    instr.set_sources(&[base_reg]);
                 }
                 InstrClass::Store => {
                     let data = instr.sources().first().copied().unwrap_or(Reg::x(5));
-                    instr.set_sources(vec![data, base_reg]);
+                    instr.set_sources(&[data, base_reg]);
                 }
                 _ => unreachable!("filtered to memory classes above"),
             }

@@ -2,7 +2,7 @@
 
 use super::{Pass, PassContext};
 use crate::{CodegenError, TestCase};
-use micrograd_isa::{InstrClass, Reg};
+use micrograd_isa::{InstrClass, Reg, MAX_SOURCES};
 
 /// Reserves a set of registers so the register allocator never assigns them
 /// as scratch destinations (loop counter, loop bound, stream base pointers).
@@ -200,18 +200,17 @@ impl Pass for DefaultRegisterAllocationPass {
                 InstrClass::Integer | InstrClass::Float => {
                     let want_fp = opcode.reads_fp_regs();
                     let n_src = opcode.num_sources();
-                    let mut sources = Vec::with_capacity(n_src);
-                    for k in 0..n_src {
-                        let src = producers
+                    let mut sources = [Reg::ZERO; MAX_SOURCES];
+                    for (k, src) in sources[..n_src].iter_mut().enumerate() {
+                        *src = producers
                             .at_distance(dd + k, want_fp)
                             .unwrap_or(if want_fp {
                                 Self::fp_init_reg()
                             } else {
                                 Self::int_init_reg()
                             });
-                        sources.push(src);
                     }
-                    instr.set_sources(sources);
+                    instr.set_sources(&sources[..n_src]);
                     if opcode.has_dest() {
                         let (pool, rr) = if opcode.writes_fp_reg() {
                             (&fp_pool, &mut fp_rr)
@@ -265,13 +264,15 @@ impl Pass for DefaultRegisterAllocationPass {
                     } else {
                         Self::int_init_reg()
                     });
-                    let mut sources = instr.sources().to_vec();
-                    if sources.is_empty() {
-                        sources = vec![data, Reg::x(10)];
-                    } else {
-                        sources[0] = data;
-                    }
-                    instr.set_sources(sources);
+                    let mut sources = [data, Reg::x(10), Reg::ZERO];
+                    let n = match instr.sources() {
+                        [] => 2,
+                        [_, rest @ ..] => {
+                            sources[1..=rest.len()].copy_from_slice(rest);
+                            rest.len() + 1
+                        }
+                    };
+                    instr.set_sources(&sources[..n]);
                     None
                 }
             };

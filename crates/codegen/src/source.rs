@@ -31,6 +31,7 @@ use micrograd_isa::Instruction;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// A stream of dynamic instructions plus the static code they refer to.
@@ -56,6 +57,25 @@ pub trait TraceSource {
     /// Number of dynamic instructions left, when the source knows it.
     fn remaining(&self) -> Option<usize>;
 
+    /// Feeds the rest of the stream to `visit`, in order, until the stream
+    /// ends or `visit` breaks.  An instruction handed to `visit` is
+    /// consumed, so after a break the source continues with the next one.
+    ///
+    /// Yields exactly what repeated [`next_dynamic`](Self::next_dynamic)
+    /// calls would, drawing the same random words in the same order.  The
+    /// default pulls `next_dynamic`; a source with a faster whole-stream
+    /// loop overrides it ([`StreamingExpander`] does).  The simulator runs
+    /// its per-instruction body as `visit`, so a source that a caller
+    /// monomorphizes and that inlines `drive` gets the body inlined into
+    /// its own loop.
+    #[inline]
+    fn drive(&mut self, visit: &mut dyn FnMut(DynamicInstr) -> ControlFlow<()>) -> ControlFlow<()> {
+        while let Some(d) = self.next_dynamic() {
+            visit(d)?;
+        }
+        ControlFlow::Continue(())
+    }
+
     /// Restricts this source to the dynamic-index window
     /// `[start, start + len)`: the first `start` instructions are consumed
     /// and discarded (advancing the underlying stream state exactly as a
@@ -79,11 +99,18 @@ pub trait TraceSource {
 /// access; the hot evaluation path feeds sources to the simulator directly.
 #[must_use]
 pub fn collect_trace<S: TraceSource + ?Sized>(source: &mut S) -> Trace {
-    let mut dynamics = Vec::with_capacity(source.remaining().unwrap_or(0));
-    while let Some(d) = source.next_dynamic() {
-        dynamics.push(d);
-    }
+    let dynamics = drain_dynamics(source);
     Trace::new(source.statics().to_vec(), dynamics)
+}
+
+/// Drives `source` to its end, collecting the dynamic instructions.
+pub(crate) fn drain_dynamics<S: TraceSource + ?Sized>(source: &mut S) -> Vec<DynamicInstr> {
+    let mut dynamics = Vec::with_capacity(source.remaining().unwrap_or(0));
+    let _ = source.drive(&mut |d| {
+        dynamics.push(d);
+        ControlFlow::Continue(())
+    });
+    dynamics
 }
 
 /// A [`TraceSource`] replaying a materialized [`Trace`] in program order.
@@ -227,14 +254,20 @@ pub struct StreamingExpander {
     statics: Vec<Instruction>,
     /// One decoded record per static instruction.
     steps: Vec<Step>,
-    /// Per-stream state, indexed by [`MemStep::slot`].
-    slots: Vec<StreamSlot>,
-    /// The re-use rings of every slot, back to back.
-    recent: Vec<u64>,
+    draws: Draws,
     dynamic_len: usize,
     emitted: usize,
     /// Index of the next static instruction to execute.
     cursor: usize,
+}
+
+/// The state the random draws of dynamic instances update.
+#[derive(Debug, Clone)]
+struct Draws {
+    /// Per-stream state, indexed by [`MemStep::slot`].
+    slots: Vec<StreamSlot>,
+    /// The re-use rings of every slot, back to back.
+    recent: Vec<u64>,
     rng: KeystreamCursor,
 }
 
@@ -338,10 +371,41 @@ impl KeystreamCursor {
             live,
         }
     }
+
+    /// [`next_u64`](RngCore::next_u64) of the pair at `pos` when it does
+    /// not lie inside the prefix.
+    #[inline]
+    fn past_prefix_u64(&mut self, pos: usize) -> u64 {
+        match self.prefix.words.get(pos) {
+            Some(&lo) => (u64::from(self.live.next_u32()) << 32) | u64::from(lo),
+            None => self.live.next_u64(),
+        }
+    }
+
+    /// Whether a probability test with [`threshold`] `below` passes, on
+    /// the next two words: `gen::<f64>() < p`, in integers.
+    #[inline(always)]
+    fn chance(&mut self, below: u64) -> bool {
+        (self.next_u64() >> 11) < below
+    }
+
+    /// `gen_range(0..span)` for a nonzero `span`, on the next two words:
+    /// the word masked when `span` is a power of two, else reduced modulo
+    /// `span`, exactly as the generic range sampler computes it.
+    #[inline(always)]
+    fn below(&mut self, span: usize) -> usize {
+        let word = self.next_u64();
+        let span = span as u64;
+        (if span.is_power_of_two() {
+            word & (span - 1)
+        } else {
+            word % span
+        }) as usize
+    }
 }
 
 impl RngCore for KeystreamCursor {
-    #[inline]
+    #[inline(always)]
     fn next_u32(&mut self) -> u32 {
         let word = match self.prefix.words.get(self.pos) {
             Some(&word) => word,
@@ -352,15 +416,15 @@ impl RngCore for KeystreamCursor {
     }
 
     /// Low word first, as `ChaCha8Rng::next_u64` composes them, also when
-    /// the pair straddles the prefix's end.
-    #[inline]
+    /// the pair straddles the prefix's end.  A pair inside the prefix is
+    /// two loads, inlined into the expansion loop.
+    #[inline(always)]
     fn next_u64(&mut self) -> u64 {
         let pos = self.pos;
         self.pos += 2;
-        match self.prefix.words.get(pos..) {
-            Some([lo, hi, ..]) => (u64::from(*hi) << 32) | u64::from(*lo),
-            Some([lo]) => (u64::from(self.live.next_u32()) << 32) | u64::from(*lo),
-            _ => self.live.next_u64(),
+        match self.prefix.words.get(pos..pos + 2) {
+            Some(&[lo, hi]) => (u64::from(hi) << 32) | u64::from(lo),
+            _ => self.past_prefix_u64(pos),
         }
     }
 }
@@ -380,11 +444,24 @@ enum BranchStep {
     None,
     /// A body branch with no randomization: always taken.
     Taken,
-    /// A body branch flipped to a fair coin with this probability.
-    Flip(f64),
+    /// A body branch flipped to a fair coin with a probability, held as
+    /// its [`threshold`].
+    Flip(u64),
     /// The loop back-edge: taken unless this is the final dynamic
     /// instruction.
     BackEdge,
+}
+
+/// The integer form of a probability test: `gen::<f64>() < p` holds
+/// exactly when the draw's top 53 bits are below `ceil(p · 2^53)`.
+///
+/// `gen::<f64>()` is `(w >> 11) / 2^53` for the next 64-bit word `w`, and
+/// scaling by 2^53 is exact, so `(w >> 11) / 2^53 < p` is
+/// `w >> 11 < p · 2^53`, which for an integer left side is
+/// `w >> 11 < ceil(p · 2^53)`.  The cast saturates: a NaN or negative `p`
+/// gives 0 (never), a `p` above 1 a threshold above every draw (always).
+fn threshold(p: f64) -> u64 {
+    (p * 9_007_199_254_740_992.0).ceil() as u64
 }
 
 /// The per-static part of a memory access.
@@ -401,8 +478,9 @@ struct MemStep {
 /// and the stream's position.
 #[derive(Debug, Clone, Copy)]
 struct StreamSlot {
-    /// Re-use probability; a stream missing from `streams()` gets 0.
-    reuse_prob: f64,
+    /// [`threshold`] of the re-use probability; a stream missing from
+    /// `streams()` gets 0.
+    reuse_below: u64,
     /// Ring capacity: the re-use window (at least 1, at most the dynamic
     /// length), or 0 when the stream never re-uses, which needs no history.
     ring_cap: usize,
@@ -502,7 +580,7 @@ impl StreamingExpander {
                         let (prob, window) = reuse.get(&m.stream).copied().unwrap_or((0.0, 1));
                         let footprint = m.footprint.max(1);
                         slots.push(StreamSlot {
-                            reuse_prob: prob,
+                            reuse_below: threshold(prob),
                             ring_cap: if prob > 0.0 {
                                 window.min(dynamic_len).max(1)
                             } else {
@@ -536,7 +614,7 @@ impl StreamingExpander {
                 } else if i == last {
                     BranchStep::BackEdge
                 } else if instr.branch_taken_prob() > 0.0 {
-                    BranchStep::Flip(instr.branch_taken_prob())
+                    BranchStep::Flip(threshold(instr.branch_taken_prob()))
                 } else {
                     BranchStep::Taken
                 };
@@ -560,12 +638,14 @@ impl StreamingExpander {
         StreamingExpander {
             statics,
             steps,
-            slots,
-            recent: vec![0; ring_words],
+            draws: Draws {
+                slots,
+                recent: vec![0; ring_words],
+                rng,
+            },
             dynamic_len,
             emitted: 0,
             cursor: 0,
-            rng,
         }
     }
 
@@ -578,16 +658,43 @@ impl StreamingExpander {
     pub fn into_statics(self) -> Vec<Instruction> {
         self.statics
     }
+}
+
+impl Draws {
+    /// The dynamic instance of static `idx`, decoded as `step`; `last`
+    /// when it is the final instruction of the stream.
+    #[inline(always)]
+    fn instance(
+        &mut self,
+        statics: &[Instruction],
+        idx: usize,
+        step: Step,
+        last: bool,
+    ) -> DynamicInstr {
+        let mem_addr = step.mem.map(|mem| self.address(statics, idx, mem));
+        let taken = match step.branch {
+            BranchStep::None => None,
+            BranchStep::Taken => Some(true),
+            BranchStep::Flip(below) => Some(!self.rng.chance(below) || self.rng.gen::<bool>()),
+            BranchStep::BackEdge => Some(!last),
+        };
+        DynamicInstr {
+            static_index: idx as u32,
+            pc: step.pc,
+            mem_addr,
+            taken,
+        }
+    }
 
     /// The data address of static `idx`'s next dynamic instance: with the
     /// stream's re-use probability one of its last `window` addresses,
     /// otherwise the stream's next position.
-    #[inline]
-    fn address(&mut self, idx: usize, mem: MemStep) -> u64 {
+    #[inline(always)]
+    fn address(&mut self, statics: &[Instruction], idx: usize, mem: MemStep) -> u64 {
         let slot = &mut self.slots[mem.slot as usize];
         let ring = &mut self.recent[slot.ring_start..slot.ring_start + slot.ring_cap];
-        let addr = if slot.ring_len > 0 && self.rng.gen::<f64>() < slot.reuse_prob {
-            let back = self.rng.gen_range(0..slot.ring_len) + 1;
+        let addr = if slot.ring_len > 0 && self.rng.chance(slot.reuse_below) {
+            let back = self.rng.below(slot.ring_len) + 1;
             ring[if slot.ring_head >= back {
                 slot.ring_head - back
             } else {
@@ -600,9 +707,7 @@ impl StreamingExpander {
                 mem.base.wrapping_add(offset)
             } else {
                 // Always `Some`: the step was decoded from this access.
-                self.statics[idx]
-                    .mem()
-                    .map_or(0, |m| m.address_at(slot.pos))
+                statics[idx].mem().map_or(0, |m| m.address_at(slot.pos))
             };
             slot.pos += 1;
             addr
@@ -624,7 +729,6 @@ impl TraceSource for StreamingExpander {
         &self.statics
     }
 
-    // Inlined into the simulator's monomorphized retire loop.
     #[inline]
     fn next_dynamic(&mut self) -> Option<DynamicInstr> {
         if self.emitted >= self.dynamic_len {
@@ -632,29 +736,14 @@ impl TraceSource for StreamingExpander {
         }
         let idx = self.cursor;
         let step = *self.steps.get(idx)?;
-        let mem_addr = step.mem.map(|mem| self.address(idx, mem));
-        let taken = match step.branch {
-            BranchStep::None => None,
-            BranchStep::Taken => Some(true),
-            BranchStep::Flip(p) => Some(if self.rng.gen::<f64>() < p {
-                self.rng.gen::<bool>()
-            } else {
-                true
-            }),
-            BranchStep::BackEdge => Some(self.emitted + 1 < self.dynamic_len),
-        };
         self.emitted += 1;
+        let last = self.emitted == self.dynamic_len;
         self.cursor = if idx + 1 == self.steps.len() {
             0
         } else {
             idx + 1
         };
-        Some(DynamicInstr {
-            static_index: idx as u32,
-            pc: step.pc,
-            mem_addr,
-            taken,
-        })
+        Some(self.draws.instance(&self.statics, idx, step, last))
     }
 
     fn remaining(&self) -> Option<usize> {
@@ -663,6 +752,38 @@ impl TraceSource for StreamingExpander {
         } else {
             Some(self.dynamic_len - self.emitted)
         }
+    }
+
+    /// One pass of the loop body at a time, from the cursor to the body's
+    /// end or the stream's, with the cursor and the emitted count in
+    /// locals.  Always inlined, so a caller's `visit` closure, known at the
+    /// call site, becomes the inner loop's body.
+    #[inline(always)]
+    fn drive(&mut self, visit: &mut dyn FnMut(DynamicInstr) -> ControlFlow<()>) -> ControlFlow<()> {
+        let body = self.steps.len();
+        let len = self.dynamic_len;
+        let mut emitted = self.emitted;
+        let mut cursor = self.cursor;
+        // lint:hot-loop-start
+        while emitted < len && body > 0 {
+            let end = cursor + (body - cursor).min(len - emitted);
+            for (idx, &step) in (cursor..end).zip(&self.steps[cursor..end]) {
+                emitted += 1;
+                let d = self
+                    .draws
+                    .instance(&self.statics, idx, step, emitted == len);
+                if visit(d).is_break() {
+                    self.emitted = emitted;
+                    self.cursor = if idx + 1 == body { 0 } else { idx + 1 };
+                    return ControlFlow::Break(());
+                }
+            }
+            cursor = if end == body { 0 } else { end };
+        }
+        // lint:hot-loop-end
+        self.emitted = emitted;
+        self.cursor = cursor;
+        ControlFlow::Continue(())
     }
 }
 
@@ -819,10 +940,72 @@ mod tests {
         Generator::new().generate(&input).unwrap()
     }
 
-    /// Drains `source`, returning the trace and the words it drew.
+    /// Drains `source` through [`TraceSource::drive`], returning the trace
+    /// and the words it drew, after checking that pulling
+    /// [`TraceSource::next_dynamic`] from a clone yields the same stream
+    /// from the same words.
     fn drain(mut source: StreamingExpander) -> (Trace, usize) {
+        let mut pulled = source.clone();
+        let mut dynamics = Vec::new();
+        while let Some(d) = pulled.next_dynamic() {
+            dynamics.push(d);
+        }
         let trace = collect_trace(&mut source);
-        (trace, source.rng.pos)
+        assert_eq!(trace.dynamics(), &dynamics[..], "drive vs next_dynamic");
+        assert_eq!(source.draws.rng.pos, pulled.draws.rng.pos, "words drawn");
+        (trace, source.draws.rng.pos)
+    }
+
+    /// A generator that yields one fixed word.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn the_integer_threshold_is_the_float_test() {
+        let mut probabilities = vec![0.0, 2f64.powi(-60), 0.5, 1.0 - 2f64.powi(-53), 1.0];
+        // Re-use probabilities of periods 2-10, and flip probabilities.
+        probabilities.extend((2..=10).map(|period| 1.0 - 1.0 / f64::from(period)));
+        probabilities.extend((1..=10).map(|tenths| f64::from(tenths) / 10.0));
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7E57_0053);
+        for p in probabilities {
+            let below = threshold(p);
+            // Words whose top 53 bits are the threshold and its neighbours,
+            // with random low bits, then random words.
+            let edges: Vec<u64> = [below.wrapping_sub(1), below, below + 1]
+                .into_iter()
+                .filter(|&top| top < 1 << 53)
+                .map(|top| (top << 11) | (rng.next_u64() & 0x7ff))
+                .collect();
+            assert!(!edges.is_empty(), "p {p}");
+            let words: Vec<u64> = edges
+                .into_iter()
+                .chain((0..20_000).map(|_| rng.next_u64()))
+                .collect();
+            // The cursor reads each word as its low half, then its high.
+            let mut cursor = KeystreamCursor::new(Arc::new(Keystream {
+                seed: 0,
+                words: words
+                    .iter()
+                    .flat_map(|&w| [w as u32, (w >> 32) as u32])
+                    .collect(),
+            }));
+            for word in words {
+                let float = Fixed(word).gen::<f64>() < p;
+                assert_eq!(cursor.chance(below), float, "p {p}, word {word:#x}");
+            }
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(1.0), 1 << 53);
+        assert_eq!(threshold(f64::NAN), 0);
     }
 
     /// Every constructor against the map-based reference expander, the

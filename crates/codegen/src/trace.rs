@@ -1,7 +1,7 @@
 //! Dynamic trace expansion: turning the static loop into the instruction
 //! stream the performance simulator consumes.
 
-use crate::source::{TraceCursor, TraceSource};
+use crate::source::TraceCursor;
 use crate::TestCase;
 use micrograd_isa::{InstrClass, Instruction};
 use serde::{Deserialize, Serialize};
@@ -142,10 +142,7 @@ impl TraceExpander {
     #[must_use]
     pub fn expand(&self, test_case: &TestCase) -> Trace {
         let mut source = self.stream(test_case);
-        let mut dynamics = Vec::with_capacity(source.remaining().unwrap_or(0));
-        while let Some(d) = source.next_dynamic() {
-            dynamics.push(d);
-        }
+        let dynamics = crate::source::drain_dynamics(&mut source);
         Trace::new(source.into_statics(), dynamics)
     }
 }

@@ -76,6 +76,74 @@ impl MemAccess {
     }
 }
 
+/// The most source registers an instruction reads (`fmadd.d` reads three).
+pub const MAX_SOURCES: usize = 3;
+
+/// An instruction's source registers, held inline: a loop body of a few
+/// hundred instructions then needs no allocation per instruction.
+///
+/// Serializes, compares and prints as the slice it holds, so JSON and
+/// `Debug` output read as a `Vec<Reg>`'s would.
+#[derive(Clone, Copy)]
+struct Sources {
+    regs: [Reg; MAX_SOURCES],
+    len: u8,
+}
+
+impl Sources {
+    /// # Panics
+    ///
+    /// Panics if `regs` holds more than [`MAX_SOURCES`] registers.
+    fn new(regs: &[Reg]) -> Self {
+        assert!(
+            regs.len() <= MAX_SOURCES,
+            "{} source registers, at most {MAX_SOURCES} allowed",
+            regs.len()
+        );
+        let mut inline = [Reg::ZERO; MAX_SOURCES];
+        inline[..regs.len()].copy_from_slice(regs);
+        Sources {
+            regs: inline,
+            len: regs.len() as u8,
+        }
+    }
+
+    fn as_slice(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Sources {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for Sources {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl Serialize for Sources {
+    fn serialize_value(&self) -> serde::Value {
+        self.as_slice().serialize_value()
+    }
+}
+
+impl Deserialize for Sources {
+    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let regs = Vec::<Reg>::deserialize_value(v)?;
+        if regs.len() > MAX_SOURCES {
+            return Err(serde::DeError::new(format!(
+                "{} source registers, at most {MAX_SOURCES} allowed",
+                regs.len()
+            )));
+        }
+        Ok(Sources::new(&regs))
+    }
+}
+
 /// A fully operand-assigned static instruction.
 ///
 /// This is the unit the Microprobe-like code generator emits
@@ -85,7 +153,7 @@ impl MemAccess {
 pub struct Instruction {
     opcode: Opcode,
     dest: Option<Reg>,
-    sources: Vec<Reg>,
+    sources: Sources,
     imm: Option<i64>,
     mem: Option<MemAccess>,
     /// Probability that a conditional branch is taken (0.0–1.0).
@@ -101,7 +169,7 @@ impl Instruction {
         Instruction {
             opcode,
             dest: None,
-            sources: Vec::new(),
+            sources: Sources::new(&[]),
             imm: None,
             mem: None,
             branch_taken_prob: 0.0,
@@ -114,7 +182,7 @@ impl Instruction {
     pub fn rrr(opcode: Opcode, dest: Reg, src1: Reg, src2: Reg) -> Instruction {
         let mut i = Instruction::new(opcode);
         i.dest = Some(dest);
-        i.sources = vec![src1, src2];
+        i.sources = Sources::new(&[src1, src2]);
         i
     }
 
@@ -123,7 +191,7 @@ impl Instruction {
     pub fn rri(opcode: Opcode, dest: Reg, src: Reg, imm: i64) -> Instruction {
         let mut i = Instruction::new(opcode);
         i.dest = Some(dest);
-        i.sources = vec![src];
+        i.sources = Sources::new(&[src]);
         i.imm = Some(imm);
         i
     }
@@ -133,7 +201,7 @@ impl Instruction {
     pub fn branch(opcode: Opcode, src1: Reg, src2: Reg, offset: i64) -> Instruction {
         debug_assert!(opcode.class() == InstrClass::Branch);
         let mut i = Instruction::new(opcode);
-        i.sources = vec![src1, src2];
+        i.sources = Sources::new(&[src1, src2]);
         i.imm = Some(offset);
         i
     }
@@ -145,7 +213,7 @@ impl Instruction {
         debug_assert!(opcode.class() == InstrClass::Load);
         let mut i = Instruction::new(opcode);
         i.dest = Some(dest);
-        i.sources = vec![base];
+        i.sources = Sources::new(&[base]);
         i.imm = Some(0);
         i.mem = Some(mem);
         i
@@ -157,7 +225,7 @@ impl Instruction {
     pub fn store(opcode: Opcode, data: Reg, base: Reg, mem: MemAccess) -> Instruction {
         debug_assert!(opcode.class() == InstrClass::Store);
         let mut i = Instruction::new(opcode);
-        i.sources = vec![data, base];
+        i.sources = Sources::new(&[data, base]);
         i.imm = Some(0);
         i.mem = Some(mem);
         i
@@ -178,7 +246,7 @@ impl Instruction {
     /// The source registers.
     #[must_use]
     pub fn sources(&self) -> &[Reg] {
-        &self.sources
+        self.sources.as_slice()
     }
 
     /// The immediate operand, if any.
@@ -217,8 +285,12 @@ impl Instruction {
     }
 
     /// Replaces the source registers.
-    pub fn set_sources(&mut self, sources: Vec<Reg>) {
-        self.sources = sources;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` holds more than [`MAX_SOURCES`] registers.
+    pub fn set_sources(&mut self, sources: &[Reg]) {
+        self.sources = Sources::new(sources);
     }
 
     /// Replaces the memory access description.
@@ -252,7 +324,7 @@ impl Instruction {
             Load => {
                 let dest = self.dest.map(|r| r.to_string()).unwrap_or_default();
                 let base = self
-                    .sources
+                    .sources()
                     .first()
                     .map(|r| r.to_string())
                     .unwrap_or_else(|| "x0".to_owned());
@@ -260,12 +332,12 @@ impl Instruction {
             }
             Store => {
                 let data = self
-                    .sources
+                    .sources()
                     .first()
                     .map(|r| r.to_string())
                     .unwrap_or_else(|| "x0".to_owned());
                 let base = self
-                    .sources
+                    .sources()
                     .get(1)
                     .map(|r| r.to_string())
                     .unwrap_or_else(|| "x0".to_owned());
@@ -273,12 +345,12 @@ impl Instruction {
             }
             Branch => {
                 let s1 = self
-                    .sources
+                    .sources()
                     .first()
                     .map(|r| r.to_string())
                     .unwrap_or_else(|| "x0".to_owned());
                 let s2 = self
-                    .sources
+                    .sources()
                     .get(1)
                     .map(|r| r.to_string())
                     .unwrap_or_else(|| "x0".to_owned());
@@ -289,7 +361,7 @@ impl Instruction {
                 if let Some(d) = self.dest {
                     parts.push(d.to_string());
                 }
-                for s in &self.sources {
+                for s in self.sources() {
                     parts.push(s.to_string());
                 }
                 if let Some(imm) = self.imm {
@@ -394,7 +466,7 @@ mod tests {
     fn setters_update_fields() {
         let mut i = Instruction::rrr(Opcode::Add, Reg::x(1), Reg::x(2), Reg::x(3));
         i.set_dest(Some(Reg::x(9)));
-        i.set_sources(vec![Reg::x(4)]);
+        i.set_sources(&[Reg::x(4)]);
         i.set_address(0x400);
         assert_eq!(i.dest(), Some(Reg::x(9)));
         assert_eq!(i.sources(), &[Reg::x(4)]);
@@ -407,5 +479,18 @@ mod tests {
         let json = serde_json::to_string(&i).unwrap();
         let back: Instruction = serde_json::from_str(&json).unwrap();
         assert_eq!(back, i);
+    }
+
+    #[test]
+    fn at_most_three_sources_deserialize() {
+        let mut fma = Instruction::new(Opcode::FmaddD);
+        fma.set_sources(&[Reg::f(1), Reg::f(2), Reg::f(3)]);
+        let json = serde_json::to_string(&fma).unwrap();
+        assert!(json.contains(r#""sources":[{"#), "{json}");
+        assert_eq!(serde_json::from_str::<Instruction>(&json).unwrap(), fma);
+        let reg = serde_json::to_string(&Reg::f(1)).unwrap();
+        let four = json.replacen(r#""sources":["#, &format!(r#""sources":[{reg},"#), 1);
+        let err = serde_json::from_str::<Instruction>(&four).unwrap_err();
+        assert!(err.to_string().contains("at most 3"), "{err}");
     }
 }

@@ -35,7 +35,7 @@ mod latency;
 mod opcode;
 mod register;
 
-pub use instruction::{Instruction, MemAccess, Operand};
+pub use instruction::{Instruction, MemAccess, Operand, MAX_SOURCES};
 pub use latency::{FuncUnit, LatencyModel};
 pub use opcode::{class_distribution, InstrClass, Opcode};
 pub use register::{Reg, RegClass, NUM_FP_REGS, NUM_INT_REGS};

@@ -1,8 +1,9 @@
-//! `hot-loop-alloc`: marker-delimited simulator regions must not
-//! allocate.
+//! `hot-loop-alloc`: marker-delimited regions of the evaluation hot path
+//! (the simulator, and the trace sources whose `drive` loop runs its
+//! per-instruction body) must not allocate.
 //!
 //! The dynamic complement (`crates/sim/tests/alloc_free.rs`) proves the
-//! retire loop performs zero heap operations under a counting global
+//! fused loop performs zero heap operations under a counting global
 //! allocator; this rule keeps the property reviewable at the line level.
 //! Regions are delimited by `lint:hot-loop-start` / `lint:hot-loop-end`
 //! comment markers; inside one, the allocating idioms below are denied:
@@ -40,7 +41,7 @@ impl Rule for HotLoopAlloc {
     }
 
     fn applies(&self, rel_path: &str) -> bool {
-        rel_path.starts_with("crates/sim/")
+        rel_path.starts_with("crates/sim/") || rel_path == "crates/codegen/src/source.rs"
     }
 
     fn check(&self, src: &SourceFile, _forced: bool, out: &mut Vec<Finding>) {

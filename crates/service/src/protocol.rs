@@ -404,21 +404,23 @@ pub(crate) fn encode_response(response: &Response) -> String {
     })
 }
 
-/// Checks the envelope's `proto` field *before* decoding the payload, so a
-/// future-version message whose body does not parse under this build's
-/// schema is still reported as a version mismatch, not as malformed.
-fn check_line_proto(line: &str) -> Result<(), WireError> {
+/// Parses `line` once, checks the envelope's `proto` field, then decodes
+/// the message from the same value tree.  The `proto` check comes *before*
+/// the payload's, so a future-version message whose body does not parse
+/// under this build's schema is still reported as a version mismatch, not
+/// as malformed.
+fn decode_line<T: Deserialize>(line: &str) -> Result<T, WireError> {
     #[derive(Deserialize)]
     struct ProtoProbe {
         proto: u32,
     }
-    let probe: ProtoProbe =
-        serde_json::from_str(line).map_err(|e| WireError::Malformed(e.to_string()))?;
-    if probe.proto == PROTO_VERSION {
-        Ok(())
-    } else {
-        Err(WireError::Version { got: probe.proto })
+    let malformed = |e: &dyn fmt::Display| WireError::Malformed(e.to_string());
+    let value: serde::Value = serde_json::from_str(line.trim_end()).map_err(|e| malformed(&e))?;
+    let probe = ProtoProbe::deserialize_value(&value).map_err(|e| malformed(&e))?;
+    if probe.proto != PROTO_VERSION {
+        return Err(WireError::Version { got: probe.proto });
     }
+    T::deserialize_value(&value).map_err(|e| malformed(&e))
 }
 
 /// Decodes one request line, enforcing the protocol version.
@@ -428,9 +430,7 @@ fn check_line_proto(line: &str) -> Result<(), WireError> {
 /// Returns [`WireError::Malformed`] for unparseable input and
 /// [`WireError::Version`] for a version mismatch.
 pub fn decode_request(line: &str) -> Result<Request, WireError> {
-    let line = line.trim_end();
-    check_line_proto(line)?;
-    serde_json::from_str(line).map_err(|e| WireError::Malformed(e.to_string()))
+    decode_line(line)
 }
 
 /// Decodes one response line, enforcing the protocol version.
@@ -440,9 +440,7 @@ pub fn decode_request(line: &str) -> Result<Request, WireError> {
 /// Returns [`WireError::Malformed`] for unparseable input and
 /// [`WireError::Version`] for a version mismatch.
 pub fn decode_response(line: &str) -> Result<Response, WireError> {
-    let line = line.trim_end();
-    check_line_proto(line)?;
-    serde_json::from_str(line).map_err(|e| WireError::Malformed(e.to_string()))
+    decode_line(line)
 }
 
 #[cfg(test)]

@@ -73,6 +73,7 @@ impl GsharePredictor {
         self.stats
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         let folded = (pc >> 2) ^ self.history;
         (folded as usize) & (self.table.len() - 1)
@@ -80,22 +81,21 @@ impl GsharePredictor {
 
     /// Predicts and updates for one conditional branch; returns `true` if
     /// the prediction was correct.
+    ///
+    /// Branch-free: outcomes are random data, so the counter update is a
+    /// table lookup and the misprediction count an add.
+    #[inline]
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+        /// A 2-bit saturating counter after an outcome:
+        /// `NEXT[counter][taken]`.
+        const NEXT: [[u8; 2]; 4] = [[0, 1], [0, 2], [1, 3], [2, 3]];
         let idx = self.index(pc);
-        let counter = self.table[idx];
-        let predicted_taken = counter >= 2;
-        let correct = predicted_taken == taken;
-
+        let counter = self.table[idx] & 3;
+        // Predicted taken from 2 up.
+        let correct = (counter >> 1) == u8::from(taken);
         self.stats.lookups += 1;
-        if !correct {
-            self.stats.mispredictions += 1;
-        }
-        // update 2-bit counter
-        self.table[idx] = if taken {
-            (counter + 1).min(3)
-        } else {
-            counter.saturating_sub(1)
-        };
+        self.stats.mispredictions += u64::from(!correct);
+        self.table[idx] = NEXT[usize::from(counter)][usize::from(taken)];
         // update global history
         self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
         correct
@@ -166,6 +166,27 @@ mod tests {
             p.predict_and_update(0x400 + (i % 16) * 4, true);
         }
         assert!(p.stats().accuracy() > 0.98);
+    }
+
+    #[test]
+    fn counter_table_matches_a_saturating_update() {
+        // Every counter and outcome against the branchy update it replaced.
+        for counter in 0..4u8 {
+            for taken in [false, true] {
+                let mut p = predictor();
+                let idx = p.index(0x400);
+                p.table[idx] = counter;
+                let correct = p.predict_and_update(0x400, taken);
+                assert_eq!(correct, (counter >= 2) == taken, "{counter} {taken}");
+                let expected = if taken {
+                    (counter + 1).min(3)
+                } else {
+                    counter.saturating_sub(1)
+                };
+                assert_eq!(p.table[idx], expected, "{counter} {taken}");
+                assert_eq!(p.stats().mispredictions, u64::from(!correct));
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@ use crate::hierarchy::MemoryHierarchy;
 use crate::stats::{ActivityCounts, SimStats};
 use crate::GsharePredictor;
 use micrograd_codegen::{Trace, TraceSource};
-use micrograd_isa::{FuncUnit, InstrClass, Instruction, LatencyModel, Opcode, Reg};
+use micrograd_isa::{FuncUnit, InstrClass, Instruction, LatencyModel, Opcode, Reg, MAX_SOURCES};
 use micrograd_obs::{ProfileRecorder, ProfileSample};
+use std::ops::ControlFlow;
 
 /// A fixed-capacity ring recording one `u64` per in-flight entry of a
 /// window: every instruction for the ROB and reservation stations, every
@@ -153,15 +154,16 @@ impl UnitTable {
 /// One static instruction, decoded once per run into a flat, `Copy`
 /// scheduling record.
 ///
-/// The per-instruction loop used to chase `&Instruction` (with its heap
-/// `Vec<Reg>` source list) and re-derive opcode class, functional unit,
-/// latency and energy weight for every *dynamic* instance.  Decoding each
-/// static instruction once hoists all of that out of the hot loop: the
+/// Decoding each static instruction once hoists the opcode's class,
+/// functional unit, latency and energy weight out of the hot loop: the
 /// dynamic path reads one cache-line-friendly record with pre-filtered
 /// (non-zero) flat register indices and precomputed latencies.
 #[derive(Debug, Clone, Copy)]
 struct DecodedInstr {
-    class: InstrClass,
+    is_mem: bool,
+    /// All ones for a load, whose completion waits for its data; 0
+    /// otherwise (a store retires through the store buffer).
+    load_mask: u64,
     /// Activity counter this instruction increments: an index into
     /// [`KINDS`].
     kind: u8,
@@ -182,8 +184,6 @@ struct DecodedInstr {
     /// Flat indices of the non-zero source registers.
     sources: [u16; MAX_SOURCES],
 }
-
-const MAX_SOURCES: usize = 4;
 
 fn unit_slot(u: FuncUnit) -> usize {
     match u {
@@ -241,7 +241,12 @@ fn decode(instr: &Instruction, latency: &LatencyModel) -> DecodedInstr {
         .filter(|d| !d.is_zero())
         .map_or(0, |d| d.flat_index() as u16 + 1);
     DecodedInstr {
-        class: opcode.class(),
+        is_mem: opcode.class().is_memory(),
+        load_mask: if opcode.class() == InstrClass::Load {
+            u64::MAX
+        } else {
+            0
+        },
         kind: kind(opcode.class(), latency.unit(opcode)),
         unit_slot: unit_slot(latency.unit(opcode)) as u8,
         is_conditional_branch: opcode.is_conditional_branch(),
@@ -394,8 +399,9 @@ impl Simulator {
     /// Runs a streaming [`TraceSource`] to exhaustion and returns the
     /// statistics.
     ///
-    /// This is the fused single-pass path: the source produces each dynamic
-    /// instruction on demand and the simulator retires it immediately, so
+    /// This is the fused single-pass path: the source's
+    /// [`drive`](TraceSource::drive) loop produces each dynamic instruction
+    /// and runs the simulator's per-instruction body on it at once, so
     /// nothing is ever materialized.  Per-instruction bookkeeping is held in
     /// ring buffers bounded by the ROB, reservation-station and LSQ depths
     /// of the configured core — peak memory is O(window sizes), independent
@@ -468,11 +474,16 @@ impl Simulator {
         let mut max_completion: u64 = 0;
         let mut n: usize = 0;
 
+        // The single per-instruction body, run by the source's own loop:
+        // inlined into it when the source is a concrete type.  It breaks
+        // only on cancellation.
         // lint:hot-loop-start
-        while let Some(dynamic) = source.next_dynamic() {
+        let flow = source.drive(&mut |dynamic| {
             n += 1;
             if n & (Self::CANCEL_CHECK_INTERVAL - 1) == 0 {
-                cancel.check()?;
+                if cancel.check().is_err() {
+                    return ControlFlow::Break(());
+                }
                 if self.profiler.due(n as u64) {
                     let hier = self.hierarchy.stats();
                     let branch = self.predictor.stats();
@@ -520,8 +531,7 @@ impl Simulator {
             let mut dispatch = (this_fetch + frontend_depth)
                 .max(self.completion_ring.evicted())
                 .max(self.issue_ring.evicted());
-            let is_mem = instr.class.is_memory();
-            if is_mem {
+            if instr.is_mem {
                 // The memory op `lsq_entries` back is the one whose
                 // retirement frees the LSQ slot this op needs.
                 dispatch = dispatch.max(self.lsq_ring.evicted());
@@ -540,7 +550,7 @@ impl Simulator {
 
             // ---------------- execute / memory ----------------
             let mut complete = issue + instr.latency;
-            if is_mem {
+            if instr.is_mem {
                 // An addressless memory op (no stream descriptor behind the
                 // static instruction) must not touch the hierarchy: a
                 // fabricated address 0 would alias line 0 / set 0 and
@@ -549,17 +559,15 @@ impl Simulator {
                     let lat = self.hierarchy.access_data(dynamic.pc, addr);
                     // Stores retire through the store buffer: the cache
                     // access happens off the critical path but is counted.
-                    if instr.class == InstrClass::Load {
-                        complete += u64::from(lat);
-                    }
+                    complete += u64::from(lat) & instr.load_mask;
                 }
             } else if instr.is_conditional_branch {
                 let taken = dynamic.taken.unwrap_or(false);
                 let correct = self.predictor.predict_and_update(dynamic.pc, taken);
-                if !correct {
-                    let redirect = complete + mispredict_penalty;
-                    fetch_stall_until = fetch_stall_until.max(redirect);
-                }
+                // A mispredict stalls fetch until the redirect; the mask
+                // zeroes the redirect of a correct prediction.
+                let redirect = (complete + mispredict_penalty) & u64::from(correct).wrapping_sub(1);
+                fetch_stall_until = fetch_stall_until.max(redirect);
             }
             kind_counts[instr.kind as usize] += 1;
             activity.weighted_exec_energy += instr.energy;
@@ -570,12 +578,16 @@ impl Simulator {
                 activity.regfile_writes += 1;
             }
             self.completion_ring.record(complete);
-            if is_mem {
+            if instr.is_mem {
                 self.lsq_ring.record(complete);
             }
             max_completion = max_completion.max(complete);
-        }
+            ControlFlow::Continue(())
+        });
         // lint:hot-loop-end
+        if flow.is_break() {
+            return Err(Cancelled);
+        }
 
         if n == 0 {
             return Ok(stats);
