@@ -6,6 +6,9 @@
 //! pools of increasing size.  This is the speedup the batch-parallel
 //! evaluation pipeline exists for; on a multi-core host the `workers-N`
 //! variants should scale towards N× until memory bandwidth intervenes.
+//! Those inputs fix the memory and branch knobs at their defaults, which
+//! make few random outcomes; `sequential_full` evaluates random inputs of
+//! the full knob space, whose re-use draws and flips `clone-cold` jobs pay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use micrograd_codegen::GeneratorInput;
@@ -33,6 +36,11 @@ fn batch_evaluation(c: &mut Criterion) {
         s
     };
     let batch = epoch_batch(&space, 24);
+    let full_batch = {
+        let mut full = KnobSpace::full();
+        full.loop_size = space.loop_size;
+        epoch_batch(&full, 24)
+    };
 
     let host_workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut worker_counts = vec![1usize, 2, 4];
@@ -51,6 +59,14 @@ fn batch_evaluation(c: &mut Criterion) {
                 .with_dynamic_len(10_000)
                 .with_seed(1);
             platform.evaluate_batch(&batch)
+        });
+    });
+    group.bench_function("sequential_full", |b| {
+        b.iter(|| {
+            let platform = SimPlatform::new(CoreConfig::small())
+                .with_dynamic_len(10_000)
+                .with_seed(1);
+            platform.evaluate_batch(&full_batch)
         });
     });
     for workers in worker_counts {

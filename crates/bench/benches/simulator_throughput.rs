@@ -10,7 +10,12 @@
 //!   (`run_source` over a `StreamingExpander`, which pays expansion *and*
 //!   simulation in the measured region yet needs no trace allocation),
 //!   once computing its own ChaCha8 words and once reading a shared
-//!   `Keystream` as `SimPlatform` evaluations do (`run_source_shared`);
+//!   `Keystream` as `SimPlatform` evaluations do (`run_source_shared`).
+//!   Default knobs make few random outcomes (re-use period 1, branch
+//!   randomness 0.2), so `run_mid` and `run_source_shared_mid` time the
+//!   same two paths on the full knob space's midpoint (re-use period 6,
+//!   window 32, branch randomness 0.5), where re-use draws and flips are
+//!   frequent;
 //! * `simulator_throughput_streaming` — a large-`dynamic_len` variant
 //!   (2 M instructions) that is only affordable because the streaming path
 //!   runs in O(window) memory; the materialized two-pass equivalent is
@@ -23,6 +28,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use micrograd_codegen::{
     Generator, GeneratorInput, Keystream, StreamingExpander, TestCase, TraceExpander,
 };
+use micrograd_core::KnobSpace;
 use micrograd_sim::{CoreConfig, PrefetchConfig, Simulator, StridePrefetcher};
 use std::sync::Arc;
 
@@ -35,11 +41,23 @@ fn testcase() -> TestCase {
     Generator::new().generate(&input).expect("generate")
 }
 
+/// The full knob space's midpoint configuration at loop size 300.
+fn midpoint_testcase() -> TestCase {
+    let mut space = KnobSpace::full();
+    space.loop_size = 300;
+    let input = space
+        .resolve(&space.midpoint_config(), 1)
+        .expect("the midpoint resolves");
+    Generator::new().generate(&input).expect("generate")
+}
+
 fn simulator_throughput(c: &mut Criterion) {
     let tc = testcase();
     let expander = TraceExpander::new(50_000, 1);
     let trace = expander.expand(&tc);
     let keystream = Arc::new(Keystream::new(1, 50_000));
+    let mid = midpoint_testcase();
+    let mid_trace = expander.expand(&mid);
 
     let mut group = c.benchmark_group("simulator_throughput");
     group.throughput(Throughput::Elements(trace.len() as u64));
@@ -56,6 +74,19 @@ fn simulator_throughput(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("run_source_shared", &name), |b| {
             b.iter(|| {
                 let mut source = StreamingExpander::from_keystream(tc.clone(), 50_000, &keystream);
+                sim.run_source(&mut source)
+            });
+        });
+        group.bench_with_input(
+            BenchmarkId::new("run_mid", &name),
+            &mid_trace,
+            |b, trace| {
+                b.iter(|| sim.run(trace));
+            },
+        );
+        group.bench_function(BenchmarkId::new("run_source_shared_mid", &name), |b| {
+            b.iter(|| {
+                let mut source = StreamingExpander::from_keystream(mid.clone(), 50_000, &keystream);
                 sim.run_source(&mut source)
             });
         });

@@ -31,6 +31,7 @@ use micrograd_isa::Instruction;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+use std::hint::select_unpredictable;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -377,7 +378,7 @@ impl KeystreamCursor {
     #[inline]
     fn past_prefix_u64(&mut self, pos: usize) -> u64 {
         match self.prefix.words.get(pos) {
-            Some(&lo) => (u64::from(self.live.next_u32()) << 32) | u64::from(lo),
+            Some(&lo) => pair(lo, self.live.next_u32()),
             None => self.live.next_u64(),
         }
     }
@@ -402,6 +403,21 @@ impl KeystreamCursor {
             word % span
         }) as usize
     }
+
+    /// The next `N` words when they all lie inside the prefix, without
+    /// drawing them: a draw that reads them advances `pos` by the words it
+    /// consumes, and the rest stay the next draw's.
+    #[inline(always)]
+    fn peek<const N: usize>(&self) -> Option<[u32; N]> {
+        self.prefix.words.get(self.pos..)?.first_chunk().copied()
+    }
+}
+
+/// The 64-bit draw of a low and a high word, as
+/// [`next_u64`](RngCore::next_u64) composes them.
+#[inline(always)]
+fn pair(lo: u32, hi: u32) -> u64 {
+    (u64::from(hi) << 32) | u64::from(lo)
 }
 
 impl RngCore for KeystreamCursor {
@@ -423,7 +439,7 @@ impl RngCore for KeystreamCursor {
         let pos = self.pos;
         self.pos += 2;
         match self.prefix.words.get(pos..pos + 2) {
-            Some(&[lo, hi]) => (u64::from(hi) << 32) | u64::from(lo),
+            Some(&[lo, hi]) => pair(lo, hi),
             _ => self.past_prefix_u64(pos),
         }
     }
@@ -675,7 +691,7 @@ impl Draws {
         let taken = match step.branch {
             BranchStep::None => None,
             BranchStep::Taken => Some(true),
-            BranchStep::Flip(below) => Some(!self.rng.chance(below) || self.rng.gen::<bool>()),
+            BranchStep::Flip(below) => Some(self.flip(below)),
             BranchStep::BackEdge => Some(!last),
         };
         DynamicInstr {
@@ -686,13 +702,58 @@ impl Draws {
         }
     }
 
+    /// A flipped branch's outcome: taken, unless the flip test with
+    /// [`threshold`] `below` passes, and then a fair coin.  With the test
+    /// pair and the coin inside the prefix, the outcome is computed from
+    /// the three peeked words and the cursor advances past the two or three
+    /// the draws consume, without a branch on the test.
+    #[inline(always)]
+    fn flip(&mut self, below: u64) -> bool {
+        match self.rng.peek() {
+            Some([lo, hi, coin]) => {
+                let flipped = (pair(lo, hi) >> 11) < below;
+                self.rng.pos += 2 + usize::from(flipped);
+                !flipped | (coin & 1 == 1)
+            }
+            None => !self.rng.chance(below) || self.rng.gen::<bool>(),
+        }
+    }
+
     /// The data address of static `idx`'s next dynamic instance: with the
     /// stream's re-use probability one of its last `window` addresses,
     /// otherwise the stream's next position.
+    ///
+    /// Once a stream's ring is full, its capacity a power of two, its next
+    /// fresh address an incremental one and the test and pick pairs inside
+    /// the prefix, both candidates are computed from the four peeked words
+    /// and one is selected: the stream's position and phase advance only
+    /// for a fresh address, and the cursor by the two or four words the
+    /// draws consume.  Every other instance draws and branches.
     #[inline(always)]
     fn address(&mut self, statics: &[Instruction], idx: usize, mem: MemStep) -> u64 {
         let slot = &mut self.slots[mem.slot as usize];
         let ring = &mut self.recent[slot.ring_start..slot.ring_start + slot.ring_cap];
+        let cap = slot.ring_cap;
+        if slot.ring_len == cap && cap.is_power_of_two() && slot.pos < slot.exact_until {
+            if let Some([test_lo, test_hi, pick_lo, pick_hi]) = self.rng.peek() {
+                let reuse = (pair(test_lo, test_hi) >> 11) < slot.reuse_below;
+                let mask = cap - 1;
+                // `gen_range(0..cap)` of a power-of-two span masks.
+                let back = (pair(pick_lo, pick_hi) as usize & mask) + 1;
+                let reused = ring[(slot.ring_head + cap - back) & mask];
+                let fresh = mem
+                    .base
+                    .wrapping_add(add_mod(slot.phase, mem.offset, slot.footprint));
+                let next_phase = add_mod(slot.phase, slot.stride, slot.footprint);
+                let addr = select_unpredictable(reuse, reused, fresh);
+                slot.phase = select_unpredictable(reuse, slot.phase, next_phase);
+                slot.pos += u64::from(!reuse);
+                self.rng.pos += 2 + 2 * usize::from(reuse);
+                ring[slot.ring_head] = addr;
+                slot.ring_head = (slot.ring_head + 1) & mask;
+                return addr;
+            }
+        }
         let addr = if slot.ring_len > 0 && self.rng.chance(slot.reuse_below) {
             let back = self.rng.below(slot.ring_len) + 1;
             ring[if slot.ring_head >= back {
@@ -1010,11 +1071,13 @@ mod tests {
 
     /// Every constructor against the map-based reference expander, the
     /// shared one over prefixes shorter than, as long as and longer than
-    /// the words the expansion draws.
+    /// the words the expansion draws: the same stream from the same number
+    /// of words.
     fn assert_matches_reference(tc: &TestCase, len: usize, seed: u64, what: &str) {
-        let expected = reference::expand(tc, len, seed);
-        let (borrowed, drawn) = drain(StreamingExpander::new(tc, len, seed));
+        let (expected, drawn) = reference::expand(tc, len, seed);
+        let (borrowed, borrowed_drawn) = drain(StreamingExpander::new(tc, len, seed));
         assert_eq!(borrowed, expected, "{what}: new");
+        assert_eq!(borrowed_drawn, drawn, "{what}: new, words drawn");
         let owned = collect_trace(&mut StreamingExpander::from_test_case(
             tc.clone(),
             len,
@@ -1053,7 +1116,7 @@ mod tests {
             assert_eq!(materialized, streamed, "seed {seed}");
             assert_eq!(
                 materialized,
-                reference::expand(&tc, 12_345, seed),
+                reference::expand(&tc, 12_345, seed).0,
                 "seed {seed}"
             );
         }
@@ -1135,22 +1198,31 @@ mod tests {
         tc
     }
 
+    /// A conditional branch flipped with probability `p`.
+    fn flip(p: f64) -> Instruction {
+        let mut branch = Instruction::branch(Opcode::Beq, Reg::x(5), Reg::x(6), 8);
+        branch.set_branch_taken_prob(p);
+        branch
+    }
+
+    /// Two loads of stream 0, one of stream 1 and two branches flipped
+    /// with probability one half; both streams re-use with `window` and
+    /// `period`.
+    fn mixed(window: u64, period: u64) -> TestCase {
+        hand_built(
+            vec![
+                load(0, 64, 4096, 0, 0x40_0000),
+                flip(0.5),
+                load(0, 64, 4096, 8, 0x40_0008),
+                load(1, 24, 1000, 16, 0x40_000c),
+                flip(0.5),
+            ],
+            vec![stream(0, window, period), stream(1, window, period)],
+        )
+    }
+
     #[test]
     fn edge_cases_match_the_reference_expander() {
-        let mut branch = Instruction::branch(Opcode::Beq, Reg::x(5), Reg::x(6), 8);
-        branch.set_branch_taken_prob(0.5);
-        let mixed = |window: u64, period: u64| {
-            hand_built(
-                vec![
-                    load(0, 64, 4096, 0, 0x40_0000),
-                    branch.clone(),
-                    load(0, 64, 4096, 8, 0x40_0008),
-                    load(1, 24, 1000, 16, 0x40_000c),
-                    branch.clone(),
-                ],
-                vec![stream(0, window, period), stream(1, window, period)],
-            )
-        };
         let cases = [
             // Re-use period 1 (no re-use) and windows 0, 1, 5 and 64.
             ("period 1", mixed(8, 1)),
@@ -1158,6 +1230,20 @@ mod tests {
             ("window 1", mixed(1, 3)),
             ("window 5", mixed(5, 4)),
             ("window 64", mixed(64, 2)),
+            // Flip probabilities 0 (never tested) and 1 (always flipped).
+            (
+                "flip 0 and 1",
+                hand_built(
+                    vec![
+                        load(0, 64, 4096, 0, 0),
+                        flip(0.0),
+                        flip(1.0),
+                        load(0, 64, 4096, 8, 12),
+                        flip(1.0),
+                    ],
+                    vec![stream(0, 4, 3)],
+                ),
+            ),
             // A stride at or beyond the footprint, and a zero footprint.
             (
                 "stride >= footprint",
@@ -1170,12 +1256,20 @@ mod tests {
                 "zero footprint",
                 hand_built(vec![load(0, 64, 0, 8, 0)], vec![stream(0, 2, 2)]),
             ),
-            // Statics of one stream disagreeing on geometry.
+            // Statics of one stream disagreeing on geometry: every fresh
+            // address comes from `address_at`, also once the ring is full.
             (
                 "mixed geometry",
                 hand_built(
                     vec![load(0, 64, 4096, 0, 0), load(0, 48, 1000, 8, 4)],
                     vec![stream(0, 4, 3)],
+                ),
+            ),
+            (
+                "mixed geometry, window 64",
+                hand_built(
+                    vec![load(0, 64, 4096, 0, 0), flip(0.5), load(0, 48, 1000, 8, 8)],
+                    vec![stream(0, 64, 2)],
                 ),
             ),
             // pos * stride leaves u64 after four accesses.
@@ -1203,7 +1297,7 @@ mod tests {
                 ),
             ),
             // One-instruction bodies: a lone back-edge and a lone load.
-            ("lone branch", hand_built(vec![branch.clone()], Vec::new())),
+            ("lone branch", hand_built(vec![flip(0.5)], Vec::new())),
             (
                 "lone load",
                 hand_built(vec![load(0, 64, 4096, 0, 0)], vec![stream(0, 3, 2)]),
@@ -1404,8 +1498,6 @@ mod tests {
         // Re-use probability 1 (a period of u64::MAX) makes every memory op
         // but a stream's first re-use an address; flip probability 1 makes
         // every body branch draw its coin.
-        let mut flip = Instruction::branch(Opcode::Beq, Reg::x(5), Reg::x(6), 8);
-        flip.set_branch_taken_prob(1.0);
         let loads = hand_built(
             vec![load(0, 64, 4096, 0, 0), load(1, 64, 4096, 8, 4)],
             vec![stream(0, 8, u64::MAX), stream(1, 3, u64::MAX)],
@@ -1413,10 +1505,10 @@ mod tests {
         let mixed = hand_built(
             vec![
                 load(0, 64, 4096, 0, 0),
-                flip.clone(),
+                flip(1.0),
                 load(0, 64, 4096, 8, 8),
-                flip.clone(),
-                flip,
+                flip(1.0),
+                flip(1.0),
             ],
             vec![stream(0, 5, u64::MAX)],
         );
@@ -1428,6 +1520,99 @@ mod tests {
             assert!(drawn <= 4 * len, "mixed, len {len}: {drawn} words");
             assert_matches_reference(&loads, len, 4, &format!("loads, len {len}"));
             assert_matches_reference(&mixed, len, 4, &format!("mixed, len {len}"));
+        }
+    }
+
+    #[test]
+    fn every_temporal_window_reuses_from_a_full_ring() {
+        // Every `MEM_TEMP1` window with re-use periods 2-10, long enough
+        // that both streams fill their rings and then re-use from them:
+        // stream 1, one access per pass, fills after five passes per
+        // window slot.
+        for window in (0..10).map(|bits| 1u64 << bits) {
+            for period in 2..=10 {
+                let len = (60 * window as usize).clamp(3_000, 25_000);
+                assert_matches_reference(
+                    &mixed(window, period),
+                    len,
+                    window * 31 + period,
+                    &format!("window {window}, period {period}, len {len}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_prefix_ending_inside_a_draw_falls_back() {
+        // Prefixes that end one, two and three words into a draw, and at
+        // its last word: a re-use test that re-uses (four words) or not
+        // (two) from a full ring, and a flip test that flips (three) or
+        // not (two).
+        let tc = mixed(4, 3);
+        let (len, seed) = (2_000, 17);
+        let (expected, drawn) = reference::expand(&tc, len, seed);
+        // Each instance's first word, its word count and whether it is a
+        // memory access.
+        let mut private = StreamingExpander::new(&tc, len, seed);
+        let mut draws = Vec::new();
+        loop {
+            let start = private.draws.rng.pos;
+            let Some(d) = private.next_dynamic() else {
+                break;
+            };
+            draws.push((start, private.draws.rng.pos - start, d.mem_addr.is_some()));
+        }
+        for (words, mem) in [(4, true), (2, true), (3, false), (2, false)] {
+            // The last such draw, long after the rings filled.
+            let &(start, ..) = draws
+                .iter()
+                .rev()
+                .find(|&&(_, w, m)| w == words && m == mem)
+                .expect("the stream holds every kind of draw");
+            for into in 1..=4 {
+                let keystream = Arc::new(Keystream::with_words(seed, start + into));
+                let (shared, shared_drawn) = drain(StreamingExpander::from_keystream(
+                    tc.clone(),
+                    len,
+                    &keystream,
+                ));
+                let what = format!("{words}-word draw at word {start}, prefix {into} into it");
+                assert_eq!(shared, expected, "{what}");
+                assert_eq!(shared_drawn, drawn, "{what}: words drawn");
+            }
+        }
+    }
+
+    #[test]
+    fn a_drive_breaking_after_each_selected_instance_resumes_there() {
+        // Over a prefix that covers the expansion, every memory access and
+        // flipped branch past a ring's filling takes a select path; the
+        // visit breaks after every instance with an outcome and the next
+        // `drive` resumes.
+        for (window, period) in [(1, 2), (8, 3), (512, 10)] {
+            let tc = mixed(window, period);
+            let (len, seed) = (20_000, 23);
+            let (expected, drawn) = reference::expand(&tc, len, seed);
+            let keystream = Arc::new(Keystream::new(seed, len));
+            let mut source = StreamingExpander::from_keystream(tc, len, &keystream);
+            let mut dynamics = Vec::new();
+            let mut breaks = 0;
+            while source
+                .drive(&mut |d| {
+                    dynamics.push(d);
+                    if d.mem_addr.is_some() || d.taken.is_some() {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+                .is_break()
+            {
+                breaks += 1;
+            }
+            assert_eq!(breaks, len, "window {window}: every instance breaks");
+            assert_eq!(dynamics, expected.dynamics(), "window {window}");
+            assert_eq!(source.draws.rng.pos, drawn, "window {window}: words drawn");
         }
     }
 }

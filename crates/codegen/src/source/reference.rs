@@ -13,24 +13,46 @@
 use crate::trace::{DynamicInstr, Trace};
 use crate::TestCase;
 use micrograd_isa::Instruction;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 
-/// Expands `test_case` to `dynamic_len` instructions with `seed`.
-pub(crate) fn expand(test_case: &TestCase, dynamic_len: usize, seed: u64) -> Trace {
+/// A generator that counts the 32-bit words drawn from it.
+struct Counted {
+    rng: ChaCha8Rng,
+    words: usize,
+}
+
+impl RngCore for Counted {
+    fn next_u32(&mut self) -> u32 {
+        self.words += 1;
+        self.rng.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.words += 2;
+        self.rng.next_u64()
+    }
+}
+
+/// Expands `test_case` to `dynamic_len` instructions with `seed`,
+/// returning the trace and the number of keystream words drawn.
+pub(crate) fn expand(test_case: &TestCase, dynamic_len: usize, seed: u64) -> (Trace, usize) {
     let statics: Vec<Instruction> = test_case.block().instructions().to_vec();
     let reuse_prob: BTreeMap<u32, (f64, usize)> = test_case
         .streams()
         .iter()
         .map(|s| (s.id, (s.reuse_probability(), s.reuse_window as usize)))
         .collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_7ACE);
+    let mut rng = Counted {
+        rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_7ACE),
+        words: 0,
+    };
     let mut recent: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
     let mut stream_pos: BTreeMap<u32, u64> = BTreeMap::new();
     let mut dynamics = Vec::new();
     if statics.is_empty() {
-        return Trace::new(statics, dynamics);
+        return (Trace::new(statics, dynamics), 0);
     }
     let body_len = statics.len();
     let mut idx = 0;
@@ -79,5 +101,5 @@ pub(crate) fn expand(test_case: &TestCase, dynamic_len: usize, seed: u64) -> Tra
         });
         idx = if is_last_static { 0 } else { idx + 1 };
     }
-    Trace::new(statics, dynamics)
+    (Trace::new(statics, dynamics), rng.words)
 }

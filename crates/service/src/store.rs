@@ -648,6 +648,8 @@ mod tests {
     use super::*;
     use crate::testutil::ScratchDir;
     use micrograd_core::{MetricKind, MicroGrad, StressGoal, UseCaseConfig};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn tiny_config() -> FrameworkConfig {
         FrameworkConfig {
@@ -1089,5 +1091,137 @@ mod tests {
         assert!(store.load_report(&config).is_none(), "read fault misses");
         assert_eq!(store.quarantined_count(), 0, "the file is fine");
         assert_eq!(store.load_report(&config), Some(output), "then recovers");
+    }
+
+    /// JSON fragments a mutation splices in: structure, literals, numbers
+    /// past every integer and float range, and a string the trailer walk
+    /// looks for.
+    const TOKENS: [&str; 14] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        "\"",
+        "null",
+        "-0",
+        "1e999",
+        "18446744073709551616",
+        "-9223372036854775809",
+        "\n#",
+        "\"proto\": 2",
+    ];
+
+    /// Applies one to four random mutations to `bytes`: bit flips,
+    /// truncations, deletions of up to 15 bytes and inserted tokens.
+    fn mutate(rng: &mut ChaCha8Rng, bytes: &[u8]) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        for _ in 0..rng.gen_range(1..=4) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..4) {
+                0 => {
+                    if let Some(byte) = bytes.get_mut(at) {
+                        *byte ^= 1 << rng.gen_range(0..8);
+                    }
+                }
+                1 => bytes.truncate(at),
+                2 => {
+                    let end = (at + rng.gen_range(1..16)).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+                _ => {
+                    let token = TOKENS[rng.gen_range(0..TOKENS.len())].as_bytes();
+                    bytes.splice(at..at, token.iter().copied());
+                }
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn resealed_mutated_payloads_reach_the_parsers_and_never_panic() {
+        // A mutated payload sealed again verifies, so the JSON parsers see
+        // it: a report, and the second chunk of a two-chunk cache dump.
+        let (config, output) = run_tiny();
+        let key = platform_key(&config);
+        let report = pretty(&StoredReport {
+            proto: crate::PROTO_VERSION,
+            fingerprint: config.fingerprint(),
+            config,
+            output,
+        })
+        .unwrap();
+        let first = seal(pretty(&cache_chunk(&key, cache_entries(0, 3))).unwrap());
+        let second = pretty(&cache_chunk(&key, cache_entries(3, 2))).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EA1_F022);
+        let (mut reports, mut dumps) = (0, 0);
+        for case in 0..600 {
+            let payload =
+                String::from_utf8_lossy(&mutate(&mut rng, report.as_bytes())).into_owned();
+            reports += usize::from(parse_sealed::<StoredReport>(&seal(payload)).is_ok());
+            let payload =
+                String::from_utf8_lossy(&mutate(&mut rng, second.as_bytes())).into_owned();
+            let dump = format!("{first}{}", seal(payload));
+            if let Ok(entries) = parse_cache(&dump, &key) {
+                // Every entry of the intact chunk, then what the mutated
+                // one still holds under the key.
+                assert_eq!(entries[..3], cache_entries(0, 3)[..], "case {case}");
+                dumps += 1;
+            }
+        }
+        // Most mutations break the JSON; a few survive (a flipped digit, a
+        // deleted space), so both outcomes are reached.
+        assert!(
+            reports > 0 && dumps > 0 && reports + dumps < 600,
+            "{reports} reports, {dumps} dumps parsed"
+        );
+    }
+
+    #[test]
+    fn mutated_store_files_load_intact_or_end_in_a_miss() {
+        let scratch = ScratchDir::new("fuzz-files");
+        let (config, output) = run_tiny();
+        let key = platform_key(&config);
+        let entries = cache_entries(0, 5);
+        let (report_path, cache_path) = {
+            let store = ResultStore::open(scratch.path()).unwrap();
+            store.save_report(&config, &output).unwrap();
+            store
+                .append_cache(&key, refs(&packed(&entries[..3])))
+                .unwrap();
+            store
+                .append_cache(&key, refs(&packed(&entries[3..])))
+                .unwrap();
+            (
+                store.report_path(config.fingerprint()).unwrap(),
+                store.cache_path(&key).unwrap(),
+            )
+        };
+        let report = std::fs::read(&report_path).unwrap();
+        let cache = std::fs::read(&cache_path).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(0xF11E_5EED);
+        for case in 0..150 {
+            std::fs::write(&report_path, mutate(&mut rng, &report)).unwrap();
+            std::fs::write(&cache_path, mutate(&mut rng, &cache)).unwrap();
+            let store = ResultStore::open(scratch.path()).unwrap();
+            // What loads is what was saved, or for the dump its whole
+            // first chunk, cut at its trailer; a damaged file is a miss,
+            // quarantined by the open scan or by the load.
+            match store.load_report(&config) {
+                Some(loaded) => assert_eq!(loaded, output, "case {case}"),
+                None => assert!(!report_path.exists(), "case {case}: report kept"),
+            }
+            let loaded = store.load_cache(&key);
+            assert!(
+                [0, 3, 5].contains(&loaded.len()) && loaded[..] == entries[..loaded.len()],
+                "case {case}: {} entries",
+                loaded.len()
+            );
+            assert!(
+                !loaded.is_empty() || !cache_path.exists(),
+                "case {case}: dump kept"
+            );
+        }
     }
 }

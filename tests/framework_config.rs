@@ -4,6 +4,8 @@ use micrograd::core::{
     CoreKind, FrameworkConfig, KnobSpaceKind, MetricKind, MicroGrad, StressGoal, TunerKind,
     UseCaseConfig,
 };
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 #[test]
 fn a_json_configuration_drives_a_full_stress_run() {
@@ -135,4 +137,77 @@ fn default_configuration_serializes_with_documented_fields() {
     }
     let back = FrameworkConfig::from_json(&json).unwrap();
     assert_eq!(back, FrameworkConfig::default());
+}
+
+/// JSON fragments a mutation splices in: structure, literals, numbers past
+/// every integer and float range, negative zero, and names the
+/// configuration uses.
+const TOKENS: [&str; 17] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    "null",
+    "true",
+    "-0",
+    "1e999",
+    "18446744073709551616",
+    "-9223372036854775809",
+    "0.5",
+    r#""full""#,
+    r#""kind":"#,
+    r#""parallelism":"#,
+];
+
+/// Applies one to four random mutations to `json`: bit flips,
+/// truncations, deletions of up to 15 bytes and inserted tokens.
+fn mutate(rng: &mut ChaCha8Rng, json: &str) -> String {
+    let mut bytes = json.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=4) {
+        let at = rng.gen_range(0..=bytes.len());
+        match rng.gen_range(0..4) {
+            0 => {
+                if let Some(byte) = bytes.get_mut(at) {
+                    *byte ^= 1 << rng.gen_range(0..8);
+                }
+            }
+            1 => bytes.truncate(at),
+            2 => {
+                let end = (at + rng.gen_range(1..16)).min(bytes.len());
+                bytes.drain(at..end);
+            }
+            _ => {
+                let token = TOKENS[rng.gen_range(0..TOKENS.len())].as_bytes();
+                bytes.splice(at..at, token.iter().copied());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+#[test]
+fn mutated_configurations_parse_or_fail_with_a_typed_error() {
+    // The sample job and the default configuration, mutated by a seeded
+    // ChaCha8 stream: every case parses or names what to fix, never panics.
+    let documents = [
+        include_str!("../job.json").to_owned(),
+        FrameworkConfig::default().to_json(),
+    ];
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC0_4F16);
+    let mut parsed = 0;
+    for case in 0..4_000 {
+        let json = mutate(&mut rng, &documents[case % documents.len()]);
+        let outcome = std::panic::catch_unwind(|| FrameworkConfig::from_json(&json));
+        match outcome {
+            Ok(Ok(_)) => parsed += 1,
+            Ok(Err(error)) => assert!(!error.to_string().is_empty(), "case {case}"),
+            Err(_) => panic!("case {case}: from_json panicked on {json:?}"),
+        }
+    }
+    // Some mutations keep the document valid (whitespace deleted, a digit
+    // flipped); most do not.
+    assert!(parsed > 0 && parsed < 2_000, "{parsed} of 4000 parsed");
 }
