@@ -26,9 +26,9 @@
 //!   (see `docs/simpoint.md`).
 
 use crate::trace::{DynamicInstr, Trace};
-use crate::{MemoryStream, TestCase, TraceExpander};
+use crate::{TestCase, TraceExpander};
 use micrograd_isa::Instruction;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::hint::select_unpredictable;
@@ -243,11 +243,12 @@ impl<S: TraceSource> TraceSource for WindowedSource<S> {
 /// `source/reference.rs` transcribes directly.
 ///
 /// The random words come from the ChaCha8 keystream of the seed, drawn
-/// strictly in order.  [`new`](Self::new) and
-/// [`from_test_case`](Self::from_test_case) compute every word themselves;
-/// [`from_keystream`](Self::from_keystream) reads a shared [`Keystream`]
-/// prefix by index and computes only the words past its end.  Both yield
-/// the same stream.
+/// strictly in order through one word cursor: a [`Keystream`] prefix read
+/// by index, then windows of words the cursor computes itself.
+/// [`from_keystream`](Self::from_keystream) reads a shared prefix;
+/// [`new`](Self::new) and [`from_test_case`](Self::from_test_case) read an
+/// empty one.  Every constructor runs the same draws over the same words
+/// and yields the same stream.
 ///
 /// Created by [`TraceExpander::stream`].
 #[derive(Debug, Clone)]
@@ -280,11 +281,23 @@ fn expansion_rng(seed: u64) -> ChaCha8Rng {
 /// The most keystream words one dynamic instruction draws: a memory op
 /// takes two for the re-use test (`gen::<f64>`) and two for the re-use pick
 /// (`gen_range`), a flipped branch two for the flip test and one for the
-/// coin (`gen::<bool>`), every other instruction none.
+/// coin (`gen::<bool>`), every other instruction none.  It is also the most
+/// a draw peeks: a draw reads all the words it may take, then consumes
+/// those it does take.
 const WORDS_PER_INSTR: usize = 4;
 
 /// The longest [`Keystream`] prefix: 2^18 words, 1 MiB.
 const MAX_PREFIX_WORDS: usize = 1 << 18;
+
+/// The words a cursor computes per window: one 4-block ChaCha8 refill.
+const REFILL_WORDS: usize = 64;
+
+/// The most words a peek can find left over, which a window carries over
+/// into its start: one fewer than the most it peeks.
+const CARRY_WORDS: usize = WORDS_PER_INSTR - 1;
+
+/// A window's length: the carried words, then [`REFILL_WORDS`] new ones.
+const WINDOW_WORDS: usize = CARRY_WORDS + REFILL_WORDS;
 
 /// The first words of an expansion seed's ChaCha8 keystream, computed once
 /// and read by index by every [`StreamingExpander`] built over it with
@@ -293,10 +306,10 @@ const MAX_PREFIX_WORDS: usize = 1 << 18;
 /// An expansion draws its words strictly in order and at most four per
 /// dynamic instruction, so a prefix of `4 × dynamic_len` words covers a
 /// whole expansion of `dynamic_len` instructions.  The prefix is capped at
-/// 2^18 words (1 MiB): a longer expansion reads the first 1 MiB and
-/// continues on a live generator positioned at the prefix's end, so
-/// memory stays bounded for any length.  A prefix costs 4 B per word and
-/// about a nanosecond per word to build.
+/// 2^18 words (1 MiB): a longer expansion reads the first 1 MiB and then
+/// computes its words itself, 64 at a time, so memory stays bounded for
+/// any length.  A prefix costs 4 B per word and about a nanosecond per
+/// word to build.
 pub struct Keystream {
     /// The expansion seed, as [`StreamingExpander::new`] takes it.
     seed: u64,
@@ -345,71 +358,68 @@ impl std::fmt::Debug for Keystream {
     }
 }
 
-/// An expansion's word source: the prefix's words by index while they
-/// last, then a live generator positioned at the prefix's end.  A private
-/// expansion has an empty prefix.
+/// An expansion's word source: the words of a [`Keystream`] by index, the
+/// prefix it was built over first, then windows it computes itself.  Each
+/// window holds the at most three words a peek found left over, then the
+/// next 64 keystream words (one 4-block ChaCha8 refill), so a peek always
+/// finds its words.  A private expansion has an empty prefix.
 #[derive(Debug, Clone)]
 struct KeystreamCursor {
-    prefix: Arc<Keystream>,
-    /// Words drawn so far, which is also the next prefix index.
+    /// The words being read: the prefix, then the current window.
+    window: Arc<Keystream>,
+    /// Next index into `window`.
     pos: usize,
-    live: ChaCha8Rng,
+    /// Keystream index of the word after the last of `window`.
+    end: usize,
 }
 
 impl KeystreamCursor {
-    /// A cursor over an empty prefix: every word comes from the live
-    /// generator.
-    fn private(seed: u64) -> Self {
-        Self::new(Arc::new(Keystream::with_words(seed, 0)))
-    }
-
     fn new(prefix: Arc<Keystream>) -> Self {
-        let mut live = expansion_rng(prefix.seed);
-        live.set_word_pos(prefix.words.len() as u128);
         KeystreamCursor {
-            prefix,
+            end: prefix.len(),
+            window: prefix,
             pos: 0,
-            live,
         }
     }
 
-    /// [`next_u64`](RngCore::next_u64) of the pair at `pos` when it does
-    /// not lie inside the prefix.
-    #[inline]
-    fn past_prefix_u64(&mut self, pos: usize) -> u64 {
-        match self.prefix.words.get(pos) {
-            Some(&lo) => pair(lo, self.live.next_u32()),
-            None => self.live.next_u64(),
+    /// The next `N ≤ 4` words, without drawing them: a draw that reads
+    /// them advances `pos` by the words it consumes, and the rest stay the
+    /// next draw's.
+    #[inline(always)]
+    fn peek<const N: usize>(&mut self) -> [u32; N] {
+        let ahead = self.window.words.get(self.pos..);
+        match ahead.and_then(<[u32]>::first_chunk) {
+            Some(&words) => words,
+            None => self.refill(),
         }
     }
 
-    /// Whether a probability test with [`threshold`] `below` passes, on
-    /// the next two words: `gen::<f64>() < p`, in integers.
-    #[inline(always)]
-    fn chance(&mut self, below: u64) -> bool {
-        (self.next_u64() >> 11) < below
-    }
-
-    /// `gen_range(0..span)` for a nonzero `span`, on the next two words:
-    /// the word masked when `span` is a power of two, else reduced modulo
-    /// `span`, exactly as the generic range sampler computes it.
-    #[inline(always)]
-    fn below(&mut self, span: usize) -> usize {
-        let word = self.next_u64();
-        let span = span as u64;
-        (if span.is_power_of_two() {
-            word & (span - 1)
-        } else {
-            word % span
-        }) as usize
-    }
-
-    /// The next `N` words when they all lie inside the prefix, without
-    /// drawing them: a draw that reads them advances `pos` by the words it
-    /// consumes, and the rest stay the next draw's.
-    #[inline(always)]
-    fn peek<const N: usize>(&self) -> Option<[u32; N]> {
-        self.prefix.words.get(self.pos..)?.first_chunk().copied()
+    /// Moves on to the next window and peeks its first `N` words.  After
+    /// the first refill the window is the cursor's own and is refilled in
+    /// place, so only that one allocates.
+    #[cold]
+    #[inline(never)]
+    fn refill<const N: usize>(&mut self) -> [u32; N] {
+        let seed = self.window.seed;
+        let left = &self.window.words[self.pos..];
+        let start = CARRY_WORDS - left.len();
+        let mut next = [0; WINDOW_WORDS];
+        next[start..CARRY_WORDS].copy_from_slice(left);
+        let mut live = expansion_rng(seed);
+        live.set_word_pos(self.end as u128);
+        next[CARRY_WORDS..].fill_with(|| live.next_u32());
+        match Arc::get_mut(&mut self.window) {
+            Some(own) if own.words.len() == WINDOW_WORDS => own.words.copy_from_slice(&next),
+            _ => {
+                self.window = Arc::new(Keystream {
+                    seed,
+                    words: Box::new(next),
+                });
+            }
+        }
+        self.pos = start;
+        self.end += REFILL_WORDS;
+        self.peek()
     }
 }
 
@@ -420,29 +430,17 @@ fn pair(lo: u32, hi: u32) -> u64 {
     (u64::from(hi) << 32) | u64::from(lo)
 }
 
-impl RngCore for KeystreamCursor {
-    #[inline(always)]
-    fn next_u32(&mut self) -> u32 {
-        let word = match self.prefix.words.get(self.pos) {
-            Some(&word) => word,
-            None => self.live.next_u32(),
-        };
-        self.pos += 1;
-        word
-    }
-
-    /// Low word first, as `ChaCha8Rng::next_u64` composes them, also when
-    /// the pair straddles the prefix's end.  A pair inside the prefix is
-    /// two loads, inlined into the expansion loop.
-    #[inline(always)]
-    fn next_u64(&mut self) -> u64 {
-        let pos = self.pos;
-        self.pos += 2;
-        match self.prefix.words.get(pos..pos + 2) {
-            Some(&[lo, hi]) => pair(lo, hi),
-            _ => self.past_prefix_u64(pos),
-        }
-    }
+/// `gen_range(0..span)` for a nonzero `span` on the 64-bit draw `word`:
+/// the word masked when `span` is a power of two, else reduced modulo
+/// `span`, exactly as the generic range sampler computes it.
+#[inline(always)]
+fn below(word: u64, span: usize) -> usize {
+    let span = span as u64;
+    (if span.is_power_of_two() {
+        word & (span - 1)
+    } else {
+        word % span
+    }) as usize
 }
 
 /// One static instruction, decoded for expansion.
@@ -534,29 +532,28 @@ impl StreamingExpander {
     /// Creates a streaming expander over `test_case`, producing
     /// `dynamic_len` instructions with `seed` — the same seed discipline as
     /// [`TraceExpander::new`], so the stream matches the materialized
-    /// expansion bit for bit.  Copies the static table; use
-    /// [`from_test_case`](Self::from_test_case) when the test case is not
-    /// needed afterwards.  Computes every ChaCha8 word it draws.
+    /// expansion bit for bit.  Copies the test case; use
+    /// [`from_test_case`](Self::from_test_case) when it is not needed
+    /// afterwards.
     #[must_use]
     pub fn new(test_case: &TestCase, dynamic_len: usize, seed: u64) -> Self {
-        let statics = test_case.block().instructions().to_vec();
-        let words = KeystreamCursor::private(seed);
-        Self::from_parts(statics, test_case.streams(), dynamic_len, words)
+        Self::from_test_case(test_case.clone(), dynamic_len, seed)
     }
 
     /// [`new`](Self::new) over a test case that is only generated to be
-    /// expanded: the static table moves in instead of being copied.
+    /// expanded: its static table moves in instead of being copied.  The
+    /// expander reads an empty prefix, so it computes every word it draws,
+    /// 64 at a time.
     #[must_use]
-    pub fn from_test_case(mut test_case: TestCase, dynamic_len: usize, seed: u64) -> Self {
-        let statics = std::mem::take(test_case.block_mut().instructions_mut());
-        let words = KeystreamCursor::private(seed);
-        Self::from_parts(statics, test_case.streams(), dynamic_len, words)
+    pub fn from_test_case(test_case: TestCase, dynamic_len: usize, seed: u64) -> Self {
+        let empty = Arc::new(Keystream::with_words(seed, 0));
+        Self::from_keystream(test_case, dynamic_len, &empty)
     }
 
     /// [`from_test_case`](Self::from_test_case) with the seed of
-    /// `keystream`, reading its precomputed words instead of computing
-    /// them: the stream is the same, and only words past the prefix's end
-    /// are computed.  Expansions of one seed can share one keystream
+    /// `keystream`, reading its precomputed words by index and computing
+    /// only the words past its end: the same draws over the same words, so
+    /// the same stream.  Expansions of one seed can share one keystream
     /// across threads.
     #[must_use]
     pub fn from_keystream(
@@ -565,19 +562,10 @@ impl StreamingExpander {
         keystream: &Arc<Keystream>,
     ) -> Self {
         let statics = std::mem::take(test_case.block_mut().instructions_mut());
-        let words = KeystreamCursor::new(Arc::clone(keystream));
-        Self::from_parts(statics, test_case.streams(), dynamic_len, words)
-    }
-
-    fn from_parts(
-        statics: Vec<Instruction>,
-        streams: &[MemoryStream],
-        dynamic_len: usize,
-        rng: KeystreamCursor,
-    ) -> Self {
         // A duplicated stream id keeps its last descriptor, as collecting
         // into a map does.
-        let reuse: BTreeMap<u32, (f64, usize)> = streams
+        let reuse: BTreeMap<u32, (f64, usize)> = test_case
+            .streams()
             .iter()
             .map(|s| (s.id, (s.reuse_probability(), s.reuse_window as usize)))
             .collect();
@@ -657,7 +645,7 @@ impl StreamingExpander {
             draws: Draws {
                 slots,
                 recent: vec![0; ring_words],
-                rng,
+                rng: KeystreamCursor::new(Arc::clone(keystream)),
             },
             dynamic_len,
             emitted: 0,
@@ -703,59 +691,60 @@ impl Draws {
     }
 
     /// A flipped branch's outcome: taken, unless the flip test with
-    /// [`threshold`] `below` passes, and then a fair coin.  With the test
-    /// pair and the coin inside the prefix, the outcome is computed from
-    /// the three peeked words and the cursor advances past the two or three
-    /// the draws consume, without a branch on the test.
+    /// [`threshold`] `below` passes, and then a fair coin.  The outcome is
+    /// computed from the three peeked words, without a branch on the test,
+    /// and the cursor advances past the two or three the draws consume.
     #[inline(always)]
     fn flip(&mut self, below: u64) -> bool {
-        match self.rng.peek() {
-            Some([lo, hi, coin]) => {
-                let flipped = (pair(lo, hi) >> 11) < below;
-                self.rng.pos += 2 + usize::from(flipped);
-                !flipped | (coin & 1 == 1)
-            }
-            None => !self.rng.chance(below) || self.rng.gen::<bool>(),
-        }
+        let [lo, hi, coin] = self.rng.peek();
+        let flipped = (pair(lo, hi) >> 11) < below;
+        self.rng.pos += 2 + usize::from(flipped);
+        !flipped | (coin & 1 == 1)
     }
 
     /// The data address of static `idx`'s next dynamic instance: with the
     /// stream's re-use probability one of its last `window` addresses,
-    /// otherwise the stream's next position.
+    /// otherwise the stream's next position.  The re-use test and pick
+    /// read four peeked words, and the cursor advances by the none, two or
+    /// four the draws consume.
     ///
-    /// Once a stream's ring is full, its capacity a power of two, its next
-    /// fresh address an incremental one and the test and pick pairs inside
-    /// the prefix, both candidates are computed from the four peeked words
+    /// Once a stream's ring is full, its capacity a power of two and its
+    /// next fresh address an incremental one, both candidates are computed
     /// and one is selected: the stream's position and phase advance only
-    /// for a fresh address, and the cursor by the two or four words the
-    /// draws consume.  Every other instance draws and branches.
+    /// for a fresh address.  A filling ring, another capacity and the
+    /// `address_at` path branch on the test instead; folding them into the
+    /// select path measured slower.
     #[inline(always)]
     fn address(&mut self, statics: &[Instruction], idx: usize, mem: MemStep) -> u64 {
         let slot = &mut self.slots[mem.slot as usize];
         let ring = &mut self.recent[slot.ring_start..slot.ring_start + slot.ring_cap];
         let cap = slot.ring_cap;
         if slot.ring_len == cap && cap.is_power_of_two() && slot.pos < slot.exact_until {
-            if let Some([test_lo, test_hi, pick_lo, pick_hi]) = self.rng.peek() {
-                let reuse = (pair(test_lo, test_hi) >> 11) < slot.reuse_below;
-                let mask = cap - 1;
-                // `gen_range(0..cap)` of a power-of-two span masks.
-                let back = (pair(pick_lo, pick_hi) as usize & mask) + 1;
-                let reused = ring[(slot.ring_head + cap - back) & mask];
-                let fresh = mem
-                    .base
-                    .wrapping_add(add_mod(slot.phase, mem.offset, slot.footprint));
-                let next_phase = add_mod(slot.phase, slot.stride, slot.footprint);
-                let addr = select_unpredictable(reuse, reused, fresh);
-                slot.phase = select_unpredictable(reuse, slot.phase, next_phase);
-                slot.pos += u64::from(!reuse);
-                self.rng.pos += 2 + 2 * usize::from(reuse);
-                ring[slot.ring_head] = addr;
-                slot.ring_head = (slot.ring_head + 1) & mask;
-                return addr;
-            }
+            let [test_lo, test_hi, pick_lo, pick_hi] = self.rng.peek();
+            let reuse = (pair(test_lo, test_hi) >> 11) < slot.reuse_below;
+            let mask = cap - 1;
+            // `gen_range(0..cap)` of a power-of-two span masks.
+            let back = (pair(pick_lo, pick_hi) as usize & mask) + 1;
+            let reused = ring[(slot.ring_head + cap - back) & mask];
+            let fresh = mem
+                .base
+                .wrapping_add(add_mod(slot.phase, mem.offset, slot.footprint));
+            let next_phase = add_mod(slot.phase, slot.stride, slot.footprint);
+            let addr = select_unpredictable(reuse, reused, fresh);
+            slot.phase = select_unpredictable(reuse, slot.phase, next_phase);
+            slot.pos += u64::from(!reuse);
+            self.rng.pos += 2 + 2 * usize::from(reuse);
+            ring[slot.ring_head] = addr;
+            slot.ring_head = (slot.ring_head + 1) & mask;
+            return addr;
         }
-        let addr = if slot.ring_len > 0 && self.rng.chance(slot.reuse_below) {
-            let back = self.rng.below(slot.ring_len) + 1;
+        // An empty ring has nothing to re-use and draws no words.
+        let tested = slot.ring_len > 0;
+        let [test_lo, test_hi, pick_lo, pick_hi] = if tested { self.rng.peek() } else { [0; 4] };
+        let reuse = tested && (pair(test_lo, test_hi) >> 11) < slot.reuse_below;
+        self.rng.pos += 2 * usize::from(tested) + 2 * usize::from(reuse);
+        let addr = if reuse {
+            let back = below(pair(pick_lo, pick_hi), slot.ring_len) + 1;
             ring[if slot.ring_head >= back {
                 slot.ring_head - back
             } else {
@@ -989,8 +978,16 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Generator, GeneratorInput};
+    use crate::{Generator, GeneratorInput, MemoryStream};
     use micrograd_isa::{MemAccess, Opcode, Reg};
+    use rand::Rng;
+
+    impl KeystreamCursor {
+        /// Words drawn so far: the keystream index of the next word.
+        fn drawn(&self) -> usize {
+            self.end - (self.window.len() - self.pos)
+        }
+    }
 
     fn testcase(seed: u64) -> TestCase {
         let input = GeneratorInput {
@@ -1013,8 +1010,12 @@ mod tests {
         }
         let trace = collect_trace(&mut source);
         assert_eq!(trace.dynamics(), &dynamics[..], "drive vs next_dynamic");
-        assert_eq!(source.draws.rng.pos, pulled.draws.rng.pos, "words drawn");
-        (trace, source.draws.rng.pos)
+        assert_eq!(
+            source.draws.rng.drawn(),
+            pulled.draws.rng.drawn(),
+            "words drawn"
+        );
+        (trace, source.draws.rng.drawn())
     }
 
     /// A generator that yields one fixed word.
@@ -1051,17 +1052,9 @@ mod tests {
                 .into_iter()
                 .chain((0..20_000).map(|_| rng.next_u64()))
                 .collect();
-            // The cursor reads each word as its low half, then its high.
-            let mut cursor = KeystreamCursor::new(Arc::new(Keystream {
-                seed: 0,
-                words: words
-                    .iter()
-                    .flat_map(|&w| [w as u32, (w >> 32) as u32])
-                    .collect(),
-            }));
             for word in words {
                 let float = Fixed(word).gen::<f64>() < p;
-                assert_eq!(cursor.chance(below), float, "p {p}, word {word:#x}");
+                assert_eq!((word >> 11) < below, float, "p {p}, word {word:#x}");
             }
         }
         assert_eq!(threshold(0.0), 0);
@@ -1463,32 +1456,38 @@ mod tests {
     }
 
     #[test]
-    fn the_cursor_continues_the_plain_generator_past_the_prefix() {
-        // Prefix ends on and around the 16-word blocks and 64-word refills
-        // of the live generator; odd lengths make a `next_u64` straddle the
-        // prefix's end.
-        for words in [0usize, 1, 2, 15, 16, 17, 63, 64, 65, 127, 128, 129, 300] {
-            for lead in 0..2 {
-                let mut plain = expansion_rng(8);
-                let mut cursor = KeystreamCursor::new(Arc::new(Keystream::with_words(8, words)));
-                for _ in 0..lead {
-                    assert_eq!(cursor.next_u32(), plain.next_u32());
+    fn peeks_read_the_keystream_across_the_prefix_and_the_windows() {
+        // Prefixes ending on and around the 16-word blocks and 64-word
+        // refills of the generator; draws peek two to four words and
+        // consume two to four of them, so windows are refilled with none to
+        // three words left over.  A clone taken mid-stream shares the
+        // window until one of the two refills.
+        let mut plain = expansion_rng(8);
+        let words: Vec<u32> = (0..1_000).map(|_| plain.next_u32()).collect();
+        let prefixes = [0..=3, 15..=17, 63..=68, 127..=131, 300..=300];
+        for prefix in prefixes.into_iter().flatten() {
+            let mut cursors = vec![KeystreamCursor::new(Arc::new(Keystream::with_words(
+                8, prefix,
+            )))];
+            let mut at = 0;
+            for i in 0..200 {
+                if i == 30 {
+                    cursors.push(cursors[0].clone());
                 }
-                for i in 0..200 {
-                    if i % 3 == 2 {
-                        assert_eq!(
-                            cursor.next_u32(),
-                            plain.next_u32(),
-                            "{words} words, draw {i}"
-                        );
-                    } else {
-                        assert_eq!(
-                            cursor.next_u64(),
-                            plain.next_u64(),
-                            "{words} words, draw {i}"
-                        );
+                let peeked = 2 + i % 3;
+                let consumed = 2 + (i / 3) % (peeked - 1);
+                let expected = &words[at..at + peeked];
+                for (c, cursor) in cursors.iter_mut().enumerate() {
+                    let what = format!("prefix {prefix}, cursor {c}, draw {i} at word {at}");
+                    match peeked {
+                        2 => assert_eq!(cursor.peek::<2>(), expected, "{what}"),
+                        3 => assert_eq!(cursor.peek::<3>(), expected, "{what}"),
+                        _ => assert_eq!(cursor.peek::<4>(), expected, "{what}"),
                     }
+                    cursor.pos += consumed;
+                    assert_eq!(cursor.drawn(), at + consumed, "{what}");
                 }
+                at += consumed;
             }
         }
     }
@@ -1543,11 +1542,12 @@ mod tests {
     }
 
     #[test]
-    fn a_prefix_ending_inside_a_draw_falls_back() {
+    fn a_draw_reads_its_words_from_the_prefix_and_the_window() {
         // Prefixes that end one, two and three words into a draw, and at
-        // its last word: a re-use test that re-uses (four words) or not
-        // (two) from a full ring, and a flip test that flips (three) or
-        // not (two).
+        // its last word, so the draw reads its first words from the prefix
+        // and the rest from the window that carries them over: a re-use
+        // test that re-uses (four words) or not (two) from a full ring, and
+        // a flip test that flips (three) or not (two).
         let tc = mixed(4, 3);
         let (len, seed) = (2_000, 17);
         let (expected, drawn) = reference::expand(&tc, len, seed);
@@ -1556,11 +1556,15 @@ mod tests {
         let mut private = StreamingExpander::new(&tc, len, seed);
         let mut draws = Vec::new();
         loop {
-            let start = private.draws.rng.pos;
+            let start = private.draws.rng.drawn();
             let Some(d) = private.next_dynamic() else {
                 break;
             };
-            draws.push((start, private.draws.rng.pos - start, d.mem_addr.is_some()));
+            draws.push((
+                start,
+                private.draws.rng.drawn() - start,
+                d.mem_addr.is_some(),
+            ));
         }
         for (words, mem) in [(4, true), (2, true), (3, false), (2, false)] {
             // The last such draw, long after the rings filled.
@@ -1612,7 +1616,11 @@ mod tests {
             }
             assert_eq!(breaks, len, "window {window}: every instance breaks");
             assert_eq!(dynamics, expected.dynamics(), "window {window}");
-            assert_eq!(source.draws.rng.pos, drawn, "window {window}: words drawn");
+            assert_eq!(
+                source.draws.rng.drawn(),
+                drawn,
+                "window {window}: words drawn"
+            );
         }
     }
 }

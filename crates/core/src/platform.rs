@@ -1388,7 +1388,8 @@ mod tests {
         input.set_weight(Opcode::Ld, 6.0);
         input.set_weight(Opcode::Sd, 6.0);
         // 120,000 instructions of this input draw about 336,000 words: past
-        // the 2^18-word prefix, the rest come from the live generator.
+        // the 2^18-word prefix, the shared expansion computes the rest 64 at
+        // a time, as the private one computes all of its words.
         for len in [3_000, 120_000] {
             let p = platform().with_dynamic_len(len);
             assert!(p.keystream.get().is_none(), "built before the first miss");

@@ -4,17 +4,20 @@
 //!
 //! The binary installs a counting global allocator and compares an
 //! N-instruction run against a 2N-instruction run of the same compressed
-//! workload, both as a replay of a materialized trace and on the fused
-//! path every evaluation takes (`run_source` over a `StreamingExpander`).
+//! workload, as a replay of a materialized trace and on the fused path
+//! (`run_source` over a `StreamingExpander`), both over a private
+//! expansion and over a shared `Keystream` as every evaluation reads it.
 //! Any per-instruction allocation — a `Vec` per prefetch observation, a
 //! clone per static lookup, a `HashMap` rehash per access, a growing
-//! re-use history — would make the 2N count strictly larger.  The file
-//! holds exactly one test so no concurrent test can pollute the counter.
+//! re-use history, a new window per keystream refill — would make the 2N
+//! count strictly larger.  The file holds exactly one test so no
+//! concurrent test can pollute the counter.
 
-use micrograd_codegen::{Generator, GeneratorInput, StreamingExpander, TraceExpander};
+use micrograd_codegen::{Generator, GeneratorInput, Keystream, StreamingExpander, TraceExpander};
 use micrograd_sim::{CoreConfig, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAllocator;
 
@@ -121,6 +124,45 @@ fn run_allocation_count_is_independent_of_trace_length() {
             fused_short_allocs, fused_long_allocs,
             "fused path allocated per instruction: {fused_short_allocs} allocs for \
              100k instructions vs {fused_long_allocs} for 200k"
+        );
+
+        // The same over the platform's shared keystream (its 2^18-word
+        // prefix is built outside the counted region, as a platform builds
+        // it once).  This input draws about 1.76 words per instruction, so
+        // the 100k run stays inside the prefix while the 200k and 400k runs
+        // read past it from the window the expander computes.
+        let shared = |sim: &mut Simulator, len: usize| {
+            let keystream = Arc::new(Keystream::new(17, len));
+            let mut stats = None;
+            let allocs = allocations_during(|| {
+                let mut source =
+                    StreamingExpander::from_keystream(compressed.clone(), len, &keystream);
+                stats = Some(sim.run_source(&mut source));
+            });
+            (allocs, stats.unwrap())
+        };
+        let (shared_short_allocs, shared_short) = shared(&mut sim, 100_000);
+        let (shared_long_allocs, shared_long) = shared(&mut sim, 200_000);
+        let (shared_longer_allocs, shared_longer) = shared(&mut sim, 400_000);
+        assert_eq!(shared_short, warm_short, "shared run diverged from replay");
+        assert_eq!(shared_long, warm_long, "shared run diverged from replay");
+        assert_eq!(
+            shared_longer,
+            fused(&mut sim, 400_000).1,
+            "shared run diverged from the private one"
+        );
+        // Reading past the prefix allocates the window once, its words and
+        // their `Arc`; every later refill reuses it.
+        assert_eq!(
+            shared_long_allocs,
+            shared_short_allocs + 2,
+            "a run past the prefix allocated more than its window"
+        );
+        assert_eq!(
+            shared_long_allocs, shared_longer_allocs,
+            "shared path allocated per instruction or per refill: \
+             {shared_long_allocs} allocs for 200k instructions vs \
+             {shared_longer_allocs} for 400k"
         );
     }
 }
