@@ -23,8 +23,9 @@
 //!   [`ExecutionPlatform::evaluate_batch`], which [`SimPlatform`] runs on
 //!   the calling thread plus configurable helpers with bit-identical results
 //!   ([`SimPlatform::with_parallelism`], `FrameworkConfig::parallelism`),
-//!   memoized through a lock-free probing table ([`memo::MemoTable`] — see
-//!   `docs/performance.md` for the design and perf trajectory);
+//!   memoized through a probing table that grows to a fixed ceiling
+//!   ([`memo::MemoTable`] — see `docs/performance.md` for the design and
+//!   perf trajectory);
 //! * the **use cases** ([`usecase::CloningTask`],
 //!   [`usecase::SimpointCloningTask`] — one tuned clone per SimPoint,
 //!   recombined into a weighted composite, see `docs/simpoint.md` —

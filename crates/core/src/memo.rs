@@ -1,4 +1,4 @@
-//! A lock-free, fixed-capacity memoization table.
+//! A fingerprint-indexed memoization table that grows to a fixed ceiling.
 //!
 //! This is the concurrency core of [`SimPlatform`](crate::SimPlatform)'s
 //! evaluation cache.  The previous design sharded a `Mutex<HashMap>` 16
@@ -11,18 +11,24 @@
 //!
 //! # Design
 //!
-//! * **Buckets** are `AtomicPtr<Entry>`; an entry owns the full key (for
-//!   verification) and the value.  Readers never lock: a lookup is a handful
-//!   of `Acquire` loads.
+//! * **Slots** are `AtomicPtr<Entry>`; an entry owns the full key (for
+//!   verification) and the value.  Lookups and inserts share a read guard
+//!   on the slot array and otherwise take no lock: a lookup is a handful
+//!   of `Acquire` loads, an insert a compare-and-swap.
 //! * **Probing**: an entry for fingerprint `fp` lives in one of the
 //!   `PROBE_WINDOW` (8) slots starting at `fp & mask`.  The window absorbs
 //!   near-collisions without displacement.
-//! * **Replace-on-collision**: when the window is full, the incoming entry
-//!   *replaces* the window's home slot (counted in
-//!   [`replacements`](MemoTable::replacements)).  The table therefore never
-//!   grows, never rehashes and never blocks — at the cost of possibly
-//!   forgetting an old entry, which for a memo cache is always safe
-//!   (recompute).
+//! * **Growth**: the capacity a table is built with is its ceiling.  The
+//!   array starts at 1,024 slots, or at the ceiling if that is smaller,
+//!   and doubles whenever an insert would leave it more than a quarter
+//!   full or finds its window full, until it reaches the ceiling.  Only
+//!   doubling takes the write guard: it re-places every resident entry by
+//!   its fingerprint and frees the old array.  Entries are never moved.
+//! * **Replace-on-collision**: at the ceiling, when the window is full,
+//!   the incoming entry *replaces* the window's home slot (counted in
+//!   [`replacements`](MemoTable::replacements)).  The table therefore
+//!   never grows past its ceiling — at the cost of possibly forgetting an
+//!   old entry, which for a memo cache is always safe (recompute).
 //! * **Verify-on-hit**: [`get`](MemoTable::get) compares the *full key*,
 //!   not just the fingerprint, so a 64-bit collision degrades to a miss
 //!   (recomputation) instead of wrong data.  The probe need not be a `K`:
@@ -32,21 +38,27 @@
 //!   and freed only by [`reclaim`](MemoTable::reclaim) or when the table is
 //!   dropped.  Readers can therefore hold `&V` borrows of entries without
 //!   epochs or hazard pointers: no entry is freed while any `&MemoTable`
-//!   borrow is alive, because both take the table exclusively.  A
-//!   long-lived table shared through an `Arc` reclaims whenever its owner
-//!   holds the only handle (`Arc::get_mut`), so displaced entries do not
-//!   pile up across its users.
+//!   borrow is alive, because both take the table exclusively, and growth
+//!   moves only the pointers, so a borrow outlives the guard it was found
+//!   under.  A long-lived table shared through an `Arc` reclaims whenever
+//!   its owner holds the only handle (`Arc::get_mut`), so displaced
+//!   entries do not pile up across its users.
 //! * **Insertion marks**: every entry is stamped with the table's running
 //!   insert count.  [`mark`](MemoTable::mark) reads the count and
 //!   [`iter_since`](MemoTable::iter_since) borrows the entries stamped at
 //!   or after it, so a user of a shared table can persist just the entries
-//!   that appeared while it ran, without copying them.
+//!   that appeared while it ran, without copying them.  The iterator holds
+//!   a read guard: a thread collects it before it calls into the table
+//!   again, or an insert that grows the table would wait on it forever.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// Slots probed per fingerprint before replacing the home slot.
 const PROBE_WINDOW: usize = 8;
+
+/// Slots a table starts with, unless its ceiling is smaller.
+const INITIAL_SLOTS: usize = 1 << 10;
 
 struct Entry<K, V> {
     fingerprint: u64,
@@ -56,14 +68,20 @@ struct Entry<K, V> {
     value: V,
 }
 
-/// A lock-free fingerprint-indexed memo table with verify-on-hit.
+/// A power-of-two array of entry pointers.
+type Slots<K, V> = Box<[AtomicPtr<Entry<K, V>>]>;
+
+/// A fingerprint-indexed memo table with verify-on-hit that grows to a
+/// fixed ceiling.
 ///
 /// `K` is the key stored for hit verification; `V` the memoized value.
 /// All operations but [`reclaim`](Self::reclaim) take `&self` and are safe
 /// to call from any number of threads concurrently.
 pub struct MemoTable<K, V> {
-    buckets: Box<[AtomicPtr<Entry<K, V>>]>,
-    mask: u64,
+    /// Replaced by a doubled array under the write guard (see module docs).
+    slots: RwLock<Slots<K, V>>,
+    /// The most slots the array grows to.
+    ceiling: usize,
     occupied: AtomicU64,
     replacements: AtomicU64,
     /// The mark the next entry gets (see [`mark`](Self::mark)).
@@ -73,29 +91,28 @@ pub struct MemoTable<K, V> {
     retired: Mutex<Vec<*mut Entry<K, V>>>,
 }
 
-// SAFETY: the raw pointers in `buckets` / `retired` all point to
+// SAFETY: the raw pointers in `slots` / `retired` all point to
 // `Box`-allocated entries owned by this table; entries are immutable after
 // publication and freed only through `&mut self` (`reclaim`, `drop`).
 // Sharing the table across threads is therefore sound whenever the payload
 // types themselves are shareable, which the `K: Send + Sync, V: Send +
 // Sync` bounds require.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for MemoTable<K, V> {}
-// SAFETY: as above — `&MemoTable` only exposes immutable published entries
-// and atomics, so concurrent shared access needs nothing beyond the bounds.
+// SAFETY: as above — `&MemoTable` only exposes immutable published entries,
+// atomics and locks, so concurrent shared access needs nothing beyond the
+// bounds.
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for MemoTable<K, V> {}
 
 impl<K, V> MemoTable<K, V> {
-    /// Creates a table with at least `capacity` slots (rounded up to a
-    /// power of two, minimum 1).
+    /// Creates a table that grows to at most `capacity` slots (rounded up
+    /// to a power of two, minimum 1).  It starts at 1,024 slots, or at
+    /// that ceiling if it is smaller.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1).next_power_of_two();
-        let buckets: Box<[AtomicPtr<Entry<K, V>>]> = (0..capacity)
-            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-            .collect();
+        let ceiling = capacity.max(1).next_power_of_two();
         MemoTable {
-            buckets,
-            mask: capacity as u64 - 1,
+            slots: RwLock::new(empty_slots(ceiling.min(INITIAL_SLOTS))),
+            ceiling,
             occupied: AtomicU64::new(0),
             replacements: AtomicU64::new(0),
             next_mark: AtomicU64::new(0),
@@ -103,10 +120,10 @@ impl<K, V> MemoTable<K, V> {
         }
     }
 
-    /// Number of slots.
+    /// Number of slots now, at most the ceiling the table was built with.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.buckets.len()
+        self.slots.read().len()
     }
 
     /// Number of live entries.
@@ -140,14 +157,11 @@ impl<K, V> MemoTable<K, V> {
         self.next_mark.load(Ordering::Relaxed)
     }
 
-    /// Probe window size for this table (bounded by the capacity).
-    fn window(&self) -> usize {
-        PROBE_WINDOW.min(self.buckets.len())
-    }
-
-    #[allow(clippy::cast_possible_truncation)]
-    fn slot(&self, fingerprint: u64, probe: usize) -> usize {
-        ((fingerprint.wrapping_add(probe as u64)) & self.mask) as usize
+    /// Whether claiming a free slot of an array of `len` slots leaves it at
+    /// most a quarter full; always true at the ceiling, where it no longer
+    /// grows.
+    fn has_room(&self, len: usize) -> bool {
+        len == self.ceiling || (self.len() + 1) * 4 <= len
     }
 
     /// Looks up `fingerprint`, verifying the stored key against `key`.
@@ -159,20 +173,16 @@ impl<K, V> MemoTable<K, V> {
     where
         K: PartialEq<Q>,
     {
-        for probe in 0..self.window() {
-            let ptr = self.buckets[self.slot(fingerprint, probe)].load(Ordering::Acquire);
-            if ptr.is_null() {
-                continue;
-            }
-            // SAFETY: non-null bucket pointers reference live boxed entries;
+        let slots = self.slots.read();
+        let hit = window(&slots, fingerprint).find_map(|slot| {
+            // SAFETY: non-null slot pointers reference live boxed entries;
             // entries are only freed through `&mut self`, which cannot
-            // coexist with this `&self` borrow.
-            let entry = unsafe { &*ptr };
-            if entry.fingerprint == fingerprint && entry.key == *key {
-                return Some(&entry.value);
-            }
-        }
-        None
+            // coexist with this `&self` borrow, and growth moves only the
+            // pointers, so the borrow may outlive the read guard.
+            let entry = unsafe { slot.load(Ordering::Acquire).as_ref() }?;
+            (entry.fingerprint == fingerprint && entry.key == *key).then_some(&entry.value)
+        });
+        hit
     }
 
     /// A new unpublished entry, stamped with the next insertion mark.
@@ -189,101 +199,115 @@ impl<K, V> MemoTable<K, V> {
     /// whether a resident entry of another fingerprint was displaced.
     ///
     /// Placement: an existing same-fingerprint entry in the probe window is
-    /// replaced in place; otherwise the first empty slot is claimed;
-    /// otherwise the window's home slot is sacrificed (replace-on-collision,
-    /// counted in [`replacements`](Self::replacements)).
+    /// replaced in place; otherwise the first empty slot is claimed, after
+    /// doubling the array if the claim would leave it more than a quarter
+    /// full or the window has none; at the ceiling, a full window's home
+    /// slot is sacrificed (replace-on-collision, counted in
+    /// [`replacements`](Self::replacements)).
     pub fn insert(&self, fingerprint: u64, key: K, value: V) -> bool {
         let entry = self.new_entry(fingerprint, key, value);
-        // Pass 1: same-fingerprint entry → replace in place.  Buckets are
-        // never cleared outside `drop`, so a non-null load stays non-null;
-        // the swapped-out entry may differ from the loaded one under a
-        // racing insert, which is fine — it is retired either way.
-        for probe in 0..self.window() {
-            let bucket = &self.buckets[self.slot(fingerprint, probe)];
-            let current = bucket.load(Ordering::Acquire);
-            if current.is_null() {
-                continue;
-            }
-            // SAFETY: see `get`.
-            if unsafe { &*current }.fingerprint == fingerprint {
-                let prev = bucket.swap(entry, Ordering::AcqRel);
+        loop {
+            let slots = self.slots.read();
+            // Slots are never cleared outside `drop`, so a non-null load
+            // stays non-null; the swapped-out entry may differ from the
+            // loaded one under a racing insert, which is fine — it is
+            // retired either way.
+            if let Some(slot) = window(&slots, fingerprint).find(|slot| holds(slot, fingerprint)) {
+                let prev = slot.swap(entry, Ordering::AcqRel);
                 debug_assert!(!prev.is_null());
                 self.retire(prev);
                 return false;
             }
-        }
-        // Pass 2: first empty slot.
-        for probe in 0..self.window() {
-            let bucket = &self.buckets[self.slot(fingerprint, probe)];
-            if bucket
-                .compare_exchange(
-                    std::ptr::null_mut(),
-                    entry,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
+            if self.has_room(slots.len()) && claim(&slots, fingerprint, entry) {
                 self.occupied.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
+            // A full window at the ceiling: sacrifice the home slot.
+            if slots.len() == self.ceiling {
+                let prev = slot(&slots, fingerprint, 0).swap(entry, Ordering::AcqRel);
+                debug_assert!(!prev.is_null());
+                self.retire(prev);
+                self.replacements.fetch_add(1, Ordering::Relaxed);
+                return true;
+            }
+            let len = slots.len();
+            drop(slots);
+            self.grow(len);
         }
-        // Window full and no fingerprint match: sacrifice the home slot.
-        let prev = self.buckets[self.slot(fingerprint, 0)].swap(entry, Ordering::AcqRel);
-        debug_assert!(!prev.is_null());
-        self.retire(prev);
-        self.replacements.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     /// Inserts only when no entry with this fingerprint is resident;
-    /// returns whether an insert happened.
+    /// returns whether an insert happened.  It grows the array as
+    /// [`insert`](Self::insert) does.
     ///
     /// This is the warm-start import path: re-importing a dump must be
     /// idempotent and must never displace fresher results.
     pub fn insert_if_absent(&self, fingerprint: u64, key: K, value: V) -> bool {
-        for probe in 0..self.window() {
-            let ptr = self.buckets[self.slot(fingerprint, probe)].load(Ordering::Acquire);
-            // SAFETY: see `get`.
-            if !ptr.is_null() && unsafe { &*ptr }.fingerprint == fingerprint {
-                return false;
-            }
-        }
-        // Claim an empty slot; if the window is full, decline rather than
-        // displace (imports are advisory, computed results are not).
         let entry = self.new_entry(fingerprint, key, value);
-        for probe in 0..self.window() {
-            let bucket = &self.buckets[self.slot(fingerprint, probe)];
-            if bucket
-                .compare_exchange(
-                    std::ptr::null_mut(),
-                    entry,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
+        loop {
+            let slots = self.slots.read();
+            if window(&slots, fingerprint).any(|slot| holds(slot, fingerprint)) {
+                break;
+            }
+            if self.has_room(slots.len()) && claim(&slots, fingerprint, entry) {
                 self.occupied.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
+            // A full window at the ceiling declines rather than displaces
+            // (imports are advisory, computed results are not).
+            if slots.len() == self.ceiling {
+                break;
+            }
+            let len = slots.len();
+            drop(slots);
+            self.grow(len);
         }
         // SAFETY: `entry` was never published; reclaim it.
         drop(unsafe { Box::from_raw(entry) });
         false
     }
 
+    /// Doubles the slot array from `len` slots, unless a racing insert
+    /// already has, and re-places every resident entry by its fingerprint.
+    #[cold]
+    fn grow(&self, len: usize) {
+        let mut slots = self.slots.write();
+        if slots.len() != len {
+            return;
+        }
+        debug_assert!(len < self.ceiling);
+        let grown = empty_slots(len * 2);
+        for ptr in slots.iter_mut().map(|slot| *slot.get_mut()) {
+            // SAFETY: see `get`; the write guard excludes every other use
+            // of the slots.
+            let Some(entry) = (unsafe { ptr.as_ref() }) else {
+                continue;
+            };
+            // A full window in an array at most an eighth full needs eight
+            // entries of neighbouring homes; the entry is then forgotten
+            // as a displaced one is.
+            if !claim(&grown, entry.fingerprint, ptr) {
+                self.retire(ptr);
+                self.occupied.fetch_sub(1, Ordering::Relaxed);
+                self.replacements.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        *slots = grown;
+    }
+
     /// Borrows the live entries inserted at or after `mark` (see
     /// [`mark`](Self::mark)), imports included, as `(fingerprint, key,
-    /// value)` in bucket order.  Entries other threads insert meanwhile may
+    /// value)` in slot order.  Entries other threads insert meanwhile may
     /// or may not be included.
+    ///
+    /// The iterator holds the table's read guard until it is dropped, so
+    /// collect it before calling into the table again on the same thread:
+    /// an insert that grows the table would wait on the guard forever.
     pub fn iter_since(&self, mark: u64) -> impl Iterator<Item = (u64, &K, &V)> {
-        self.buckets.iter().filter_map(move |bucket| {
-            let ptr = bucket.load(Ordering::Acquire);
-            if ptr.is_null() {
-                return None;
-            }
+        let slots = self.slots.read();
+        (0..slots.len()).filter_map(move |i| {
             // SAFETY: see `get`; the borrows live no longer than `&self`.
-            let entry = unsafe { &*ptr };
+            let entry = unsafe { slots[i].load(Ordering::Acquire).as_ref() }?;
             (entry.mark >= mark).then_some((entry.fingerprint, &entry.key, &entry.value))
         })
     }
@@ -297,20 +321,64 @@ impl<K, V> MemoTable<K, V> {
         for ptr in self.retired.get_mut().drain(..) {
             // SAFETY: exclusive access (`&mut self`), so no borrow of a
             // retired entry is alive; retired pointers were displaced from
-            // buckets exactly once and never freed before.
+            // slots exactly once and never freed before.
             drop(unsafe { Box::from_raw(ptr) });
         }
     }
 }
 
+/// An array of `len` empty slots.
+fn empty_slots<K, V>(len: usize) -> Slots<K, V> {
+    (0..len)
+        .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+        .collect()
+}
+
+/// Slot `probe` of `fingerprint`'s probe window in `slots`.
+#[allow(clippy::cast_possible_truncation)]
+fn slot<T>(slots: &[T], fingerprint: u64, probe: usize) -> &T {
+    let mask = slots.len() as u64 - 1;
+    &slots[(fingerprint.wrapping_add(probe as u64) & mask) as usize]
+}
+
+/// The probe window of `fingerprint`: its home slot and the ones after it,
+/// wrapping, bounded by the array's length.
+fn window<T>(slots: &[T], fingerprint: u64) -> impl Iterator<Item = &T> {
+    (0..PROBE_WINDOW.min(slots.len())).map(move |probe| slot(slots, fingerprint, probe))
+}
+
+/// Whether `slot` holds an entry of `fingerprint`.
+fn holds<K, V>(slot: &AtomicPtr<Entry<K, V>>, fingerprint: u64) -> bool {
+    // SAFETY: see `MemoTable::get`.
+    unsafe { slot.load(Ordering::Acquire).as_ref() }.is_some_and(|e| e.fingerprint == fingerprint)
+}
+
+/// Publishes `entry` in the first empty slot of `fingerprint`'s window;
+/// returns whether there was one.
+fn claim<K, V>(
+    slots: &[AtomicPtr<Entry<K, V>>],
+    fingerprint: u64,
+    entry: *mut Entry<K, V>,
+) -> bool {
+    window(slots, fingerprint).any(|slot| {
+        slot.compare_exchange(
+            std::ptr::null_mut(),
+            entry,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        )
+        .is_ok()
+    })
+}
+
 impl<K, V> Drop for MemoTable<K, V> {
     fn drop(&mut self) {
-        // Exclusive access: plain reads.  An atomic swap per bucket made
+        // Exclusive access: plain reads.  An atomic swap per slot made
         // dropping a large, mostly empty table cost a dozen times more.
-        for bucket in &mut self.buckets {
-            let ptr = *bucket.get_mut();
+        for slot in self.slots.write().iter_mut() {
+            let ptr = *slot.get_mut();
             if !ptr.is_null() {
-                // SAFETY: exclusive access (`&mut self`); each live bucket
+                // SAFETY: exclusive access (`&mut self`); each live slot
                 // pointer is a unique boxed allocation, freed only here.
                 drop(unsafe { Box::from_raw(ptr) });
             }
@@ -322,7 +390,8 @@ impl<K, V> Drop for MemoTable<K, V> {
 impl<K, V> std::fmt::Debug for MemoTable<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoTable")
-            .field("capacity", &self.buckets.len())
+            .field("capacity", &self.capacity())
+            .field("ceiling", &self.ceiling)
             .field("len", &self.occupied.load(Ordering::Relaxed))
             .field("replacements", &self.replacements.load(Ordering::Relaxed))
             .finish()
@@ -339,6 +408,97 @@ mod tests {
         assert_eq!(MemoTable::<u64, u64>::new(1).capacity(), 1);
         assert_eq!(MemoTable::<u64, u64>::new(3).capacity(), 4);
         assert_eq!(MemoTable::<u64, u64>::new(1000).capacity(), 1024);
+        assert_eq!(
+            MemoTable::<u64, u64>::new(1 << 16).capacity(),
+            1024,
+            "a larger ceiling starts at 1,024 slots"
+        );
+    }
+
+    /// Fingerprints whose low bits are a permutation of `i`'s: distinct
+    /// homes for up to a power of two of consecutive `i`.
+    fn spread(i: u64) -> u64 {
+        i.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    #[test]
+    fn the_array_doubles_past_a_quarter_full_up_to_the_ceiling() {
+        let t: MemoTable<u64, u64> = MemoTable::new(4096);
+        for i in 0..2000u64 {
+            t.insert(spread(i), i, i);
+            let slots = match i + 1 {
+                ..=256 => 1024,
+                257..=512 => 2048,
+                _ => 4096,
+            };
+            assert_eq!(t.capacity(), slots, "after {} inserts", i + 1);
+        }
+        assert_eq!(t.replacements(), 0);
+        assert!((0..2000).all(|i| t.get(spread(i), &i) == Some(&i)));
+    }
+
+    #[test]
+    fn a_full_window_below_the_ceiling_grows_instead_of_displacing() {
+        // Nine fingerprints with one home in 1,024 slots, two in 2,048.
+        let t: MemoTable<u64, u64> = MemoTable::new(1 << 16);
+        for i in 0..9u64 {
+            assert!(!t.insert(i << 10, i, i), "nothing displaced");
+        }
+        assert_eq!((t.capacity(), t.len(), t.replacements()), (2048, 9, 0));
+        assert!((0..9).all(|i| t.get(i << 10, &i) == Some(&i)));
+    }
+
+    #[test]
+    fn a_ceiling_of_four_never_grows_and_still_replaces_on_collision() {
+        let t: MemoTable<u64, u64> = MemoTable::new(4);
+        for fp in 0..4u64 {
+            assert!(!t.insert(fp, fp, fp));
+        }
+        assert_eq!((t.capacity(), t.len(), t.replacements()), (4, 4, 0));
+        assert!(t.insert(4, 4, 40), "a full window at the ceiling displaces");
+        assert_eq!((t.capacity(), t.len(), t.replacements()), (4, 4, 1));
+        assert_eq!(t.get(0, &0), None, "4's home slot held 0");
+        assert_eq!(t.get(4, &4), Some(&40));
+    }
+
+    #[test]
+    fn iter_since_a_mark_taken_before_three_growths_walks_the_later_entries() {
+        let t: MemoTable<u64, u64> = MemoTable::new(1 << 16);
+        for i in 0..100u64 {
+            t.insert(spread(i), i, i);
+        }
+        let mark = t.mark();
+        for i in 100..1100u64 {
+            t.insert(spread(i), i, i);
+        }
+        assert_eq!(t.capacity(), 8192, "1,024 doubled three times");
+        let mut since: Vec<u64> = t
+            .iter_since(mark)
+            .map(|(fp, &key, &value)| {
+                assert_eq!((fp, value), (spread(key), key));
+                key
+            })
+            .collect();
+        since.sort_unstable();
+        assert_eq!(since, (100..1100).collect::<Vec<_>>());
+        assert_eq!(t.iter_since(0).count(), 1100);
+    }
+
+    #[test]
+    fn insert_if_absent_grows_the_table_as_insert_does() {
+        let imported: MemoTable<u64, u64> = MemoTable::new(1 << 16);
+        let computed: MemoTable<u64, u64> = MemoTable::new(1 << 16);
+        for i in 0..600u64 {
+            assert!(imported.insert_if_absent(spread(i), i, i));
+            computed.insert(spread(i), i, i);
+            assert_eq!(imported.capacity(), computed.capacity());
+        }
+        assert_eq!(imported.capacity(), 4096);
+        assert!(
+            !imported.insert_if_absent(spread(0), 0, 1),
+            "still idempotent"
+        );
+        assert!((0..600).all(|i| imported.get(spread(i), &i) == Some(&i)));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use micrograd_sim::{CancelToken, CoreConfig, SimStats, Simulator};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -93,7 +93,7 @@ pub trait ExecutionPlatform {
 /// *replacement* is an insert that displaced a resident entry of another
 /// input (see [`crate::memo::MemoTable`]).  These four count the
 /// platform's own operations.  `entries` (memoized evaluations resident)
-/// and `capacity` (the fixed slot count) describe the table, which the
+/// and `capacity` (the slot count now) describe the table, which the
 /// platform may share with others ([`SimPlatform::with_cache`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -108,7 +108,9 @@ pub struct CacheStats {
     /// Resident entries this platform's inserts displaced.
     #[serde(default)]
     pub replacements: u64,
-    /// Slot capacity of the memo table (0 when unknown/aggregated).
+    /// Slots the memo table has now (0 when unknown/aggregated).  The
+    /// table grows to the capacity it was built with, its ceiling, from
+    /// 1,024 slots.
     #[serde(default)]
     pub capacity: u64,
 }
@@ -172,43 +174,15 @@ impl std::fmt::Debug for ProgressObserver {
 ///
 /// The previous implementation keyed the cache on
 /// `serde_json::to_string(input)` — an allocation per lookup, and a silent
-/// cache bypass whenever serialization failed.  Hashing the fields directly
-/// (with `f64::to_bits` for float knobs) is allocation-free and total.
+/// cache bypass whenever serialization failed.  Hashing the input's packed
+/// encoding (see [`PackedInput`]) as it is produced is allocation-free and
+/// total, and a field `pack` encodes is a field the fingerprint covers.
 /// Cache hits additionally verify the stored input for equality, so a hash
 /// collision degrades to a recomputation instead of wrong metrics.
 #[must_use]
 pub(crate) fn input_fingerprint(input: &GeneratorInput) -> u64 {
-    // Exhaustive destructuring (no `..`): adding a field to
-    // `GeneratorInput` must fail to compile here rather than silently
-    // fall out of the cache key.
-    let GeneratorInput {
-        loop_size,
-        instr_weights,
-        reg_dependency_distance,
-        mem_footprint_kb,
-        mem_stride,
-        mem_temporal_window,
-        mem_temporal_period,
-        branch_randomness,
-        init_reg_value,
-        seed,
-        name,
-    } = input;
     let mut h = DefaultHasher::new();
-    loop_size.hash(&mut h);
-    for (op, w) in instr_weights {
-        op.hash(&mut h);
-        w.to_bits().hash(&mut h);
-    }
-    reg_dependency_distance.hash(&mut h);
-    mem_footprint_kb.hash(&mut h);
-    mem_stride.hash(&mut h);
-    mem_temporal_window.hash(&mut h);
-    mem_temporal_period.hash(&mut h);
-    branch_randomness.to_bits().hash(&mut h);
-    init_reg_value.hash(&mut h);
-    seed.hash(&mut h);
-    name.hash(&mut h);
+    pack(input, &mut |bytes| h.write(bytes));
     h.finish()
 }
 
@@ -231,9 +205,10 @@ pub(crate) fn input_fingerprint(input: &GeneratorInput) -> u64 {
 /// * the name as its length and UTF-8 bytes.
 ///
 /// Two inputs therefore pack to the same bytes exactly when every field is
-/// bit-identical.  A hit compares the stored bytes with the probed input
-/// as it packs, without building them ([`PartialEq<GeneratorInput>`]); an
-/// entry is unpacked only when the cache is exported or persisted.
+/// bit-identical, and the memo fingerprint is a hash of these bytes.  A
+/// hit compares the stored bytes with the probed input as it packs,
+/// without building them ([`PartialEq<GeneratorInput>`]); an entry is
+/// unpacked only when the cache is exported or persisted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedInput(Box<[u8]>);
 
@@ -305,8 +280,8 @@ impl PartialEq<GeneratorInput> for PackedInput {
 /// Hands `input`'s packed encoding (see [`PackedInput`]) to `put`, a few
 /// bytes at a time.
 fn pack(input: &GeneratorInput, put: &mut impl FnMut(&[u8])) {
-    // Exhaustive destructuring, as in `input_fingerprint`: a new field must
-    // be packed, or two inputs that differ in it would share an entry.
+    // Exhaustive destructuring (no `..`): a new field must be packed, or
+    // two inputs that differ in it would share a fingerprint and an entry.
     let GeneratorInput {
         loop_size,
         instr_weights,
@@ -409,12 +384,14 @@ impl Unpack<'_> {
 ///
 /// Evaluations are memoized per generator input (keyed by a stable `u64`
 /// fingerprint), because gradient-descent epochs repeatedly re-evaluate the
-/// epoch's base configuration.  The memo store is a lock-free fixed-capacity
-/// probing table ([`crate::memo::MemoTable`]): lookups are a handful of
-/// atomic loads, inserts never rehash, and colliding inserts replace the
-/// resident entry (a replaced evaluation is simply recomputed on its next
-/// use).  An entry keeps its input as a [`PackedInput`] and its metrics
-/// inline, about 186 bytes in two allocations for a full-space input.
+/// epoch's base configuration.  The memo store is a probing table that
+/// grows to a fixed ceiling ([`crate::memo::MemoTable`]): lookups are a
+/// shared read guard and a handful of atomic loads, the slot array doubles
+/// while it is more than a quarter full, and at the ceiling colliding
+/// inserts replace the resident entry (a replaced evaluation is simply
+/// recomputed on its next use).  An entry keeps its input as a
+/// [`PackedInput`] and its metrics inline, about 186 bytes in two
+/// allocations for a full-space input.
 /// Hits verify the full stored input, so a 64-bit fingerprint collision
 /// can never return wrong metrics.  A hit builds no simulator and
 /// allocates nothing.
@@ -470,7 +447,7 @@ pub struct SimPlatform {
     progress: Option<ProgressObserver>,
     /// The memo table; a platform's own is allocated on first use.
     cache: OnceLock<Arc<MemoTable<PackedInput, Metrics>>>,
-    /// Slot capacity of the platform's own table.
+    /// Slot ceiling of the platform's own table.
     cache_capacity: usize,
     /// The expansion words of `seed`, built on the first miss.
     keystream: OnceLock<Arc<Keystream>>,
@@ -491,13 +468,15 @@ impl SimPlatform {
     /// [`with_dynamic_len`]: SimPlatform::with_dynamic_len
     pub const DEFAULT_DYNAMIC_LEN: usize = 50_000;
 
-    /// Default slot capacity of the memoization table.
+    /// Default slot ceiling of the memoization table: the most slots it
+    /// grows to.
     ///
-    /// 64 Ki slots comfortably hold the largest bundled tuning runs
-    /// (brute-force grids included) while costing half a megabyte of bucket
-    /// pointers; overflow degrades gracefully to replacement, never to an
-    /// error.  Use [`with_cache_capacity`](Self::with_cache_capacity) to
-    /// change it.
+    /// A table starts at 1,024 slots and doubles while it is more than a
+    /// quarter full, so it costs 8 KiB of slot pointers at first and 32–64
+    /// bytes of them per entry after.  64 Ki slots, half a megabyte, hold
+    /// 16 Ki entries before the table stops growing; past that, overflow
+    /// degrades gracefully to replacement, never to an error.  Use
+    /// [`with_cache_capacity`](Self::with_cache_capacity) to change it.
     pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
     /// Creates a platform for a core configuration, choosing the matching
@@ -523,8 +502,9 @@ impl SimPlatform {
         }
     }
 
-    /// Replaces the memoization table with an empty one of at least
-    /// `capacity` slots (rounded up to a power of two, minimum 1).
+    /// Replaces the memoization table with an empty one that grows to at
+    /// most `capacity` slots (rounded up to a power of two, minimum 1),
+    /// starting at 1,024 or at that ceiling if it is smaller.
     ///
     /// Intended for construction time; any memoized evaluations are
     /// discarded.  Tiny capacities are valid — they force collisions, which
@@ -668,7 +648,7 @@ impl SimPlatform {
     }
 
     /// Current memoization-cache counters: hits, misses, inserts, resident
-    /// entries, plus the memo table's slot capacity and how many resident
+    /// entries, plus the memo table's slot count now and how many resident
     /// entries collisions have displaced.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
@@ -1029,7 +1009,7 @@ mod tests {
         assert_eq!(fresh.inserts, 0);
         assert_eq!(fresh.entries, 0);
         assert_eq!(fresh.replacements, 0);
-        assert_eq!(fresh.capacity, SimPlatform::DEFAULT_CACHE_CAPACITY as u64);
+        assert_eq!(fresh.capacity, 1024, "a table starts below its ceiling");
         let input = GeneratorInput {
             loop_size: 100,
             ..GeneratorInput::default()

@@ -1,15 +1,18 @@
-//! Bounds what a resident memo entry holds, and proves a memo hit
-//! allocates nothing.
+//! Bounds what a resident memo entry and the memo table hold, and proves
+//! a memo hit allocates nothing.
 //!
 //! The binary installs a counting global allocator that tracks live bytes,
 //! live blocks and allocation calls.  Importing one evaluation into a
-//! platform whose table is already allocated leaves exactly that entry
-//! behind: for resolved full-space inputs it must hold at most 200 bytes
-//! in at most two blocks (the entry and its packed key).  Evaluating an
-//! input whose result is resident must make no allocation at all.  The
-//! file holds exactly one test so no concurrent test can pollute the
-//! counters.
+//! platform whose table is already allocated, and below its first growth,
+//! leaves exactly that entry behind: for resolved full-space inputs it
+//! must hold at most 200 bytes in at most two blocks (the entry and its
+//! packed key).  Evaluating an input whose result is resident must make no
+//! allocation at all.  The table's slots grow with its entries, so 5,000
+//! imports leave 256 KiB of slots beside them, half its 64 Ki-slot
+//! ceiling.  The file holds exactly one test so no concurrent test can
+//! pollute the counters.
 
+use micrograd_codegen::GeneratorInput;
 use micrograd_core::{ExecutionPlatform, KnobSpace, MetricKind, Metrics, SimPlatform};
 use micrograd_sim::CoreConfig;
 use rand::{Rng, SeedableRng};
@@ -85,23 +88,28 @@ fn a_resident_entry_is_small_and_a_hit_allocates_nothing() {
     space.loop_size = 300;
     let platform = SimPlatform::new(CoreConfig::large()).with_dynamic_len(2_000);
     // Allocates the platform's table, so an import adds only its entry.
-    assert_eq!(platform.cached_evaluations(), 0);
+    let (mut table_bytes, _, _) = footprint(|| assert_eq!(platform.cached_evaluations(), 0));
 
     let mut rng = ChaCha8Rng::seed_from_u64(23);
     let metrics = MetricKind::ALL.iter().fold(Metrics::new(), |m, &kind| {
         m.with(kind, rng.gen_range(0.0..4.0))
     });
+    // The live bytes one import adds; the copy imported is made and freed
+    // inside the window.
+    let import = |input: &GeneratorInput| {
+        footprint(|| {
+            assert_eq!(platform.import_cache([(input.clone(), metrics.clone())]), 1);
+        })
+    };
     let mut inputs = Vec::new();
     for seed in 0..200 {
         let input = space.resolve(&space.random_config(&mut rng), seed).unwrap();
-        // The copy imported is made and freed inside the window.
-        let (bytes, blocks, _) = footprint(|| {
-            assert_eq!(platform.import_cache([(input.clone(), metrics.clone())]), 1);
-        });
+        let (bytes, blocks, _) = import(&input);
         assert!(
             bytes <= 200 && blocks <= 2,
             "one resident entry holds {bytes} bytes in {blocks} blocks"
         );
+        table_bytes += bytes;
         inputs.push(input);
     }
 
@@ -116,6 +124,22 @@ fn a_resident_entry_is_small_and_a_hit_allocates_nothing() {
         });
         assert_eq!(calls, 0, "a memo hit allocated");
     }
-    assert_eq!(platform.evaluate(&computed), Ok(metrics));
+    assert_eq!(platform.evaluate(&computed), Ok(metrics.clone()));
     assert_eq!(platform.cache_stats().hits, 202);
+
+    // The same platform to 5,000 imports: the slot array has doubled to
+    // 32 Ki slots, and a hit still allocates nothing.
+    for seed in 200..5_000 {
+        let input = space.resolve(&space.random_config(&mut rng), seed).unwrap();
+        table_bytes += import(&input).0;
+    }
+    assert_eq!(platform.cache_stats().capacity, 1 << 15);
+    assert!(
+        table_bytes < 5_000 * 200 + (256 << 10),
+        "the table holds {table_bytes} bytes after 5,000 imports"
+    );
+    let (_, _, calls) = footprint(|| {
+        platform.evaluate(&computed).unwrap();
+    });
+    assert_eq!(calls, 0, "a memo hit in the grown table allocated");
 }

@@ -1,4 +1,4 @@
-//! Seeded multi-thread stress test for the lock-free [`MemoTable`].
+//! Seeded multi-thread stress tests for the [`MemoTable`].
 //!
 //! Writers and readers hammer one shared table with ChaCha8-derived key
 //! streams drawn from a small id universe, so fingerprints collide inside
@@ -6,10 +6,13 @@
 //! under test is verify-on-hit: a `get` may miss (entries are displaced
 //! under contention), but every hit must return the exact value that was
 //! inserted for that key — never a torn entry, never another key's value.
+//! A second case lets writers grow a table from 1,024 slots while readers
+//! probe it: growth may lose no entry it does not count as displaced.
 
 use micrograd_core::memo::MemoTable;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Id universe deliberately larger than the table so displacement occurs.
@@ -110,4 +113,85 @@ fn identical_seeds_produce_identical_single_thread_histories() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
+}
+
+/// Distinct ids the growth case inserts, and its table's ceiling.
+const GROWTH_IDS: u64 = 8_192;
+const CEILING: usize = 1 << 16;
+
+/// A well-spread fingerprint: the splitmix64 finalizer of `id`.
+fn spread(id: u64) -> u64 {
+    let mut z = id.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn readers_verify_every_hit_while_writers_grow_the_table() {
+    let table: Arc<MemoTable<[u64; 3], u64>> = Arc::new(MemoTable::new(CEILING));
+    assert_eq!(
+        table.capacity(),
+        1024,
+        "a 64 Ki ceiling starts at 1,024 slots"
+    );
+    let writing = Arc::new(AtomicBool::new(true));
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|t| {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || {
+                for id in (t..GROWTH_IDS).step_by(WRITERS as usize) {
+                    table.insert(spread(id), key(id), value(id));
+                }
+            })
+        })
+        .collect();
+    let readers: Vec<_> = (0..READERS)
+        .map(|t| {
+            let table = Arc::clone(&table);
+            let writing = Arc::clone(&writing);
+            std::thread::spawn(move || {
+                let mut rng = ChaCha8Rng::seed_from_u64(0x6_2077 + t);
+                let mut hits = 0u64;
+                while writing.load(Ordering::Relaxed) {
+                    let id = rng.gen_range(0..GROWTH_IDS);
+                    if let Some(&got) = table.get(spread(id), &key(id)) {
+                        assert_eq!(got, value(id), "hit for id {id} returned another value");
+                        hits += 1;
+                    }
+                }
+                hits
+            })
+        })
+        .collect();
+
+    for writer in writers {
+        writer.join().expect("writer panicked");
+    }
+    writing.store(false, Ordering::Relaxed);
+    for reader in readers {
+        reader.join().expect("reader panicked");
+    }
+
+    assert!(table.len() <= table.capacity());
+    assert!(table.capacity() <= CEILING);
+    assert!(
+        table.capacity() >= 1 << 15,
+        "8,192 entries grow the table to at least 32 Ki slots, not {}",
+        table.capacity()
+    );
+    let found = (0..GROWTH_IDS)
+        .filter(|&id| {
+            table.get(spread(id), &key(id)).is_some_and(|&got| {
+                assert_eq!(got, value(id), "survivor for id {id} is inconsistent");
+                true
+            })
+        })
+        .count() as u64;
+    assert!(
+        found >= GROWTH_IDS - table.replacements(),
+        "found {found} of {GROWTH_IDS} ids with {} replacements",
+        table.replacements()
+    );
 }

@@ -4,7 +4,7 @@
 //! The determinism and resilience claims this repo makes (bit-identical
 //! cloning, a reactor thread that survives arbitrary client behavior, an
 //! allocation-free simulator retire loop, Acquire/Release discipline in
-//! the lock-free memo table) rest on invariants that ordinary tests
+//! the memo table) rest on invariants that ordinary tests
 //! exercise one instance at a time.  This crate checks the whole class
 //! statically and runs in CI as a hard gate:
 //!

@@ -76,10 +76,10 @@ struct ModulePolicy {
 /// fields not listed fall back to [`PUBLISH`].
 const POLICIES: [ModulePolicy; 5] = [
     ModulePolicy {
-        // Lock-free memo table: bucket pointers are published via
-        // AcqRel swaps/CAS and acquired before dereference; the occupancy
-        // and replacement statistics and the insertion mark are plain
-        // counters (a mark guards no data; see `MemoTable::mark`).
+        // Memo table: slot pointers are published via AcqRel swaps/CAS
+        // and acquired before dereference; the occupancy and replacement
+        // statistics and the insertion mark are plain counters (a mark
+        // guards no data; see `MemoTable::mark`).
         suffix: "crates/core/src/memo.rs",
         fields: &[
             counter("occupied"),

@@ -74,7 +74,7 @@ pub struct ServiceMetrics {
     cache: [Counter; 4],
     /// Entries held in the resident memo tables, set when a job ends.
     pub(crate) cache_entries: Gauge,
-    /// The largest memo-table capacity an executed job reported.
+    /// The most slots a memo table had when an executed job ended.
     cache_capacity: Gauge,
 }
 
@@ -150,7 +150,7 @@ impl ServiceMetrics {
         );
         let cache_capacity = registry.gauge(
             "micrograd_cache_capacity",
-            "Largest memo-table capacity of any executed job",
+            "Most memo-table slots any executed job ended with (tables grow to a ceiling)",
         );
         let reactor = ReactorMetrics {
             connections_open: registry.gauge(

@@ -48,7 +48,7 @@
 //! Every tuner therefore submits its evaluations in batches through
 //! [`core::ExecutionPlatform::evaluate_batch`], and the bundled
 //! [`core::SimPlatform`] fans a batch out over the calling thread plus
-//! scoped helper threads (one simulator instance per thread, a lock-free
+//! scoped helper threads (one simulator instance per thread, a shared
 //! memo cache keyed by a stable `u64` fingerprint of the generator input).
 //!
 //! The thread count is the `parallelism` field of
