@@ -22,8 +22,10 @@
 //!   array starts at 1,024 slots, or at the ceiling if that is smaller,
 //!   and doubles whenever an insert would leave it more than a quarter
 //!   full or finds its window full, until it reaches the ceiling.  Only
-//!   doubling takes the write guard: it re-places every resident entry by
-//!   its fingerprint and frees the old array.  Entries are never moved.
+//!   doubling takes the write guard: it takes the resident entries out,
+//!   grows the array with one `realloc` and re-places them by
+//!   fingerprint, so the table never keeps the old array alive beside the
+//!   doubled one.  Entries are never moved.
 //! * **Replace-on-collision**: at the ceiling, when the window is full,
 //!   the incoming entry *replaces* the window's home slot (counted in
 //!   [`replacements`](MemoTable::replacements)).  The table therefore
@@ -69,7 +71,7 @@ struct Entry<K, V> {
 }
 
 /// A power-of-two array of entry pointers.
-type Slots<K, V> = Box<[AtomicPtr<Entry<K, V>>]>;
+type Slots<K, V> = Vec<AtomicPtr<Entry<K, V>>>;
 
 /// A fingerprint-indexed memo table with verify-on-hit that grows to a
 /// fixed ceiling.
@@ -78,7 +80,7 @@ type Slots<K, V> = Box<[AtomicPtr<Entry<K, V>>]>;
 /// All operations but [`reclaim`](Self::reclaim) take `&self` and are safe
 /// to call from any number of threads concurrently.
 pub struct MemoTable<K, V> {
-    /// Replaced by a doubled array under the write guard (see module docs).
+    /// Doubled in place under the write guard (see module docs).
     slots: RwLock<Slots<K, V>>,
     /// The most slots the array grows to.
     ceiling: usize,
@@ -111,7 +113,11 @@ impl<K, V> MemoTable<K, V> {
     pub fn new(capacity: usize) -> Self {
         let ceiling = capacity.max(1).next_power_of_two();
         MemoTable {
-            slots: RwLock::new(empty_slots(ceiling.min(INITIAL_SLOTS))),
+            slots: RwLock::new(
+                std::iter::repeat_with(AtomicPtr::default)
+                    .take(ceiling.min(INITIAL_SLOTS))
+                    .collect(),
+            ),
             ceiling,
             occupied: AtomicU64::new(0),
             replacements: AtomicU64::new(0),
@@ -267,8 +273,9 @@ impl<K, V> MemoTable<K, V> {
         false
     }
 
-    /// Doubles the slot array from `len` slots, unless a racing insert
-    /// already has, and re-places every resident entry by its fingerprint.
+    /// Doubles the slot array from `len` slots in place, unless a racing
+    /// insert already has, and re-places every resident entry by its
+    /// fingerprint.
     #[cold]
     fn grow(&self, len: usize) {
         let mut slots = self.slots.write();
@@ -276,23 +283,26 @@ impl<K, V> MemoTable<K, V> {
             return;
         }
         debug_assert!(len < self.ceiling);
-        let grown = empty_slots(len * 2);
-        for ptr in slots.iter_mut().map(|slot| *slot.get_mut()) {
-            // SAFETY: see `get`; the write guard excludes every other use
-            // of the slots.
-            let Some(entry) = (unsafe { ptr.as_ref() }) else {
-                continue;
-            };
+        // The write guard excludes every other use of the slots: plain
+        // reads and writes.
+        let resident: Vec<_> = slots
+            .iter_mut()
+            .map(|slot| std::mem::replace(slot.get_mut(), std::ptr::null_mut()))
+            .filter(|ptr| !ptr.is_null())
+            .collect();
+        slots.resize_with(len * 2, AtomicPtr::default);
+        for ptr in resident {
+            // SAFETY: see `get`; the entry stays live and unmoved.
+            let fingerprint = unsafe { (*ptr).fingerprint };
             // A full window in an array at most an eighth full needs eight
             // entries of neighbouring homes; the entry is then forgotten
             // as a displaced one is.
-            if !claim(&grown, entry.fingerprint, ptr) {
+            if !claim(&slots, fingerprint, ptr) {
                 self.retire(ptr);
                 self.occupied.fetch_sub(1, Ordering::Relaxed);
                 self.replacements.fetch_add(1, Ordering::Relaxed);
             }
         }
-        *slots = grown;
     }
 
     /// Borrows the live entries inserted at or after `mark` (see
@@ -325,13 +335,6 @@ impl<K, V> MemoTable<K, V> {
             drop(unsafe { Box::from_raw(ptr) });
         }
     }
-}
-
-/// An array of `len` empty slots.
-fn empty_slots<K, V>(len: usize) -> Slots<K, V> {
-    (0..len)
-        .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-        .collect()
 }
 
 /// Slot `probe` of `fingerprint`'s probe window in `slots`.

@@ -342,8 +342,8 @@ mod tests {
             cycles: 50,
             ..SimStats::default()
         };
-        stats.class_counts.insert(InstrClass::Integer, 60);
-        stats.class_counts.insert(InstrClass::Load, 40);
+        stats.activity.int_alu_ops = 60;
+        stats.activity.loads = 40;
         let m = Metrics::from_run(&stats, None);
         for kind in MetricKind::CLONING {
             assert!(m.get(kind).is_some(), "{kind} missing");

@@ -7,7 +7,6 @@ use crate::stats::{ActivityCounts, SimStats};
 use crate::GsharePredictor;
 use micrograd_codegen::{Trace, TraceSource};
 use micrograd_isa::{FuncUnit, InstrClass, Instruction, LatencyModel, Opcode, Reg, MAX_SOURCES};
-use micrograd_obs::{ProfileRecorder, ProfileSample};
 use std::ops::ControlFlow;
 
 /// A fixed-capacity ring recording one `u64` per in-flight entry of a
@@ -64,15 +63,6 @@ impl WindowRing {
     fn reset(&mut self) {
         self.slots.fill(0);
         self.pos = 0;
-    }
-
-    /// Window entries still in flight at `cycle`: recorded completion
-    /// cycles strictly in the future (unfilled slots hold 0 and never
-    /// count).  Allocation-free scan of the window; used only by the
-    /// sampled profiler.
-    #[allow(clippy::cast_possible_truncation)]
-    fn occupancy(&self, cycle: u64) -> u32 {
-        self.slots.iter().filter(|&&c| c > cycle).count() as u32
     }
 }
 
@@ -194,10 +184,10 @@ fn unit_slot(u: FuncUnit) -> usize {
     }
 }
 
-/// The per-instruction activity counters, by decoded `kind`: each
-/// instruction increments exactly one, and the class counts and activity
-/// totals are sums of them.  Counting by index keeps the class out of the
-/// hot loop's branches.
+/// The per-instruction activity counters, by decoded `kind`, with the
+/// class each one counts: each instruction increments exactly one, and
+/// they become the per-kind fields of [`ActivityCounts`].  Counting by
+/// index keeps the class out of the hot loop's branches.
 const KINDS: [InstrClass; 6] = [
     InstrClass::Integer, // simple ALU
     InstrClass::Integer, // complex unit
@@ -312,7 +302,6 @@ pub struct Simulator {
     reg_ready: Vec<u64>,
     units: UnitTable,
     decoded: Vec<DecodedInstr>,
-    profiler: ProfileRecorder,
 }
 
 impl Simulator {
@@ -328,34 +317,11 @@ impl Simulator {
             reg_ready: vec![0; Reg::FLAT_COUNT],
             units: UnitTable::new(&config),
             decoded: Vec::new(),
-            profiler: ProfileRecorder::off(),
             hierarchy,
             predictor,
             latency: LatencyModel::default(),
             config,
         }
-    }
-
-    /// Enables sampled profiling: every `interval` retired instructions the
-    /// run snapshots its cumulative counters (cycles, L1D accesses/hits,
-    /// branches/mispredicts, ROB and RS occupancy) into
-    /// [`SimStats::profile`].  `interval == 0` disables profiling (the
-    /// default), which costs nothing — the recorder is polled from the
-    /// existing cancellation-check block, so a disabled recorder adds one
-    /// predictable branch every [`CANCEL_CHECK_INTERVAL`] instructions.
-    ///
-    /// Samples land at poll boundaries, so the effective resolution is
-    /// `interval` rounded up to the next multiple of
-    /// [`CANCEL_CHECK_INTERVAL`].  Samples are keyed by retired-instruction
-    /// count — never by time — so profiled runs stay bit-reproducible.
-    ///
-    /// [`CANCEL_CHECK_INTERVAL`]: Simulator::CANCEL_CHECK_INTERVAL
-    pub fn set_profiling(&mut self, interval: u64) {
-        self.profiler = if interval == 0 {
-            ProfileRecorder::off()
-        } else {
-            ProfileRecorder::every(interval)
-        };
     }
 
     /// Retired-instruction cadence of cancellation polls in
@@ -383,7 +349,6 @@ impl Simulator {
         self.lsq_ring.reset();
         self.reg_ready.fill(0);
         self.units.reset();
-        self.profiler.reset();
     }
 
     /// Runs a materialized dynamic trace to completion and returns the
@@ -480,24 +445,8 @@ impl Simulator {
         // lint:hot-loop-start
         let flow = source.drive(&mut |dynamic| {
             n += 1;
-            if n & (Self::CANCEL_CHECK_INTERVAL - 1) == 0 {
-                if cancel.check().is_err() {
-                    return ControlFlow::Break(());
-                }
-                if self.profiler.due(n as u64) {
-                    let hier = self.hierarchy.stats();
-                    let branch = self.predictor.stats();
-                    self.profiler.push(ProfileSample {
-                        retired: n as u64,
-                        cycles: max_completion.max(fetch_cycle),
-                        l1d_accesses: hier.l1d.accesses,
-                        l1d_hits: hier.l1d.hits,
-                        branches: branch.lookups,
-                        branch_mispredicts: branch.mispredictions,
-                        rob_occupancy: self.completion_ring.occupancy(fetch_cycle),
-                        rs_occupancy: self.issue_ring.occupancy(fetch_cycle),
-                    });
-                }
+            if n & (Self::CANCEL_CHECK_INTERVAL - 1) == 0 && cancel.check().is_err() {
+                return ControlFlow::Break(());
             }
             let instr = self.decoded[dynamic.static_index as usize];
 
@@ -607,12 +556,6 @@ impl Simulator {
         activity.stores = stores;
         activity.lsq_ops = loads + stores;
         stats.activity = activity;
-        stats.profile = self.profiler.finish();
-        for (class, &count) in KINDS.iter().zip(kind_counts.iter()) {
-            if count > 0 {
-                *stats.class_counts.entry(*class).or_insert(0) += count;
-            }
-        }
         Ok(stats)
     }
 }
@@ -734,44 +677,6 @@ mod tests {
         assert_eq!(result, Err(Cancelled));
         // The abandoned run must not poison the next one.
         assert_eq!(sim.run(&trace), expected);
-    }
-
-    #[test]
-    fn profiled_run_matches_unprofiled_stats_and_is_deterministic() {
-        let trace = trace_for(|_| {});
-        let mut plain_sim = Simulator::new(CoreConfig::small());
-        let plain = plain_sim.run(&trace);
-        assert_eq!(plain.profile, None, "profiling must be off by default");
-
-        let mut sim = Simulator::new(CoreConfig::small());
-        sim.set_profiling(8_192);
-        let first = sim.run(&trace);
-        let second = sim.run(&trace);
-        assert_eq!(first, second, "profiled runs must be deterministic");
-
-        let profile = first.profile.clone().expect("profile enabled");
-        assert!(!profile.samples.is_empty());
-        // Samples land at cancellation-poll boundaries, keyed by retired
-        // count, strictly increasing and cumulative.
-        for pair in profile.samples.windows(2) {
-            assert!(pair[0].retired < pair[1].retired);
-            assert!(pair[0].cycles <= pair[1].cycles);
-            assert!(pair[0].l1d_accesses <= pair[1].l1d_accesses);
-            assert!(pair[0].branches <= pair[1].branches);
-        }
-        let last = profile.samples.last().unwrap();
-        assert_eq!(last.retired % Simulator::CANCEL_CHECK_INTERVAL as u64, 0);
-        assert!(last.ipc() > 0.0);
-        assert!(last.l1d_hit_rate() > 0.0);
-
-        // Everything except the profile matches the unprofiled run.
-        let mut scrubbed = first.clone();
-        scrubbed.profile = None;
-        assert_eq!(scrubbed, plain);
-
-        // Turning profiling back off restores byte-identical output.
-        sim.set_profiling(0);
-        assert_eq!(sim.run(&trace), plain);
     }
 
     #[test]
@@ -1029,27 +934,21 @@ mod tests {
     #[test]
     fn activity_counts_are_consistent_with_instruction_counts() {
         let trace = trace_for(|_| {});
-        let stats = Simulator::new(CoreConfig::large()).run(&trace);
-        let a = &stats.activity;
-        assert_eq!(a.fetched, stats.instructions);
-        assert_eq!(a.rob_writes, stats.instructions);
-        assert_eq!(
-            a.loads + a.stores,
-            stats
-                .class_counts
-                .get(&InstrClass::Load)
-                .copied()
-                .unwrap_or(0)
-                + stats
-                    .class_counts
-                    .get(&InstrClass::Store)
-                    .copied()
-                    .unwrap_or(0)
-        );
-        assert_eq!(a.lsq_ops, a.loads + a.stores);
-        assert!(a.regfile_reads > 0);
-        assert!(a.regfile_writes > 0);
-        assert!(a.weighted_exec_energy > 0.0);
+        for config in [CoreConfig::small(), CoreConfig::large()] {
+            let stats = Simulator::new(config).run(&trace);
+            let a = &stats.activity;
+            assert_eq!(a.fetched, stats.instructions);
+            assert_eq!(a.rob_writes, stats.instructions);
+            // Every instruction is counted in exactly one per-kind counter.
+            assert_eq!(
+                a.int_alu_ops + a.int_complex_ops + a.fp_ops + a.branches + a.loads + a.stores,
+                stats.instructions
+            );
+            assert_eq!(a.lsq_ops, a.loads + a.stores);
+            assert!(a.regfile_reads > 0);
+            assert!(a.regfile_writes > 0);
+            assert!(a.weighted_exec_energy > 0.0);
+        }
     }
 
     #[test]

@@ -38,14 +38,6 @@
 //! for reuse.  Tokens optionally carry deadlines, which is how the service
 //! layer implements per-job `deadline_ms` budgets.
 //!
-//! Runs can optionally be *profiled*: [`Simulator::set_profiling`] samples
-//! the cumulative counters every N retired instructions into
-//! [`SimStats::profile`] (a [`SimProfile`]), giving time-resolved IPC,
-//! cache hit rates, branch behaviour and window occupancy.  Samples are
-//! keyed by retired-instruction count — never wall-clock — so profiled
-//! runs stay bit-reproducible; a disabled profiler (the default) costs one
-//! branch per cancellation poll.
-//!
 //! # Example
 //!
 //! ```
@@ -80,6 +72,5 @@ pub use cancel::{CancelToken, Cancelled};
 pub use config::{BranchPredictorConfig, CacheConfig, CoreConfig, PrefetchConfig};
 pub use engine::Simulator;
 pub use hierarchy::{HierarchyStats, MemoryHierarchy};
-pub use micrograd_obs::{ProfileSample, SimProfile};
 pub use prefetch::{PrefetchStats, StridePrefetcher};
 pub use stats::{ActivityCounts, SimStats};

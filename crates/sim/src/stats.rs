@@ -3,7 +3,6 @@
 use crate::branch::BranchStats;
 use crate::hierarchy::HierarchyStats;
 use micrograd_isa::InstrClass;
-use micrograd_obs::SimProfile;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -25,7 +24,8 @@ pub struct ActivityCounts {
     pub loads: u64,
     /// Store operations executed.
     pub stores: u64,
-    /// Conditional branch operations executed.
+    /// Branch-class operations executed: conditional branches and the
+    /// `jal`/`jalr` jumps.
     pub branches: u64,
     /// Architectural register file reads.
     pub regfile_reads: u64,
@@ -49,20 +49,13 @@ pub struct SimStats {
     pub cycles: u64,
     /// Core clock frequency the run was configured with (Hz).
     pub frequency_hz: u64,
-    /// Dynamic instruction counts per class.
-    pub class_counts: BTreeMap<InstrClass, u64>,
     /// Memory hierarchy statistics.
     pub hierarchy: HierarchyStats,
     /// Branch predictor statistics.
     pub branch: BranchStats,
-    /// Power-model activity counts.
+    /// Power-model activity counts, which also hold the per-class
+    /// instruction counts.
     pub activity: ActivityCounts,
-    /// Sampled time-resolved profile, present only when the run was made
-    /// with profiling enabled ([`crate::Simulator::set_profiling`]).
-    /// Samples are keyed by retired-instruction count, so a profiled run is
-    /// exactly as deterministic as an unprofiled one.
-    #[serde(default)]
-    pub profile: Option<SimProfile>,
 }
 
 impl SimStats {
@@ -92,7 +85,14 @@ impl SimStats {
         if self.instructions == 0 {
             return 0.0;
         }
-        let count = self.class_counts.get(&class).copied().unwrap_or(0);
+        let a = &self.activity;
+        let count = match class {
+            InstrClass::Integer => a.int_alu_ops + a.int_complex_ops,
+            InstrClass::Float => a.fp_ops,
+            InstrClass::Branch => a.branches,
+            InstrClass::Load => a.loads,
+            InstrClass::Store => a.stores,
+        };
         count as f64 / self.instructions as f64
     }
 
@@ -160,8 +160,9 @@ mod tests {
             instructions: 10,
             ..SimStats::default()
         };
-        stats.class_counts.insert(InstrClass::Integer, 6);
-        stats.class_counts.insert(InstrClass::Load, 4);
+        stats.activity.int_alu_ops = 4;
+        stats.activity.int_complex_ops = 2;
+        stats.activity.loads = 4;
         let fr = stats.class_fractions();
         assert!((fr[&InstrClass::Integer] - 0.6).abs() < 1e-12);
         assert!((fr[&InstrClass::Load] - 0.4).abs() < 1e-12);

@@ -94,8 +94,8 @@ fn run_allocation_count_is_independent_of_trace_length() {
         assert_eq!(stats_short.unwrap(), warm_short);
         assert_eq!(stats_long.unwrap(), warm_long);
         // ...and doubling the instruction count must not change the
-        // allocation count: every remaining allocation is per-run constant
-        // (the class-count map and the trace source), not per-instruction.
+        // allocation count: every remaining allocation is per-run constant,
+        // not per-instruction.
         assert_eq!(
             short_allocs, long_allocs,
             "per-instruction path allocated: {short_allocs} allocs for 100k \

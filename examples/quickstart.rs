@@ -11,13 +11,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use micrograd::codegen::StreamingExpander;
 use micrograd::core::{
     CoreKind, FrameworkConfig, FrameworkOutput, KnobSpaceKind, MetricKind, Metrics, MicroGrad,
     MicroGradError, TunerKind, UseCaseConfig,
 };
 use micrograd::service::{Client, Server, ServerConfig};
-use micrograd::sim::Simulator;
 
 fn main() -> Result<(), MicroGradError> {
     // Describe the workload to clone by its metrics of interest.
@@ -53,7 +51,7 @@ fn main() -> Result<(), MicroGradError> {
 
     // Own the platform (instead of plain `run()`) so the memoization-cache
     // counters can be inspected after the run.
-    let framework = MicroGrad::new(config.clone());
+    let framework = MicroGrad::new(config);
     let platform = framework.platform();
     let output = framework.run_on(&platform)?;
     let FrameworkOutput::Clone(report) = output else {
@@ -93,45 +91,6 @@ fn main() -> Result<(), MicroGradError> {
         cache.entries,
         cache.hit_rate() * 100.0
     );
-
-    // Time-resolved behaviour of the clone: regenerate the winning test
-    // case and re-run it under the simulator's sampled profiler.  The
-    // samples are keyed by retired-instruction count (never wall-clock),
-    // so the profile is exactly as deterministic as the tuning run — this
-    // is how cloning-accuracy debugging compares original vs clone phase
-    // by phase instead of by end-of-run aggregates.
-    let input = config
-        .knob_space
-        .build()
-        .resolve(&report.knob_config, config.seed)?;
-    let test_case = platform.generate(&input)?;
-    let mut source = StreamingExpander::new(&test_case, config.dynamic_len, config.seed);
-    let mut sim = Simulator::new(config.core.config());
-    sim.set_profiling(4_096);
-    let stats = sim.run_source(&mut source);
-    if let Some(profile) = &stats.profile {
-        println!();
-        println!(
-            "time-resolved clone profile ({} samples, every {} retired instructions):",
-            profile.samples.len(),
-            profile.interval
-        );
-        println!(
-            "{:>10} {:>7} {:>9} {:>11} {:>8} {:>7}",
-            "retired", "ipc", "l1d-hit", "mispredict", "rob-occ", "rs-occ"
-        );
-        for sample in &profile.samples {
-            println!(
-                "{:>10} {:>7.3} {:>8.1}% {:>10.1}% {:>8} {:>7}",
-                sample.retired,
-                sample.ipc(),
-                sample.l1d_hit_rate() * 100.0,
-                sample.mispredict_rate() * 100.0,
-                sample.rob_occupancy,
-                sample.rs_occupancy
-            );
-        }
-    }
 
     // The same framework also runs as a daemon built on a readiness
     // event loop: one reactor thread multiplexes every socket, so idle
